@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from typing import Optional
 
 from .complexes import independence_complex
@@ -142,16 +143,15 @@ def cmd_sweep(args) -> int:
             n = two_n // 2
             for a in range(1, n):
                 cases.append(("cubic", f"2n={two_n},a={a}", two_n, tuple(sorted({a, n})), args.field, args.budget))
-    jobs = args.jobs
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        mapper = map
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_case, cases))
-    else:
-        results = [_sweep_case(c) for c in cases]
-    for entry in results:  # input order is already the sorted case-key order
-        print(json.dumps(entry, sort_keys=True))
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        # both maps keep input order, which is already the sorted case-key order
+        for entry in mapper(_sweep_case, cases):
+            print(json.dumps(entry, sort_keys=True), flush=True)
     return 0
 
 

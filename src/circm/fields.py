@@ -1,8 +1,11 @@
 """Exact coefficient fields and sparse rank computation.
 
 Two field kinds are supported: arbitrary-precision rationals and prime
-fields GF(p).  Rational elimination works on integer rows (fraction-free
-cross-multiplication with gcd reduction), so no rounding ever occurs.
+fields GF(p).  One column reduction with pivot lookup, the standard one
+of persistent homology, computes ranks over both; only its arithmetic
+depends on the field.  Over Q it works on integer rows (fraction-free
+cross-multiplication with gcd reduction), so no rounding ever occurs;
+over GF(p) each pivot is scaled to 1 and every entry is kept mod p.
 """
 
 from __future__ import annotations
@@ -92,70 +95,49 @@ def _row_gcd_reduce(row: SparseRow) -> SparseRow:
     return row
 
 
-def _rank_int(rows: list[SparseRow]) -> int:
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        i = min(range(len(rows)), key=lambda k: len(rows[k]))
-        piv = _row_gcd_reduce(rows.pop(i))
-        rank += 1
-        pc = min(piv, key=lambda c: (abs(piv[c]), c))
-        pv = piv[pc]
-        nxt = []
-        for r in rows:
-            rv = r.get(pc)
-            if rv is None:
-                nxt.append(r)
-                continue
-            out = {c: v * pv for c, v in r.items()}
-            for c, v in piv.items():
-                nv = out.get(c, 0) - v * rv
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-            if out:
-                nxt.append(_row_gcd_reduce(out))
-        rows = nxt
-    return rank
-
-
-def _rank_mod(rows: list[SparseRow], p: int) -> int:
-    rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        i = min(range(len(rows)), key=lambda k: len(rows[k]))
-        piv = rows.pop(i)
-        rank += 1
-        pc = min(piv)
-        inv = pow(piv[pc], p - 2, p)
-        piv = {c: v * inv % p for c, v in piv.items()}
-        nxt = []
-        for r in rows:
-            rv = r.get(pc)
-            if rv is None:
-                nxt.append(r)
-                continue
-            out = dict(r)
-            for c, v in piv.items():
-                nv = (out.get(c, 0) - v * rv) % p
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-            if out:
-                nxt.append(out)
-        rows = nxt
-    return rank
-
-
 def rank_of_rows(rows: list[SparseRow], field: FieldChoice) -> int:
-    """Exact rank of a sparse integer matrix given as rows {col: value}."""
-    if field.kind == "rational":
-        return _rank_int(rows)
-    return _rank_mod(rows, field.p)
+    """Exact rank of a sparse integer matrix given as rows {col: value}.
+
+    Each row in turn is reduced against the pivots found so far, keyed by
+    their largest column ``low``: while the row is nonzero and its ``low``
+    already has a pivot, that entry is cancelled.  A row reaching a new
+    ``low`` becomes its pivot, and the rank is the number of pivots.
+    """
+    p = field.p if field.kind == "gf" else None
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p} if p else {c: v for c, v in row.items() if v}
+        while row:
+            low = max(row)
+            piv = pivots.get(low)
+            if piv is None:
+                if p:
+                    inv = pow(row[low], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[low] = row
+                break
+            # Cancel the entry at low: row * a - pivot * b.  Over GF(p) the
+            # pivot's entry there is 1, so a = 1 and b is the row's entry.
+            # Over Q, with pv and cv the two entries and g = gcd(pv, cv),
+            # a = pv/g > 0 and b = cv/g keep every entry an integer.
+            a, b = 1, row[low]
+            if not p:
+                pv = piv[low]
+                g = math.gcd(pv, b)
+                a, b = (pv // g, b // g) if pv > 0 else (-pv // g, -b // g)
+                if a != 1:
+                    row = {c: v * a for c, v in row.items()}
+            for c, v in piv.items():
+                nv = row.get(c, 0) - v * b
+                if p:
+                    nv %= p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+            if row and not p:
+                row = _row_gcd_reduce(row)
+    return len(pivots)
 
 
 def rows_from_vectors(vectors: Sequence[Sequence]) -> list[SparseRow]:

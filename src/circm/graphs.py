@@ -191,18 +191,15 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     if ng == 0 or nh == 0:
         raise ValueError("both factors must be nonempty")
     n = ng * nh
-    adj = [0] * n
+    block = (1 << nh) - 1
+    adj = []
     for u in range(ng):
-        for v in range(nh):
-            a = u * nh + v
-            mask = 0
-            for x in range(ng):
-                for y in range(nh):
-                    if a == x * nh + y:
-                        continue
-                    if (g.adj[u] >> x) & 1 or (u == x and (h.adj[v] >> y) & 1):
-                        mask |= 1 << (x * nh + y)
-            adj[a] = mask
+        # (u, v) is adjacent to all of block x for x in N_G(u), and to N_H(v) in block u
+        around = 0
+        for x in range(ng):
+            if (g.adj[u] >> x) & 1:
+                around |= block << (x * nh)
+        adj.extend(around | h.adj[v] << (u * nh) for v in range(nh))
     return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)))
 
 

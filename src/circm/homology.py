@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dfield
 from typing import Sequence
 
 from .complexes import Complex, faces
+from .errors import InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 
 
@@ -69,7 +70,7 @@ def _assert_boundary_squares_to_zero(data: ChainComplexData) -> None:
                 for r2, c2 in lower[row].items():
                     acc[r2] = acc.get(r2, 0) + coeff * c2
             if any(acc.values()):
-                raise AssertionError("boundary composition is nonzero; chain complex construction is broken")
+                raise InconsistencyError("boundary composition is nonzero; chain complex construction is broken")
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
         f_i = data.face_count(i)
         h = f_i - ranks.get(i, 0) - ranks.get(i + 1, 0)
         if h < 0:
-            raise AssertionError("negative Betti number; rank computation is broken")
+            raise InconsistencyError("negative Betti number; rank computation is broken")
         out.append((i, h))
     return BettiTable(tuple(out))
 

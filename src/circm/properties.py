@@ -87,8 +87,6 @@ def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
 
 _VD_CACHE: dict[frozenset[frozenset[int]], bool] = {}
 
-FacetKey = frozenset
-
 
 def _canonical_facets(facets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
     """Relabel vertices by sorted occurrence: a cheap canonical form."""
@@ -427,12 +425,12 @@ def full_report(
     a = graph_alpha(g)
     pure = ind.is_pure()
     cm_wit = reisner_violation(ind, fld)
-    bb_wit: Optional[Witness]
+    bb_wit: Optional[Witness] = None
     if pure:
-        bb_wit = buchsbaum_violation(ind, fld)
-        bb = bb_wit is None
-    else:
-        bb_wit, bb = None, False
+        # Both scans walk the same sorted faces and Buchsbaum only skips the
+        # empty face, so only a witness on the empty face needs a second scan.
+        bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
+    bb = pure and bb_wit is None
     shell = is_shellable(ind, shell_budget, fld)
     pdim: Optional[int]
     try:

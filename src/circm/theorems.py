@@ -5,6 +5,7 @@ both against the general-purpose checkers."""
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .graphs import (
     make_circulant,
 )
 from .homology import build_chain_complex, kernel_rank_of, reduced_betti
-from .properties import full_report
+from .properties import PropertyReport, full_report
 
 
 @dataclass(frozen=True)
@@ -276,6 +277,19 @@ def verify_wellcovered_family(scope: VerifyScope) -> TheoremResult:
     return res
 
 
+# The interval-family reports of the current verify_theorems run, shared
+# by the "main" and "buchsbaum" verifiers; unset outside a run.
+_RUN_REPORTS: ContextVar[dict] = ContextVar("_RUN_REPORTS")
+
+
+def _family_report(n: int, d: int, fld: FieldChoice, scope: VerifyScope) -> PropertyReport:
+    memo = _RUN_REPORTS.get({})
+    key = (n, d, fld, scope.shell_budget)
+    if key not in memo:
+        memo[key] = full_report(interval_circulant(n, d), fld, shell_budget=scope.shell_budget, pdim_guard=0)
+    return memo[key]
+
+
 def verify_cm_family(scope: VerifyScope, field: Optional[FieldChoice] = None) -> TheoremResult:
     """CM = shellable = vertex decomposable = (n <= 3d+2 and n != 2d+2)."""
     fld = field if field is not None else FieldChoice.rational()
@@ -283,7 +297,7 @@ def verify_cm_family(scope: VerifyScope, field: Optional[FieldChoice] = None) ->
     for d in range(1, scope.d_max + 1):
         for n in scope.family_range(d):
             res.cases_run += 1
-            report = full_report(interval_circulant(n, d), fld, shell_budget=scope.shell_budget, pdim_guard=0)
+            report = _family_report(n, d, fld, scope)
             want = expected_family_status(n, d)
             bad = {}
             if report.well_covered != want.well_covered_expected:
@@ -306,7 +320,7 @@ def verify_buchsbaum_family(scope: VerifyScope, field: Optional[FieldChoice] = N
     for d in range(1, scope.d_max + 1):
         for n in scope.family_range(d):
             res.cases_run += 1
-            report = full_report(interval_circulant(n, d), fld, shell_budget=scope.shell_budget, pdim_guard=0)
+            report = _family_report(n, d, fld, scope)
             got = report.buchsbaum and not report.cm
             want = expected_family_status(n, d).buchsbaum_not_cm_expected
             if got != want:
@@ -399,9 +413,11 @@ def verify_theorems(scope: Optional[VerifyScope] = None, theorem_ids: Optional[l
     """Run the requested theorem verifications (all by default)."""
     scope = scope if scope is not None else VerifyScope()
     ids = theorem_ids if theorem_ids is not None else list(THEOREM_VERIFIERS)
-    out = []
     for tid in ids:
         if tid not in THEOREM_VERIFIERS:
             raise ValueError(f"unknown theorem id {tid!r}; known: {sorted(THEOREM_VERIFIERS)}")
-        out.append(THEOREM_VERIFIERS[tid](scope))
-    return out
+    token = _RUN_REPORTS.set({})
+    try:
+        return [THEOREM_VERIFIERS[tid](scope) for tid in ids]
+    finally:
+        _RUN_REPORTS.reset(token)

@@ -1,9 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Everything here recomputes results by the most naive method available
-(subset enumeration, dense Fraction elimination) so that the optimized
-implementations in ``circm`` are checked against code that shares none
-of their machinery.
+(subset enumeration, dense Fraction or residue elimination) so that the
+optimized implementations in ``circm`` are checked against code that
+shares none of their machinery.
 """
 
 from fractions import Fraction
@@ -51,6 +51,25 @@ def dense_rank(rows: list[list[int]]) -> int:
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def dense_rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by textbook Gaussian elimination on residues."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
 

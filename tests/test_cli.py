@@ -109,6 +109,22 @@ class TestSweep:
         _, par, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "2")
         assert solo == par
 
+    def test_lines_stream_as_cases_finish(self, capsys, monkeypatch):
+        import circm.cli
+
+        printed = []
+        real = circm.cli._sweep_case
+
+        def case(params):
+            printed.append(capsys.readouterr().out)
+            return real(params)
+
+        monkeypatch.setattr(circm.cli, "_sweep_case", case)
+        assert main(["sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "1"]) == 0
+        printed.append(capsys.readouterr().out)
+        # every case finds each earlier case's line already written
+        assert [p.count("\n") for p in printed] == [0] + [1] * 6
+
 
 class TestVerify:
     def test_single_theorem(self, capsys):

@@ -14,7 +14,7 @@ from circm import (
 )
 from circm.fields import rank_of_rows, rows_from_vectors
 
-from conftest import dense_rank
+from conftest import dense_rank, dense_rank_mod
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -35,21 +35,31 @@ class TestFieldChoice:
         assert FieldChoice.parse(str(GF)) == GF
 
 
-class TestRank:
-    @given(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+def matrices(lo, hi, max_side):
+    """Dense integer matrices of 1..max_side rows and columns."""
+    return st.integers(1, max_side).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(lo, hi), min_size=width, max_size=width),
             min_size=1,
-            max_size=6,
+            max_size=max_side,
         )
     )
-    @settings(max_examples=80, deadline=None)
+
+
+class TestRank:
+    @given(matrices(-60, 60, 9))
+    @settings(max_examples=120, deadline=None)
     def test_matches_dense_fraction_elimination(self, mat):
-        expected = dense_rank(mat)
         rows = rows_from_vectors(mat)
-        assert rank_of_rows(rows, Q) == expected
-        # entries are tiny, so rank over a 15-bit prime agrees with Q
-        assert rank_of_rows(rows, GF) == expected
+        assert rank_of_rows(rows, Q) == dense_rank(mat)
+        assert rank_of_rows(rows, GF) == dense_rank_mod(mat, GF.p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(mat=matrices(-3, 3, 7))
+    @settings(max_examples=120, deadline=None)
+    def test_small_prime_matches_dense_residue_elimination(self, p, mat):
+        # over GF(2) and GF(3) the rank can fall below the rank over Q
+        assert rank_of_rows(rows_from_vectors(mat), FieldChoice.gf(p)) == dense_rank_mod(mat, p)
 
     def test_rank_with_fractions(self):
         from fractions import Fraction
@@ -118,6 +128,23 @@ class TestReducedBetti:
         # Ind(C7(1)) is homotopy equivalent to a circle
         betti = reduced_betti(independence_complex(circulant(7, [1])), Q)
         assert betti.as_dict() == {-1: 0, 0: 0, 1: 1, 2: 0}
+
+
+# the 6-vertex real projective plane, the smallest triangulation of RP^2
+RP2 = Complex.from_facets(
+    6,
+    [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6]],
+)
+
+
+class TestTorsion:
+    def test_rp2_is_acyclic_over_q_and_gf3(self):
+        for field in (Q, FieldChoice.gf(3)):
+            assert not any(reduced_betti(RP2, field).as_dict().values())
+
+    def test_rp2_over_gf2(self):
+        # the 2-torsion of H_1(RP^2; Z) = Z/2 shows in H~_1 and H~_2
+        assert reduced_betti(RP2, FieldChoice.gf(2)).as_dict() == {-1: 0, 0: 0, 1: 1, 2: 1}
 
 
 class TestEulerIdentity:

@@ -17,7 +17,8 @@ from circm import (
     projective_dimension,
     reisner_violation,
 )
-from circm.properties import check_shelling_order
+import circm.properties
+from circm.properties import buchsbaum_violation, check_shelling_order
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -196,6 +197,25 @@ class TestFullReport:
         for d in range(1, n // 2 + 1):
             r = full_report(interval_circulant(n, d))
             assert r.well_covered == is_well_covered(interval_circulant(n, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_buchsbaum_matches_direct_scan(self, d):
+        for n in range(2 * d, 4 * d + 7):
+            g = interval_circulant(n, d)
+            c = independence_complex(g)
+            if not c.is_pure():
+                continue
+            r = full_report(g, pdim_guard=0)
+            direct = buchsbaum_violation(c, Q)
+            assert (r.buchsbaum, r.buchsbaum_witness) == (direct is None, direct), n
+
+    def test_reisner_witness_spares_the_buchsbaum_scan(self, monkeypatch):
+        calls = []
+        real = circm.properties.buchsbaum_violation
+        monkeypatch.setattr(circm.properties, "buchsbaum_violation", lambda c, f: calls.append(c) or real(c, f))
+        r = full_report(circulant(12, [6]), pdim_guard=0)
+        assert r.cm and r.buchsbaum
+        assert calls == []
 
 
 class TestHochsterReisnerCrossValidation:

@@ -125,6 +125,18 @@ class TestVerifyTheorems:
         results = verify_theorems(scope, ["cubic"])
         assert len(results) == 1 and results[0].theorem_id == "cubic"
 
+    def test_family_reports_are_built_once_per_run(self, monkeypatch):
+        import circm.theorems
+
+        calls = []
+        real = circm.theorems.full_report
+        monkeypatch.setattr(circm.theorems, "full_report", lambda *a, **k: calls.append(a) or real(*a, **k))
+        results = verify_theorems(VerifyScope(), ["main", "buchsbaum"])
+        assert all(r.passed for r in results)
+        # d = 1..4 and n = 2d..4d+6: 48 interval cases, shared by both
+        assert [r.cases_run for r in results] == [48, 48]
+        assert len(calls) == 48
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             verify_theorems(VerifyScope(), ["nope"])
