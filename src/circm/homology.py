@@ -1,9 +1,18 @@
-"""Reduced chain complexes and exact reduced homology.
+"""Reduced chain complexes, exact reduced homology, and a memoised
+homology oracle for the independence complexes of induced subgraphs.
 
 Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
 reproducible bit-for-bit.
+
+``InducedHomology`` answers H~_*(Ind(G[W])) for vertex bitmasks W of one
+graph G.  That is all Reisner's criterion and Hochster's formula ask of
+a flag complex Ind(G): the link of a face F is Ind(G - N[F]) and the
+restriction to W is Ind(G[W]).  Cones and joins are settled without
+linear algebra, and only connected pieces of two or more vertices reach
+``reduced_betti``, once per piece up to the rotations and reflections
+of the vertex cycle that are automorphisms of G.
 """
 
 from __future__ import annotations
@@ -11,9 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Sequence
 
-from .complexes import Complex, faces
+from .complexes import Complex, faces, independence_complex
 from .errors import InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
+from .graphs import Graph, induced_subgraph
+
+# Entries an InducedHomology keeps; the oldest goes first beyond this.
+ORACLE_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -123,3 +136,126 @@ def kernel_rank_of(vectors: Sequence[Sequence], field: FieldChoice) -> int:
     """Rank of the subspace spanned by dense exact vectors."""
     rows = rows_from_vectors(vectors)
     return rank_of_rows(rows, field)
+
+
+class InducedHomology:
+    """Reduced homology of Ind(G[mask]) over one field, for vertex bitmasks.
+
+    Bit i of a mask is the vertex of internal index i of ``g``.  The empty
+    mask gives H~_{-1} = 1.  An isolated vertex makes Ind(G[mask]) a cone,
+    hence acyclic.  Otherwise G[mask] splits into connected components
+    and Ind(G[mask]) is the join of theirs, so over a field
+    H~_{k+1}(A * B) = sum over i + j = k of H~_i(A) (x) H~_j(B).  Each
+    component is computed once, memoised under its least image by the
+    rotations and reflections of the internal indices 0..n-1 that are
+    automorphisms of g (all 2n of them for a circulant, possibly none
+    but the identity for other graphs).  At most ``ORACLE_ENTRIES``
+    entries are kept.
+    """
+
+    def __init__(self, g: Graph, field: FieldChoice) -> None:
+        self.graph = g
+        self.field = field
+        n = g.vertex_count
+        self._n = n
+        self.full = (1 << n) - 1  # the mask of every vertex: Ind(G) itself
+        self._memo: dict[int, tuple[int, dict[int, int]]] = {}
+        # rotation amounts r, applied to the mask itself or to its mirror
+        # image, whose vertex maps are automorphisms of g
+        self._rotations: list[int] = []
+        self._reflections: list[int] = []
+        for r in range(max(n, 1)):
+            if self._is_automorphism(lambda m: self._rotate(m, r)):
+                self._rotations.append(r)
+            if self._is_automorphism(lambda m: self._rotate(self._mirror(m), r)):
+                self._reflections.append(r)
+
+    def _rotate(self, mask: int, r: int) -> int:
+        return ((mask << r) | (mask >> (self._n - r))) & self.full
+
+    def _mirror(self, mask: int) -> int:
+        return int(format(mask, f"0{self._n}b")[::-1], 2)
+
+    def _is_automorphism(self, image) -> bool:
+        adj = self.graph.adj
+        return all(image(adj[i]) == adj[image(1 << i).bit_length() - 1] for i in range(self._n))
+
+    def _key(self, mask: int) -> int:
+        n, full = self._n, self.full
+        key = min(((mask << r) | (mask >> (n - r))) & full for r in self._rotations)
+        if self._reflections:
+            m = self._mirror(mask)
+            key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
+        return key
+
+    def _components(self, mask: int) -> list[int]:
+        adj = self.graph.adj
+        out = []
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & mask & ~comp
+                comp |= frontier
+            out.append(comp)
+            mask &= ~comp
+        return out
+
+    def _entry(self, comp: int) -> tuple[int, dict[int, int]]:
+        """(dimension, nonzero reduced Betti numbers) of one component.
+
+        Stored under the component's own mask as well as under its key,
+        so a component seen again skips the key computation.
+        """
+        entry = self._memo.get(comp)
+        if entry is None:
+            key = self._key(comp)
+            entry = self._memo.get(key)
+            if entry is None:
+                labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
+                c = independence_complex(induced_subgraph(self.graph, labels))
+                table = reduced_betti(c, self.field)
+                entry = (c.dim(), {i: b for i, b in table.by_dim if b})
+                self._store(key, entry)
+            self._store(comp, entry)
+        return entry
+
+    def _store(self, mask: int, entry: tuple[int, dict[int, int]]) -> None:
+        if len(self._memo) >= ORACLE_ENTRIES:
+            del self._memo[next(iter(self._memo))]
+        self._memo[mask] = entry
+
+    def betti(self, mask: int) -> dict[int, int]:
+        """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
+        return self._betti(self._components(mask))
+
+    def dim(self, mask: int) -> int:
+        """Dimension of Ind(G[mask]): one less than the independence number of G[mask]."""
+        return self._dim(self._components(mask))
+
+    def table(self, mask: int) -> BettiTable:
+        """Every reduced Betti number of Ind(G[mask]), as ``reduced_betti`` gives them."""
+        comps = self._components(mask)
+        betti = self._betti(comps)
+        return BettiTable(tuple((i, betti.get(i, 0)) for i in range(-1, self._dim(comps) + 1)))
+
+    def _betti(self, comps: list[int]) -> dict[int, int]:
+        if any(c & (c - 1) == 0 for c in comps):
+            return {}  # an isolated vertex: a cone
+        out = {-1: 1}
+        for comp in comps:
+            joined: dict[int, int] = {}
+            for j, b in self._entry(comp)[1].items():
+                for i, a in out.items():
+                    joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
+            if not joined:
+                return {}
+            out = joined
+        return out
+
+    def _dim(self, comps: list[int]) -> int:
+        return sum(1 if c & (c - 1) == 0 else self._entry(c)[0] + 1 for c in comps) - 1

@@ -1,9 +1,17 @@
 """Deciders for Cohen-Macaulay, Buchsbaum, vertex-decomposable and
 shellable complexes, plus projective dimension via induced-subcomplex
-homology, assembled into a cross-checked report."""
+homology, assembled into a cross-checked report.
+
+Every homology question the deciders ask is about a link or a
+restriction.  On a flag complex Ind(G) these are Ind(G - N[F]) and
+Ind(G[W]), so a flag complex is answered by one ``InducedHomology``
+oracle over vertex masks; any other complex takes the facet path, which
+builds each link or restriction and computes its homology.
+"""
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -11,6 +19,7 @@ from .complexes import (
     Complex,
     FHVectors,
     _maximal,
+    _maximal_independent_sets,
     alpha as graph_alpha,
     faces,
     f_vector,
@@ -20,16 +29,70 @@ from .complexes import (
 from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph
-from .homology import reduced_betti
+from .homology import BettiTable, InducedHomology, reduced_betti
 
 DEFAULT_SHELL_BUDGET = 10_000_000
 PDIM_VERTEX_GUARD = 16
 
 Witness = tuple[tuple[int, ...], int]
 
+# The complex full_report is deciding and its oracle, shared by every
+# decider the report calls on that complex; unset outside a report.
+_REPORT_ORACLE: ContextVar[Optional[tuple[Complex, InducedHomology]]] = ContextVar("_REPORT_ORACLE", default=None)
 
-def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice) -> Optional[int]:
+
+def _mask(face: Iterable[int]) -> int:
+    return sum(1 << (v - 1) for v in face)
+
+
+def _flag_graph(c: Complex) -> Optional[Graph]:
+    """The graph G with c = Ind(G), or None when c is not flag.
+
+    G is the complement of the 1-skeleton of c on the vertices 1..n; c is
+    flag when it covers every vertex and its facets are exactly the
+    maximal independent sets of G.
+    """
+    n = c.vertex_count
+    masks = {_mask(f) for f in c.facets}
+    skeleton = [0] * n
+    for m in masks:
+        for v in range(n):
+            if (m >> v) & 1:
+                skeleton[v] |= m
+    if not all(skeleton):
+        return None
+    full = (1 << n) - 1
+    g = Graph(adj=tuple(full & ~s for s in skeleton), labels=tuple(range(1, n + 1)))
+    return g if set(_maximal_independent_sets(g)) == masks else None
+
+
+def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
+    """The homology oracle of c over the field when c is flag, else None."""
+    shared = _REPORT_ORACLE.get()
+    if shared is not None and shared[0] is c and shared[1].field == field:
+        return shared[1]
+    g = _flag_graph(c)
+    return None if g is None else InducedHomology(g, field)
+
+
+def _whole_betti(c: Complex, field: FieldChoice) -> BettiTable:
+    """``reduced_betti(c, field)``, read from the oracle when c is flag."""
+    oracle = _oracle(c, field)
+    return reduced_betti(c, field) if oracle is None else oracle.table(oracle.full)
+
+
+def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle: Optional[InducedHomology]) -> Optional[int]:
     """Smallest i < dim link with nonvanishing H~_i of the link, if any."""
+    if oracle is not None:
+        closed = _mask(face)
+        for v in face:
+            closed |= oracle.graph.adj[v - 1]
+        rest = oracle.full & ~closed  # lk_F Ind(G) = Ind(G - N[F])
+        betti = oracle.betti(rest)
+        if not betti:
+            return None
+        i = min(betti)
+        return i if i < oracle.dim(rest) else None
     lk = link(c, face)
     d = lk.dim()
     if d <= -1:
@@ -52,8 +115,9 @@ def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     Cohen-Macaulay over the field.  The empty face is checked too, so a
     disconnected complex fails here already.
     """
+    oracle = _oracle(c, field)
     for face in _sorted_faces(c):
-        i = _link_violation(c, face, field)
+        i = _link_violation(c, face, field, oracle)
         if i is not None:
             return (tuple(sorted(face)), i)
     return None
@@ -70,10 +134,11 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
+    oracle = _oracle(c, field)
     for face in _sorted_faces(c):
         if not face:
             continue
-        i = _link_violation(c, face, field)
+        i = _link_violation(c, face, field, oracle)
         if i is not None:
             return (tuple(sorted(face)), i)
     return None
@@ -85,9 +150,6 @@ def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
 
 # --- vertex decomposability -------------------------------------------------
 
-_VD_CACHE: dict[frozenset[frozenset[int]], bool] = {}
-
-
 def _canonical_facets(facets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
     """Relabel vertices by sorted occurrence: a cheap canonical form."""
     fs = list(facets)
@@ -96,17 +158,14 @@ def _canonical_facets(facets: Iterable[frozenset[int]]) -> frozenset[frozenset[i
     return frozenset(frozenset(relabel[v] for v in f) for f in fs)
 
 
-def _vd_recursive(facets: frozenset[frozenset[int]]) -> bool:
-    key = facets
-    cached = _VD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _vd_compute(facets)
-    _VD_CACHE[key] = result
+def _vd_recursive(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
+    result = memo.get(facets)
+    if result is None:
+        result = memo[facets] = _vd_compute(facets, memo)
     return result
 
 
-def _vd_compute(facets: frozenset[frozenset[int]]) -> bool:
+def _vd_compute(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
     if len({len(f) for f in facets}) != 1:
         return False
     if len(facets) == 1:
@@ -114,10 +173,10 @@ def _vd_compute(facets: frozenset[frozenset[int]]) -> bool:
     verts = sorted(set().union(*facets))
     for x in verts:
         link_f = _maximal(f - {x} for f in facets if x in f)
-        if not _vd_recursive(_canonical_facets(link_f)):
+        if not _vd_recursive(_canonical_facets(link_f), memo):
             continue
         del_f = _maximal(f - {x} for f in facets)
-        if _vd_recursive(_canonical_facets(del_f)):
+        if _vd_recursive(_canonical_facets(del_f), memo):
             return True
     return False
 
@@ -127,10 +186,10 @@ def is_vertex_decomposable(c: Complex) -> bool:
 
     A simplex is vertex decomposable; otherwise some vertex must have a
     vertex-decomposable link and deletion.  Impure complexes are not
-    vertex decomposable.  Results are memoized on a canonical relabeling
-    of the facet family.
+    vertex decomposable.  Within one call, results are memoized on a
+    canonical relabeling of the facet family.
     """
-    return _vd_recursive(_canonical_facets(c.facets))
+    return _vd_recursive(_canonical_facets(c.facets), {})
 
 
 # --- shellability ------------------------------------------------------------
@@ -201,21 +260,23 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
         return ShellabilityResult(True, tuple(facets))
     d = c.dim()
     if d == 0:
-        order = tuple(facets)
-        assert check_shelling_order(list(order))
-        return ShellabilityResult(True, order)
+        return _verified(facets)
     if d == 1:
         if _components_of_facets(facets) > 1:
             return ShellabilityResult(False)
-        order = _greedy_connected_order(facets)
-        assert check_shelling_order(order)
-        return ShellabilityResult(True, tuple(order))
-    fld = field if field is not None else FieldChoice.rational()
-    betti = reduced_betti(c, fld)
+        return _verified(_greedy_connected_order(facets))
+    betti = _whole_betti(c, field if field is not None else FieldChoice.rational())
     if any(betti[i] != 0 for i in range(-1, d)):
         # shellable complexes have homology only in the top dimension
         return ShellabilityResult(False)
     return _shelling_search(facets, node_budget)
+
+
+def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult:
+    """A positive answer, once its order passes the raw shelling condition."""
+    if not check_shelling_order(order):
+        raise InconsistencyError("a constructed facet order fails the shelling condition")
+    return ShellabilityResult(True, tuple(order), nodes)
 
 
 def _greedy_connected_order(facets: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -230,7 +291,7 @@ def _greedy_connected_order(facets: list[frozenset[int]]) -> list[frozenset[int]
                 del rest[k]
                 break
         else:
-            raise AssertionError("disconnected complex reached greedy ordering")
+            raise InconsistencyError("disconnected complex reached greedy ordering")
     return order
 
 
@@ -275,9 +336,7 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
     placed: list[int] = []
     res = search(placed, frozenset())
     if res is True:
-        order = [facets[i] for i in placed]
-        assert check_shelling_order(order)
-        return ShellabilityResult(True, tuple(order), nodes)
+        return _verified([facets[i] for i in placed], nodes)
     if res is False:
         return ShellabilityResult(False, None, nodes)
     return ShellabilityResult(None, None, nodes)
@@ -294,18 +353,21 @@ def projective_dimension(
 ) -> int:
     """Projective dimension of the face ring, from induced subcomplexes.
 
-    For every vertex subset W, a nonzero H~_j of the restriction to W
-    contributes |W| - j - 1; the projective dimension is the maximum
-    contribution.  Subsets are scanned largest-first so that subsets too
-    small to beat the current maximum are skipped, and restrictions that
-    are cones (a vertex common to all their facets) are skipped as
-    acyclic.
+    By Hochster's formula, for every vertex subset W a nonzero H~_j of
+    the restriction to W contributes |W| - j - 1, and the projective
+    dimension is the maximum contribution.  Subsets are scanned
+    largest-first so that subsets too small to beat the current maximum
+    are skipped.  On a flag complex Ind(G) the restriction to W is
+    Ind(G[W]), answered by the homology oracle; otherwise each
+    restriction is built from the facets, and one that is a cone (a
+    vertex common to all its facets) is skipped as acyclic.
     """
     n = c.vertex_count
     if n > max_vertices and not override_guard:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass override to force")
+    oracle = _oracle(c, field)
     verts = list(range(1, n + 1))
-    facet_masks = [sum(1 << (v - 1) for v in f) for f in c.facets]
+    facet_masks = [_mask(f) for f in c.facets]
     best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
     from itertools import combinations as _comb
 
@@ -313,22 +375,28 @@ def projective_dimension(
         if size - 1 <= best:
             break
         for wt in _comb(verts, size):
-            wmask = 0
-            for v in wt:
-                wmask |= 1 << (v - 1)
-            restricted = {m & wmask for m in facet_masks}
-            common = wmask
-            for m in restricted:
-                common &= m
-            if common:
-                continue  # cone over any common vertex: acyclic
-            fsets = [frozenset(v + 1 for v in _bits(m)) for m in restricted]
-            sub = Complex(n, _maximal(fsets))
-            betti = reduced_betti(sub, field)
-            for j in range(-1, sub.dim() + 1):
-                if betti[j]:
-                    best = max(best, size - j - 1)
+            wmask = _mask(wt)
+            if oracle is not None:
+                nonzero = oracle.betti(wmask)
+            else:
+                nonzero = _restriction_betti(c, facet_masks, wmask, field)
+            for j in nonzero:
+                best = max(best, size - j - 1)
     return best
+
+
+def _restriction_betti(c: Complex, facet_masks: list[int], wmask: int, field: FieldChoice) -> list[int]:
+    """Degrees of the nonzero reduced Betti numbers of c restricted to wmask."""
+    restricted = {m & wmask for m in facet_masks}
+    common = wmask
+    for m in restricted:
+        common &= m
+    if common:
+        return []  # cone over any common vertex: acyclic
+    fsets = [frozenset(v + 1 for v in _bits(m)) for m in restricted]
+    sub = Complex(c.vertex_count, _maximal(fsets))
+    betti = reduced_betti(sub, field)
+    return [j for j in range(-1, sub.dim() + 1) if betti[j]]
 
 
 def _bits(mask: int) -> list[int]:
@@ -418,25 +486,41 @@ def full_report(
     override_pdim_guard: bool = False,
     include_betti: bool = False,
 ) -> PropertyReport:
-    """Run every checker on Ind(g) and cross-validate the results."""
+    """Run every checker on Ind(g) and cross-validate the results.
+
+    Reisner, Buchsbaum, the shelling pre-check, Hochster's pdim and the
+    Betti numbers share one homology oracle of Ind(g), which computes the
+    homology of each induced subgraph once for all of them.  Checks run
+    in implication order: vertex decomposable implies shellable implies
+    Cohen-Macaulay over every field, so once Reisner's criterion rejects
+    the complex, it is neither and neither search runs.
+    """
     fld = field if field is not None else FieldChoice.rational()
     ind = independence_complex(g)
-    fh = f_vector(ind)
-    a = graph_alpha(g)
-    pure = ind.is_pure()
-    cm_wit = reisner_violation(ind, fld)
-    bb_wit: Optional[Witness] = None
-    if pure:
-        # Both scans walk the same sorted faces and Buchsbaum only skips the
-        # empty face, so only a witness on the empty face needs a second scan.
-        bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
-    bb = pure and bb_wit is None
-    shell = is_shellable(ind, shell_budget, fld)
-    pdim: Optional[int]
+    n = g.vertex_count
+    flag = g if g.labels == tuple(range(1, n + 1)) else _flag_graph(ind)
+    token = _REPORT_ORACLE.set(None if flag is None else (ind, InducedHomology(flag, fld)))
     try:
-        pdim = projective_dimension(ind, fld, max_vertices=pdim_guard, override_guard=override_pdim_guard)
-    except GuardError:
-        pdim = None
+        fh = f_vector(ind)
+        a = graph_alpha(g)
+        pure = ind.is_pure()
+        cm_wit = reisner_violation(ind, fld)
+        bb_wit: Optional[Witness] = None
+        if pure:
+            # Both scans walk the same sorted faces and Buchsbaum only skips the
+            # empty face, so only a witness on the empty face needs a second scan.
+            bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
+        bb = pure and bb_wit is None
+        shell = is_shellable(ind, shell_budget, fld) if cm_wit is None else ShellabilityResult(False)
+        pdim: Optional[int]
+        try:
+            pdim = projective_dimension(ind, fld, max_vertices=pdim_guard, override_guard=override_pdim_guard)
+        except GuardError:
+            pdim = None
+        betti = _whole_betti(ind, fld).as_dict() if include_betti else None
+        vd = cm_wit is None and is_vertex_decomposable(ind)
+    finally:
+        _REPORT_ORACLE.reset(token)
     label = str(g.origin) if g.origin is not None else f"graph(n={g.vertex_count})"
     report = PropertyReport(
         graph_label=label,
@@ -453,12 +537,12 @@ def full_report(
         cm_witness=cm_wit,
         buchsbaum=bb,
         buchsbaum_witness=bb_wit,
-        vertex_decomposable=is_vertex_decomposable(ind),
+        vertex_decomposable=vd,
         shellable=shell.status,
         shelling_order=None if shell.order is None else tuple(tuple(sorted(f)) for f in shell.order),
         pdim=pdim,
         depth=None if pdim is None else g.vertex_count - pdim,
-        betti=reduced_betti(ind, fld).as_dict() if include_betti else None,
+        betti=betti,
     )
     _assert_report_invariants(report)
     return report

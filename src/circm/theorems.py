@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .complexes import independence_complex, is_well_covered
-from .errors import GuardError
+from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import (
     CirculantSpec,
@@ -124,7 +124,8 @@ def octahedron_witness(g: Graph, t: OctTuple, chain=None) -> OctahedronWitness:
 
 def expected_octahedron_count(d: int) -> int:
     num = (4 * d + 3) * math.comb(d - 1, 2)
-    assert num % 3 == 0
+    if num % 3:
+        raise InconsistencyError(f"(4d+3) * C(d-1, 2) = {num} is not divisible by 3 at d={d}")
     return num // 3
 
 

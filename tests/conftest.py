@@ -81,3 +81,28 @@ def downward_closure(facets: set[frozenset[int]]) -> set[frozenset[int]]:
         for r in range(len(fl) + 1):
             out.update(frozenset(s) for s in combinations(fl, r))
     return out
+
+
+def brute_reduced_betti(faces, field) -> dict[int, int]:
+    """Every reduced Betti number of the complex that ``faces`` generate.
+
+    The complex is the downward closure of ``faces``; each boundary
+    matrix is written out densely and ranked by textbook elimination
+    over Q or GF(p), as ``field`` asks.  Keys run from -1 to the
+    dimension.
+    """
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in downward_closure(set(faces)):
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    top = max(by_dim)
+    rank = {}
+    for i in range(top + 1):
+        index = {t: k for k, t in enumerate(sorted(by_dim[i - 1]))}
+        rows = []
+        for t in by_dim[i]:
+            row = [0] * len(index)
+            for pos in range(len(t)):
+                row[index[t[:pos] + t[pos + 1 :]]] = -1 if pos % 2 else 1
+            rows.append(row)
+        rank[i] = dense_rank(rows) if field.kind == "rational" else dense_rank_mod(rows, field.p)
+    return {i: len(by_dim[i]) - rank.get(i, 0) - rank.get(i + 1, 0) for i in range(-1, top + 1)}

@@ -1,0 +1,308 @@
+"""The induced-subgraph homology oracle and the deciders that use it,
+checked against dense brute-force homology, brute link scans, Hochster's
+formula by subset enumeration, and Kozlov's closed forms for paths and
+cycles."""
+
+from itertools import combinations
+
+import pytest
+
+import circm.homology
+import circm.properties
+from circm import (
+    Complex,
+    FieldChoice,
+    Graph,
+    InconsistencyError,
+    circulant,
+    full_report,
+    independence_complex,
+    is_shellable,
+    is_vertex_decomposable,
+    lex_product,
+    projective_dimension,
+    reisner_violation,
+)
+from circm.graphs import induced_subgraph
+from circm.homology import InducedHomology
+from circm.properties import _flag_graph, _greedy_connected_order, buchsbaum_violation
+
+from conftest import brute_reduced_betti, downward_closure
+from test_homology import RP2
+
+Q = FieldChoice.rational()
+FIELDS = [Q, FieldChoice.gf(2), FieldChoice.gf(3)]
+
+# the path 1-2-3 (no rotation of its labels is an automorphism) and an
+# edge beside an isolated vertex (no reflection is): their lex product
+# leaves the oracle only the plain-mask key
+P3 = induced_subgraph(circulant(5, [1]), [1, 2, 3])
+K2_K1 = induced_subgraph(circulant(5, [1]), [1, 2, 4])
+
+_BRUTE: dict = {}
+
+
+def brute_table(faces: set[frozenset[int]], field: FieldChoice) -> dict[int, int]:
+    """Reduced Betti numbers of a face set, memoised up to relabeling.
+
+    A cone (some vertex v with f + v a face for every face f) is acyclic;
+    that closed form stands in for dense elimination, which over Q takes
+    seconds on the larger cones, up to 10 s on the 10-vertex simplex.
+    """
+    verts = sorted(frozenset().union(*faces))
+    relabel = {v: i for i, v in enumerate(verts)}
+    key = (frozenset(frozenset(relabel[v] for v in f) for f in faces), field)
+    if key not in _BRUTE:
+        if any(all(f | {v} in key[0] for f in key[0]) for v in range(len(verts))):
+            _BRUTE[key] = {i: 0 for i in range(-1, max(map(len, key[0])))}
+        else:
+            _BRUTE[key] = brute_reduced_betti(key[0], field)
+    return _BRUTE[key]
+
+
+def independent_masks(adj: tuple[int, ...]) -> list[int]:
+    n = len(adj)
+    return [m for m in range(1 << n) if all(not (adj[v] & m) for v in range(n) if (m >> v) & 1)]
+
+
+def as_face(mask: int) -> frozenset[int]:
+    return frozenset(v + 1 for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def dihedral_rep(mask: int, n: int) -> int:
+    """Least image of mask under the rotations and reflections of 0..n-1.
+
+    They are automorphisms of every circulant, so the representative
+    induces an isomorphic subgraph.
+    """
+    full = (1 << n) - 1
+    mirrored = int(format(mask, f"0{n}b")[::-1], 2)
+    return min(((m << r) | (m >> (n - r))) & full for m in (mask, mirrored) for r in range(n))
+
+
+def connection_sets(n: int):
+    for r in range(n // 2 + 1):
+        yield from combinations(range(1, n // 2 + 1), r)
+
+
+def brute_link_scan(faces: set[frozenset[int]]) -> dict:
+    """Reisner's criterion face by face, in the deciders' face order.
+
+    Gives, per field, the first face whose link has homology below its
+    dimension and the first such nonempty face (the Buchsbaum witness).
+    """
+    reisner: dict = {}
+    buchsbaum: dict = {}
+    for face in sorted(faces, key=lambda f: (len(f), sorted(f))):
+        link = {f - face for f in faces if face <= f}
+        for field in FIELDS:
+            if field in buchsbaum:
+                continue
+            betti = brute_table(link, field)
+            low = [i for i in range(-1, max(betti)) if betti[i]]
+            if low:
+                reisner.setdefault(field, (tuple(sorted(face)), low[0]))
+                if face:
+                    buchsbaum[field] = (tuple(sorted(face)), low[0])
+        if len(buchsbaum) == len(FIELDS):
+            break
+    return {field: (reisner.get(field), buchsbaum.get(field)) for field in FIELDS}
+
+
+def brute_pdim(faces: set[frozenset[int]], n: int, field: FieldChoice) -> int:
+    """Hochster's formula over every vertex subset W."""
+    best = 0
+    for w in range(1 << n):
+        wf = as_face(w)
+        betti = brute_table({f for f in faces if f <= wf}, field)
+        best = max([best] + [len(wf) - j - 1 for j, b in betti.items() if b])
+    return best
+
+
+class TestOracleAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_mask_of_every_circulant(self, n):
+        for s in connection_sets(n):
+            g = circulant(n, s)
+            indep = independent_masks(g.adj)
+            reps = [dihedral_rep(mask, n) for mask in range(1 << n)]
+            faces = {rep: {as_face(i) for i in indep if not i & ~rep} for rep in set(reps)}
+            for field in FIELDS:
+                oracle = InducedHomology(g, field)
+                brute = {rep: brute_table(f, field) for rep, f in faces.items()}
+                for mask, rep in enumerate(reps):
+                    assert oracle.table(mask).as_dict() == brute[rep], (n, s, str(field), mask)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reisner_and_buchsbaum_witnesses_match_a_brute_link_scan(self, n):
+        for s in connection_sets(n):
+            g = circulant(n, s)
+            c = independence_complex(g)
+            brute = brute_link_scan({as_face(i) for i in independent_masks(g.adj)})
+            for field in FIELDS:
+                assert reisner_violation(c, field) == brute[field][0], (n, s, str(field))
+                if c.is_pure():
+                    assert buchsbaum_violation(c, field) == brute[field][1], (n, s, str(field))
+
+    @pytest.mark.parametrize("prod", [lex_product(P3, K2_K1), lex_product(circulant(4, [1]), circulant(2, [1]))], ids=["P3[K2+K1]", "C4(1)[C2(1)]"])
+    def test_lex_products(self, prod):
+        n = prod.vertex_count
+        indep = independent_masks(prod.adj)
+        faces = {as_face(i) for i in indep}
+        c = independence_complex(prod)
+        scan = brute_link_scan(faces)
+        for field in FIELDS:
+            oracle = InducedHomology(prod, field)
+            for mask in range(1 << n):
+                want = brute_table({as_face(i) for i in indep if not i & ~mask}, field)
+                assert oracle.table(mask).as_dict() == want, mask
+            assert reisner_violation(c, field) == scan[field][0]
+            assert projective_dimension(c, field) == brute_pdim(faces, n, field)
+
+    def test_plain_key_when_no_rotation_or_reflection_is_an_automorphism(self):
+        prod = lex_product(P3, K2_K1)
+        oracle = InducedHomology(prod, Q)
+        assert all(oracle._key(m) == m for m in range(1 << prod.vertex_count))
+
+    def test_block_rotations_of_a_lex_product_of_circulants_are_used(self):
+        # C4(1)[C2(1)]: rotating by one block is an automorphism, by one vertex is not
+        oracle = InducedHomology(lex_product(circulant(4, [1]), circulant(2, [1])), Q)
+        assert oracle._rotations == [0, 2, 4, 6]
+        assert oracle._key(0b1100) == oracle._key(0b11) == 0b11
+
+    @pytest.mark.parametrize("n,s", [(9, (1, 2)), (10, (2, 5)), (10, (1, 3, 5))])
+    def test_projective_dimension_matches_hochster_by_subsets(self, n, s):
+        g = circulant(n, s)
+        faces = {as_face(i) for i in independent_masks(g.adj)}
+        assert projective_dimension(independence_complex(g), Q) == brute_pdim(faces, n, Q)
+
+
+class TestNonFlagFallback:
+    def test_rp2_is_not_flag(self):
+        # every pair of the six vertices spans an edge of RP^2
+        assert _flag_graph(RP2) is None
+
+    def test_independence_complexes_are_flag(self):
+        c = Complex.from_facets(5, [[1, 2, 3], [3, 4, 5]])
+        g = _flag_graph(c)
+        assert g is not None and independence_complex(g) == c
+
+    def test_rp2_deciders_match_brute_force(self):
+        faces = downward_closure(set(RP2.facets))
+        scan = brute_link_scan(faces)
+        for field in FIELDS:
+            assert (reisner_violation(RP2, field), buchsbaum_violation(RP2, field)) == scan[field]
+            assert projective_dimension(RP2, field) == brute_pdim(faces, 6, field)
+            assert is_shellable(RP2, field=field).status is False
+
+    def test_report_on_a_graph_whose_labels_are_not_in_order(self):
+        # full_report recovers the graph from the complex when the labels
+        # are not 1..n in order; answers must be those of a brute scan
+        prod = lex_product(P3, K2_K1)
+        g = Graph(adj=prod.adj, labels=tuple(reversed(prod.labels)))
+        faces = {frozenset(g.labels[v] for v in range(9) if (i >> v) & 1) for i in independent_masks(g.adj)}
+        r = full_report(g, include_betti=True)
+        assert (r.cm_witness, r.buchsbaum_witness) == brute_link_scan(faces)[Q]
+        assert r.pdim == brute_pdim(faces, 9, Q)
+        assert r.betti == brute_reduced_betti(faces, Q)
+
+    def test_rp2_torsion_shows_only_over_gf2(self):
+        assert reisner_violation(RP2, FieldChoice.gf(2)) == ((), 1)
+        assert reisner_violation(RP2, Q) is None
+
+
+def kozlov_path(m: int) -> dict[int, int]:
+    """Ind(P_m): contractible for m = 3k+1, S^{k-1} for m = 3k-1 and 3k."""
+    return {} if m % 3 == 1 else {(m + 1) // 3 - 1: 1}
+
+
+def kozlov_cycle(m: int) -> dict[int, int]:
+    """Ind(C_m): S^{k-1} v S^{k-1} for m = 3k, S^{k-1} for m = 3k +- 1."""
+    k = (m + 1) // 3
+    return {k - 1: 2 if m % 3 == 0 else 1}
+
+
+class TestKozlovClosedForms:
+    def test_paths(self):
+        oracle = InducedHomology(circulant(21, [1]), FieldChoice.gf(2))
+        for m in range(1, 21):
+            assert oracle.betti((1 << m) - 1) == kozlov_path(m), m
+
+    def test_cycles(self):
+        for m in range(3, 21):
+            oracle = InducedHomology(circulant(m, [1]), FieldChoice.gf(3))
+            assert oracle.betti(oracle.full) == kozlov_cycle(m), m
+
+
+def count_betti_calls(monkeypatch) -> list:
+    """Record the complex of every reduced_betti call, wherever it is made."""
+    calls = []
+    real = circm.homology.reduced_betti
+
+    def counting(c, field):
+        calls.append(c)
+        return real(c, field)
+
+    monkeypatch.setattr(circm.homology, "reduced_betti", counting)
+    monkeypatch.setattr(circm.properties, "reduced_betti", counting)
+    return calls
+
+
+class TestSharedWork:
+    def test_whole_complex_homology_once_per_report(self, monkeypatch):
+        # Ind(C12(1,3,6)) is connected, Cohen-Macaulay and 2-dimensional, so
+        # Reisner's empty face, the shelling pre-check and the Betti numbers
+        # all ask for the homology of the whole complex
+        g = circulant(12, [1, 3, 6])
+        whole = independence_complex(g).facets
+        calls = count_betti_calls(monkeypatch)
+        r = full_report(g, pdim_guard=0, include_betti=True)
+        assert r.cm and r.dim == 2 and r.shellable is True
+        assert r.betti == {-1: 0, 0: 0, 1: 0, 2: 3}
+        assert sum(c.facets == whole for c in calls) == 1
+
+    def test_pdim_of_c14_1_needs_few_homology_computations(self, monkeypatch):
+        calls = count_betti_calls(monkeypatch)
+        assert projective_dimension(independence_complex(circulant(14, [1])), Q) == 9
+        assert len(calls) <= 20
+
+    def test_no_search_once_reisner_rejects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search run on a complex Reisner rejected")
+
+        monkeypatch.setattr(circm.properties, "is_vertex_decomposable", refuse)
+        monkeypatch.setattr(circm.properties, "is_shellable", refuse)
+        r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
+        assert r.cm_witness == ((), 0)
+        assert (r.vertex_decomposable, r.shellable, r.pdim) == (False, False, 15)
+
+    def test_vertex_decomposability_leaves_no_module_state(self):
+        def sizes():
+            return {k: len(v) for k, v in vars(circm.properties).items() if isinstance(v, (dict, list, set))}
+
+        before = sizes()
+        for n, s in [(5, [1]), (6, [2, 3]), (8, [1]), (9, [1, 2, 3])]:
+            is_vertex_decomposable(independence_complex(circulant(n, s)))
+        assert sizes() == before
+        assert not hasattr(circm.properties, "_VD_CACHE")
+
+
+class TestInvariantsAreNotAsserts:
+    def test_bad_constructed_order_is_an_inconsistency(self, monkeypatch):
+        monkeypatch.setattr(circm.properties, "check_shelling_order", lambda order: False)
+        for c in (Complex.from_facets(3, [[1], [2], [3]]), Complex.from_facets(3, [[1, 2], [2, 3]])):
+            with pytest.raises(InconsistencyError):
+                is_shellable(c, field=Q)
+
+    def test_greedy_order_on_disconnected_facets_is_an_inconsistency(self):
+        with pytest.raises(InconsistencyError):
+            _greedy_connected_order([frozenset({1, 2}), frozenset({3, 4})])
+
+    def test_verify_h2_still_records_a_violated_lower_bound(self, monkeypatch):
+        import circm.theorems
+        from circm import BettiTable, VerifyScope
+
+        monkeypatch.setattr(circm.theorems, "reduced_betti", lambda c, f: BettiTable(((2, 0),)))
+        res = circm.theorems.verify_h2(VerifyScope(h2_d_max=3))
+        assert [f["d"] for f in res.failures] == [3]
+        assert "lower bound violated" in res.failures[0]["error"]
