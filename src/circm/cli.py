@@ -1,7 +1,8 @@
 """Command-line front end: analyze, sweep, verify, lexprod, export.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 invalid input, 3 guard violation without override.
+2 invalid input, 3 guard violation without override, 4 internal
+inconsistency (a library bug; for sweep, any line carrying an error).
 """
 
 from __future__ import annotations
@@ -150,9 +151,11 @@ def cmd_sweep(args) -> int:
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
         # both maps keep input order, which is already the sorted case-key order
+        errors = False
         for entry in mapper(_sweep_case, cases):
             print(json.dumps(entry, sort_keys=True), flush=True)
-    return 0
+            errors = errors or "error" in entry
+    return 4 if errors else 0
 
 
 def cmd_verify(args) -> int:
@@ -165,7 +168,6 @@ def cmd_verify(args) -> int:
     )
     ids = [args.theorem] if args.theorem else list(THEOREM_VERIFIERS)
     results = verify_theorems(scope, ids)
-    failed = False
     for res in results:
         if args.json:
             print(json.dumps(res.to_json_dict(), sort_keys=True))
@@ -176,11 +178,7 @@ def cmd_verify(args) -> int:
                 print(f"  d={ev['d']}: computed={ev['computed']} formula={ev['formula']} equal={ev['equal']}")
             for f in res.failures:
                 print(f"  counterexample: {f}")
-        if not res.passed and res.theorem_id != "lemma-h2":
-            failed = True
-        if res.theorem_id == "lemma-h2" and res.failures:
-            failed = True  # the >= direction is a theorem; its failure counts
-    return 1 if failed else 0
+    return 1 if any(r.failures for r in results) else 0
 
 
 def cmd_export(args) -> int:
@@ -289,7 +287,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-        raise
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

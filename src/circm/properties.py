@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 from .homology import BettiTable, InducedHomology, reduced_betti
 
 DEFAULT_SHELL_BUDGET = 10_000_000
@@ -158,27 +158,27 @@ def _canonical_facets(facets: Iterable[frozenset[int]]) -> frozenset[frozenset[i
     return frozenset(frozenset(relabel[v] for v in f) for f in fs)
 
 
-def _vd_recursive(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
-    result = memo.get(facets)
-    if result is None:
-        result = memo[facets] = _vd_compute(facets, memo)
-    return result
+def _vd_recursive(facets: Iterable[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
+    key = _canonical_facets(facets)
+    if key not in memo:
+        memo[key] = len({len(f) for f in key}) == 1 and (len(key) == 1 or _shedding_vertex(key, memo) is not None)
+    return memo[key]
 
 
-def _vd_compute(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
-    if len({len(f) for f in facets}) != 1:
-        return False
-    if len(facets) == 1:
-        return True
-    verts = sorted(set().union(*facets))
-    for x in verts:
-        link_f = _maximal(f - {x} for f in facets if x in f)
-        if not _vd_recursive(_canonical_facets(link_f), memo):
+def _shedding_vertex(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> Optional[tuple]:
+    """(x, lk_x, del_x) for the first vertex x whose link and deletion
+    are vertex decomposable, as facet families; None if there is none.
+
+    The facets must be pure, so the link's are an antichain as they come.
+    """
+    for x in sorted(set().union(*facets)):
+        link_f = frozenset(f - {x} for f in facets if x in f)
+        if not _vd_recursive(link_f, memo):
             continue
         del_f = _maximal(f - {x} for f in facets)
-        if _vd_recursive(_canonical_facets(del_f), memo):
-            return True
-    return False
+        if _vd_recursive(del_f, memo):
+            return x, link_f, del_f
+    return None
 
 
 def is_vertex_decomposable(c: Complex) -> bool:
@@ -189,7 +189,29 @@ def is_vertex_decomposable(c: Complex) -> bool:
     vertex decomposable.  Within one call, results are memoized on a
     canonical relabeling of the facet family.
     """
-    return _vd_recursive(_canonical_facets(c.facets), {})
+    return _vd_recursive(c.facets, {})
+
+
+def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
+    """The shelling order a vertex decomposition of c implies, or None.
+
+    For a shedding vertex x: the order of del_x, then x joined to the
+    order of lk_x (Provan-Billera); only the latter when x lies in every
+    facet, where del_x is lk_x.  Every branch taken is in the memo.
+    """
+    memo: dict[frozenset[frozenset[int]], bool] = {}
+    if not _vd_recursive(c.facets, memo):
+        return None
+
+    def order(facets: frozenset[frozenset[int]]) -> list[frozenset[int]]:
+        found = _shedding_vertex(facets, memo) if len(facets) > 1 else None
+        if found is None:
+            return list(facets)
+        x, link_f, del_f = found
+        cone = [f | {x} for f in order(link_f)]
+        return cone if del_f == link_f else order(del_f) + cone
+
+    return order(c.facets)
 
 
 # --- shellability ------------------------------------------------------------
@@ -219,57 +241,23 @@ def check_shelling_order(order: list[frozenset[int]]) -> bool:
     return True
 
 
-def _components_of_facets(facets: list[frozenset[int]]) -> int:
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in facets:
-        for v in f:
-            parent.setdefault(v, v)
-        it = iter(f)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
-        for v in it:
-            parent[find(v)] = find(first)
-    roots = {find(v) for v in parent}
-    return len(roots)
-
-
 def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Optional[FieldChoice] = None) -> ShellabilityResult:
     """Decide shellability of a pure complex; impure input is not shellable.
 
-    Dimension 0 is always shellable; in dimension 1 shellability is
-    exactly connectivity.  In higher dimension a complex whose own
-    reduced homology is nonzero below the top dimension cannot be
-    shellable, which settles the answer without search; the remaining
-    cases run a budgeted backtracking over facet orders (memoizing dead
-    prefix sets) and return None when the budget is exhausted.  Positive
-    answers are re-verified against the raw shelling condition.
+    Reduced homology below the top dimension (in dimension 1:
+    disconnectedness) rules shellability out.  Otherwise a backtracking
+    search places the lowest-index attachable facet next, memoizing dead
+    prefix sets, and returns None after ``node_budget`` nodes, one per
+    prefix it extends.  Positive answers are re-verified against the raw
+    shelling condition.
     """
     if not c.is_pure():
         return ShellabilityResult(False)
-    facets = sorted(c.facets, key=lambda f: sorted(f))
-    if len(facets) == 1:
-        return ShellabilityResult(True, tuple(facets))
-    d = c.dim()
-    if d == 0:
-        return _verified(facets)
-    if d == 1:
-        if _components_of_facets(facets) > 1:
-            return ShellabilityResult(False)
-        return _verified(_greedy_connected_order(facets))
     betti = _whole_betti(c, field if field is not None else FieldChoice.rational())
-    if any(betti[i] != 0 for i in range(-1, d)):
+    if any(betti[i] != 0 for i in range(-1, c.dim())):
         # shellable complexes have homology only in the top dimension
         return ShellabilityResult(False)
-    return _shelling_search(facets, node_budget)
+    return _shelling_search(sorted(c.facets, key=lambda f: sorted(f)), node_budget)
 
 
 def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult:
@@ -277,22 +265,6 @@ def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult
     if not check_shelling_order(order):
         raise InconsistencyError("a constructed facet order fails the shelling condition")
     return ShellabilityResult(True, tuple(order), nodes)
-
-
-def _greedy_connected_order(facets: list[frozenset[int]]) -> list[frozenset[int]]:
-    order = [facets[0]]
-    rest = facets[1:]
-    covered = set(facets[0])
-    while rest:
-        for k, f in enumerate(rest):
-            if f & covered:
-                order.append(f)
-                covered |= f
-                del rest[k]
-                break
-        else:
-            raise InconsistencyError("disconnected complex reached greedy ordering")
-    return order
 
 
 def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> ShellabilityResult:
@@ -493,13 +465,18 @@ def full_report(
     homology of each induced subgraph once for all of them.  Checks run
     in implication order: vertex decomposable implies shellable implies
     Cohen-Macaulay over every field, so once Reisner's criterion rejects
-    the complex, it is neither and neither search runs.
+    the complex, it is neither and no search runs.  Otherwise a vertex
+    decomposition gives the shelling order; only a complex that is not
+    vertex decomposable runs the budgeted shelling search.  pdim and
+    depth count one variable per vertex of g, whatever its labels.
     """
     fld = field if field is not None else FieldChoice.rational()
-    ind = independence_complex(g)
     n = g.vertex_count
-    flag = g if g.labels == tuple(range(1, n + 1)) else _flag_graph(ind)
-    token = _REPORT_ORACLE.set(None if flag is None else (ind, InducedHomology(flag, fld)))
+    # Numbering the labels 1..n in increasing order keeps every scan order.
+    names = sorted(g.labels)
+    flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
+    ind = independence_complex(flag)
+    token = _REPORT_ORACLE.set((ind, InducedHomology(flag, fld)))
     try:
         fh = f_vector(ind)
         a = graph_alpha(g)
@@ -511,20 +488,27 @@ def full_report(
             # empty face, so only a witness on the empty face needs a second scan.
             bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
         bb = pure and bb_wit is None
-        shell = is_shellable(ind, shell_budget, fld) if cm_wit is None else ShellabilityResult(False)
+        shedding = _shedding_order(ind) if cm_wit is None else None
+        if shedding is not None:
+            shell = _verified(shedding)
+        else:
+            shell = is_shellable(ind, shell_budget, fld) if cm_wit is None else ShellabilityResult(False)
         pdim: Optional[int]
         try:
             pdim = projective_dimension(ind, fld, max_vertices=pdim_guard, override_guard=override_pdim_guard)
         except GuardError:
             pdim = None
         betti = _whole_betti(ind, fld).as_dict() if include_betti else None
-        vd = cm_wit is None and is_vertex_decomposable(ind)
     finally:
         _REPORT_ORACLE.reset(token)
+
+    def named(face: Iterable[int]) -> tuple[int, ...]:
+        return tuple(names[v - 1] for v in sorted(face))
+
     label = str(g.origin) if g.origin is not None else f"graph(n={g.vertex_count})"
     report = PropertyReport(
         graph_label=label,
-        vertex_count=g.vertex_count,
+        vertex_count=n,
         field=fld,
         alpha=a,
         krull_dim=a,
@@ -534,14 +518,14 @@ def full_report(
         well_covered=pure,
         pure=pure,
         cm=cm_wit is None,
-        cm_witness=cm_wit,
+        cm_witness=None if cm_wit is None else (named(cm_wit[0]), cm_wit[1]),
         buchsbaum=bb,
-        buchsbaum_witness=bb_wit,
-        vertex_decomposable=vd,
+        buchsbaum_witness=None if bb_wit is None else (named(bb_wit[0]), bb_wit[1]),
+        vertex_decomposable=shedding is not None,
         shellable=shell.status,
-        shelling_order=None if shell.order is None else tuple(tuple(sorted(f)) for f in shell.order),
+        shelling_order=None if shell.order is None else tuple(named(f) for f in shell.order),
         pdim=pdim,
-        depth=None if pdim is None else g.vertex_count - pdim,
+        depth=None if pdim is None else n - pdim,
         betti=betti,
     )
     _assert_report_invariants(report)

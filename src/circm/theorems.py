@@ -14,12 +14,11 @@ from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import (
     CirculantSpec,
+    CubicDecomposition,
     Graph,
     circulant,
-    connected_components,
     cubic_decompose,
     interval_circulant,
-    is_isomorphic_small,
     lex_product,
     make_circulant,
 )
@@ -344,17 +343,34 @@ def verify_cubic(scope: VerifyScope, field: Optional[FieldChoice] = None) -> The
             if report.cm != want:
                 res.failures.append({**entry, "cm": report.cm, "expected": want})
             deco = cubic_decompose(two_n, a)
-            comps = connected_components(g)
-            if len(comps) != deco.copies:
-                res.failures.append({**entry, "components": len(comps), "expected_copies": deco.copies})
-                continue
-            if two_n <= 12:
-                model = make_circulant(deco.component_spec)
-                for comp in comps:
-                    if not is_isomorphic_small(comp, model):
-                        res.failures.append({**entry, "component_not_isomorphic_to": str(deco.component_spec)})
-                        break
+            if not _cubic_map_holds(g, a, deco):
+                res.failures.append({**entry, "component_not_isomorphic_to": str(deco.component_spec)})
     return res
+
+
+def _cubic_map_holds(g: Graph, a: int, deco: CubicDecomposition) -> bool:
+    """Whether the vertex map behind ``deco`` is an isomorphism from
+    g = C_{2n}(a, n) onto ``deco.copies`` copies of its (connected) component.
+
+    With q = 2n/t, copy r sends vertex r + j*a to j when q is even; when q
+    is odd it sends r + j*a to 2j and r + n + j*a to 2j + q (mod 2q).
+    """
+    two_n = g.vertex_count
+    q = two_n // deco.t
+    model = make_circulant(deco.component_spec)
+    image: dict[int, tuple[int, int]] = {}
+    for r in range(deco.copies):
+        for j in range(q):
+            image[(r + j * a) % two_n] = (r, 2 * j if q % 2 else j)
+            if q % 2:
+                image[(r + two_n // 2 + j * a) % two_n] = (r, (2 * j + q) % (2 * q))
+    if len(image) != two_n or set(image.values()) != {(r, x) for r in range(deco.copies) for x in range(model.vertex_count)}:
+        return False
+    for u, v in g.edges():  # a circulant's label i is its vertex i - 1
+        (ru, x), (rv, y) = image[u - 1], image[v - 1]
+        if ru != rv or not (model.adj[x] >> y) & 1:
+            return False
+    return g.edge_count() == deco.copies * model.edge_count()
 
 
 def _all_circulant_specs(max_n: int) -> list[CirculantSpec]:

@@ -34,7 +34,11 @@ def brute_maximal_independent_sets(g: Graph) -> set[frozenset[int]]:
 
 
 def dense_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by textbook Gaussian elimination on Fractions."""
+    """Rank over Q by textbook forward elimination on Fractions.
+
+    Only the rows below each pivot are cleared: the rank is the number
+    of pivots of the resulting row echelon form.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return 0
@@ -45,12 +49,10 @@ def dense_rank(rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
 

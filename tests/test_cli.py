@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import circm.cli
+from circm import InconsistencyError
 from circm.cli import main
 
 
@@ -9,6 +11,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def failing_report(*args, **kwargs):
+    raise InconsistencyError("routes disagree")
 
 
 class TestAnalyze:
@@ -46,6 +52,19 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--n", "7", "--set", "1", "--field", "gf:32003", "--json")
         assert code == 0
         assert json.loads(out)["field"] == "gf:32003"
+
+    @pytest.mark.parametrize("n", ["12", "16"])
+    def test_small_budget_on_a_vertex_decomposable_complex(self, capsys, n):
+        code, out, _ = run(capsys, "analyze", "--n", n, "--set", str(int(n) // 2), "--checks", "cm", "--budget", "10", "--json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["vertex_decomposable"] is True and rep["shellable"] is True
+
+    def test_inconsistency_exits_4_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        code, out, err = run(capsys, "analyze", "--n", "5", "--set", "1")
+        assert code == 4 and out == ""
+        assert err == "internal inconsistency: routes disagree\n"
 
     def test_invalid_set_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "--n", "6", "--set", "5")
@@ -104,14 +123,24 @@ class TestSweep:
         got = {e["key"]: e["cm"] for e in lines}
         assert got == {"2n=4,a=1": True, "2n=6,a=1": False, "2n=6,a=2": True}
 
+    def test_small_budget_prints_no_error_line(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "16", "--budget", "1")
+        assert code == 0
+        assert not any("error" in json.loads(ln) for ln in out.strip().splitlines())
+
+    def test_error_lines_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6")
+        assert code == 4
+        lines = [json.loads(ln) for ln in out.strip().splitlines()]
+        assert [e["error"] for e in lines] == ["InconsistencyError: routes disagree"] * 3
+
     def test_parallel_jobs_same_output(self, capsys):
         _, solo, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8")
         _, par, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "2")
         assert solo == par
 
     def test_lines_stream_as_cases_finish(self, capsys, monkeypatch):
-        import circm.cli
-
         printed = []
         real = circm.cli._sweep_case
 

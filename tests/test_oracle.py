@@ -25,7 +25,7 @@ from circm import (
 )
 from circm.graphs import induced_subgraph
 from circm.homology import InducedHomology
-from circm.properties import _flag_graph, _greedy_connected_order, buchsbaum_violation
+from circm.properties import _flag_graph, buchsbaum_violation
 
 from conftest import brute_reduced_betti, downward_closure
 from test_homology import RP2
@@ -206,6 +206,16 @@ class TestNonFlagFallback:
         assert r.pdim == brute_pdim(faces, 9, Q)
         assert r.betti == brute_reduced_betti(faces, Q)
 
+    def test_report_counts_only_the_graphs_own_vertices(self):
+        # labels 2, 3, 5, 6 leave 1 and 4 out: the face ring still has one
+        # variable per vertex of the graph, as for the graph relabelled 1..4
+        g = induced_subgraph(circulant(7, [1]), [2, 3, 5, 6])
+        r = full_report(g)
+        assert (r.cm, r.pdim, r.depth) == (True, 2, 2)
+        relabelled = full_report(Graph(adj=g.adj, labels=(1, 2, 3, 4)))
+        assert (relabelled.cm, relabelled.pdim, relabelled.depth) == (True, 2, 2)
+        assert {v for f in r.shelling_order for v in f} == {2, 3, 5, 6}
+
     def test_rp2_torsion_shows_only_over_gf2(self):
         assert reisner_violation(RP2, FieldChoice.gf(2)) == ((), 1)
         assert reisner_violation(RP2, Q) is None
@@ -270,7 +280,7 @@ class TestSharedWork:
         def refuse(*args, **kwargs):
             raise AssertionError("search run on a complex Reisner rejected")
 
-        monkeypatch.setattr(circm.properties, "is_vertex_decomposable", refuse)
+        monkeypatch.setattr(circm.properties, "_shedding_order", refuse)
         monkeypatch.setattr(circm.properties, "is_shellable", refuse)
         r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
         assert r.cm_witness == ((), 0)
@@ -293,10 +303,6 @@ class TestInvariantsAreNotAsserts:
         for c in (Complex.from_facets(3, [[1], [2], [3]]), Complex.from_facets(3, [[1, 2], [2, 3]])):
             with pytest.raises(InconsistencyError):
                 is_shellable(c, field=Q)
-
-    def test_greedy_order_on_disconnected_facets_is_an_inconsistency(self):
-        with pytest.raises(InconsistencyError):
-            _greedy_connected_order([frozenset({1, 2}), frozenset({3, 4})])
 
     def test_verify_h2_still_records_a_violated_lower_bound(self, monkeypatch):
         import circm.theorems

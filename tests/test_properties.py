@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from circm import (
@@ -120,6 +122,32 @@ class TestShellability:
         # h-vector ends in -1, so it cannot be shellable
         assert is_shellable(ind(11, [1, 2]), field=Q).status is False
 
+    @pytest.mark.parametrize(
+        "n, s, order",
+        [
+            (5, [1, 2], [[1], [2], [3], [4], [5]]),
+            (6, [2, 3], [[1, 2], [1, 6], [2, 3], [3, 4], [4, 5], [5, 6]]),
+            (8, [2, 3, 4], [[1, 2], [1, 8], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8]]),
+            (
+                10,
+                [2, 4],
+                [[1, 2], [1, 4], [1, 6], [1, 8], [1, 10], [2, 3], [2, 5], [2, 7], [2, 9], [3, 4], [3, 6], [3, 8], [3, 10]]
+                + [[4, 5], [4, 7], [4, 9], [5, 6], [5, 8], [5, 10], [6, 7], [6, 9], [7, 8], [7, 10], [8, 9], [9, 10]],
+            ),
+        ],
+    )
+    def test_orders_in_dimension_at_most_one(self, n, s, order):
+        # sorted facets in dimension 0; in dimension 1 each next edge is the
+        # first that meets the edges already placed
+        res = is_shellable(ind(n, s), field=Q)
+        assert res.status is True
+        assert [sorted(f) for f in res.order] == order
+
+    def test_budget_counts_one_node_per_edge_in_dimension_one(self):
+        c = ind(10, [2, 4])  # 25 edges
+        assert is_shellable(c, node_budget=24, field=Q).status is None
+        assert is_shellable(c, node_budget=25, field=Q).status is True
+
     def test_check_shelling_order_rejects_bad_order(self):
         # two facets meeting in a single vertex of codimension two
         order = [frozenset({1, 2, 3}), frozenset({3, 4, 5})]
@@ -189,6 +217,35 @@ class TestFullReport:
     def test_betti_included_on_request(self):
         r = full_report(circulant(7, [1]), include_betti=True)
         assert r.betti == {-1: 0, 0: 0, 1: 1, 2: 0}
+
+    def test_vertex_decomposable_circulants_report_their_shedding_order(self):
+        vd = 0
+        for n in range(1, 13):
+            for r in range(n // 2 + 1):
+                for s in combinations(range(1, n // 2 + 1), r):
+                    rep = full_report(circulant(n, s), pdim_guard=0)
+                    if not rep.vertex_decomposable:
+                        continue
+                    vd += 1
+                    assert rep.shellable is True
+                    order = [frozenset(f) for f in rep.shelling_order]
+                    assert check_shelling_order(order)
+                    assert sorted(map(sorted, order)) == sorted(map(sorted, ind(n, s).facets))
+        assert vd == 80
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_small_budget_on_a_vertex_decomposable_complex(self, n):
+        # the shedding order decides shellability: no budget is spent
+        r = full_report(circulant(n, [n // 2]), shell_budget=10, pdim_guard=0)
+        assert r.vertex_decomposable and r.shellable is True
+        assert len(r.shelling_order) == 2 ** (n // 2)
+
+    def test_search_runs_only_when_cohen_macaulay_and_not_vd(self, monkeypatch):
+        monkeypatch.setattr(circm.properties, "_shedding_order", lambda c: None)
+        r = full_report(circulant(12, [6]), shell_budget=10, pdim_guard=0)
+        assert r.cm and not r.vertex_decomposable and r.shellable is None
+        r = full_report(circulant(12, [6]), pdim_guard=0)
+        assert r.shellable is True and check_shelling_order([frozenset(f) for f in r.shelling_order])
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_invariants_hold_on_family_sweep(self, n):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from circm import (
+    CirculantSpec,
     FieldChoice,
     VerifyScope,
     build_octahedron_list,
@@ -136,6 +139,20 @@ class TestVerifyTheorems:
         # d = 1..4 and n = 2d..4d+6: 48 interval cases, shared by both
         assert [r.cases_run for r in results] == [48, 48]
         assert len(calls) == 48
+
+    def test_wrong_component_spec_is_a_failure(self, monkeypatch):
+        import circm.theorems
+
+        real = circm.theorems.cubic_decompose
+
+        def wrong(two_n, a):
+            deco = real(two_n, a)
+            # C14(2,7) has the vertex and edge counts of C14(1,7), not its edges
+            return replace(deco, component_spec=CirculantSpec(14, (2, 7))) if (two_n, a) == (14, 1) else deco
+
+        monkeypatch.setattr(circm.theorems, "cubic_decompose", wrong)
+        (res,) = verify_theorems(VerifyScope(max_two_n=14), ["cubic"])
+        assert res.failures == [{"two_n": 14, "a": 1, "component_not_isomorphic_to": "C14(2,7)"}]
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
