@@ -155,28 +155,30 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> Graph:
     return Graph(adj=tuple(adj), labels=tuple(wl))
 
 
+def _component_masks(g: Graph, mask: int) -> list[int]:
+    """Vertex bitmasks of the connected components of g[mask], in order
+    of their lowest internal index."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= g.adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def connected_components(g: Graph) -> list[Graph]:
     """Maximal connected pieces of g, ordered by smallest label."""
     n = g.vertex_count
-    seen = 0
-    comps = []
-    for start in range(n):
-        if (seen >> start) & 1:
-            continue
-        frontier = 1 << start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~comp
-        seen |= comp
-        labels = [g.labels[i] for i in range(n) if (comp >> i) & 1]
-        comps.append(labels)
+    masks = _component_masks(g, (1 << n) - 1)
+    comps = [[g.labels[i] for i in range(n) if (comp >> i) & 1] for comp in masks]
     comps.sort(key=min)
     return [induced_subgraph(g, ls) for ls in comps]
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Sequence
 
-from .complexes import Complex, faces, independence_complex
+from .complexes import Complex, f_vector, faces, independence_complex
 from .errors import InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _component_masks, induced_subgraph
 
 # Entries an InducedHomology keeps; the oldest goes first beyond this.
 ORACLE_ENTRIES = 1 << 16
@@ -125,10 +125,7 @@ def euler_check(c: Complex, field: FieldChoice) -> bool:
     """
     betti = reduced_betti(c, field)
     lhs = sum((-1 if i % 2 else 1) * betti[i] for i in range(-1, c.dim() + 1))
-    fvec = [0] * (c.dim() + 2)
-    for f in faces(c):
-        fvec[len(f)] += 1
-    rhs = sum((-1) ** (k + 1) * fvec[k] for k in range(len(fvec)))
+    rhs = sum((-1) ** (k + 1) * fk for k, fk in enumerate(f_vector(c).f))
     return lhs == rhs
 
 
@@ -188,23 +185,6 @@ class InducedHomology:
             key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
         return key
 
-    def _components(self, mask: int) -> list[int]:
-        adj = self.graph.adj
-        out = []
-        while mask:
-            comp = frontier = mask & -mask
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & mask & ~comp
-                comp |= frontier
-            out.append(comp)
-            mask &= ~comp
-        return out
-
     def _entry(self, comp: int) -> tuple[int, dict[int, int]]:
         """(dimension, nonzero reduced Betti numbers) of one component.
 
@@ -231,15 +211,15 @@ class InducedHomology:
 
     def betti(self, mask: int) -> dict[int, int]:
         """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
-        return self._betti(self._components(mask))
+        return self._betti(_component_masks(self.graph, mask))
 
     def dim(self, mask: int) -> int:
         """Dimension of Ind(G[mask]): one less than the independence number of G[mask]."""
-        return self._dim(self._components(mask))
+        return self._dim(_component_masks(self.graph, mask))
 
     def table(self, mask: int) -> BettiTable:
         """Every reduced Betti number of Ind(G[mask]), as ``reduced_betti`` gives them."""
-        comps = self._components(mask)
+        comps = _component_masks(self.graph, mask)
         betti = self._betti(comps)
         return BettiTable(tuple((i, betti.get(i, 0)) for i in range(-1, self._dim(comps) + 1)))
 

@@ -5,14 +5,16 @@ homology, assembled into a cross-checked report.
 Every homology question the deciders ask is about a link or a
 restriction.  On a flag complex Ind(G) these are Ind(G - N[F]) and
 Ind(G[W]), so a flag complex is answered by one ``InducedHomology``
-oracle over vertex masks; any other complex takes the facet path, which
-builds each link or restriction and computes its homology.
+oracle over vertex masks; any other complex takes the textbook route,
+``reduced_betti`` of ``link(c, F)`` or ``restrict(c, W)``.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -20,11 +22,11 @@ from .complexes import (
     FHVectors,
     _maximal,
     _maximal_independent_sets,
-    alpha as graph_alpha,
     faces,
     f_vector,
     independence_complex,
     link,
+    restrict,
 )
 from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
@@ -88,20 +90,13 @@ def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle
         for v in face:
             closed |= oracle.graph.adj[v - 1]
         rest = oracle.full & ~closed  # lk_F Ind(G) = Ind(G - N[F])
-        betti = oracle.betti(rest)
-        if not betti:
-            return None
-        i = min(betti)
-        return i if i < oracle.dim(rest) else None
-    lk = link(c, face)
-    d = lk.dim()
-    if d <= -1:
-        return None
-    betti = reduced_betti(lk, field)
-    for i in range(-1, d):
-        if betti[i] != 0:
-            return i
-    return None
+        nonzero, dim = oracle.betti(rest), partial(oracle.dim, rest)
+    else:
+        lk = link(c, face)
+        nonzero, dim = [i for i, b in reduced_betti(lk, field).by_dim if b], lk.dim
+    # the oracle works out the dimension only when some H~_i is nonzero
+    low = min(nonzero, default=None)
+    return low if low is not None and low < dim() else None
 
 
 def _sorted_faces(c: Complex) -> list[frozenset[int]]:
@@ -330,54 +325,25 @@ def projective_dimension(
     dimension is the maximum contribution.  Subsets are scanned
     largest-first so that subsets too small to beat the current maximum
     are skipped.  On a flag complex Ind(G) the restriction to W is
-    Ind(G[W]), answered by the homology oracle; otherwise each
-    restriction is built from the facets, and one that is a cone (a
-    vertex common to all its facets) is skipped as acyclic.
+    Ind(G[W]), answered by the homology oracle; otherwise it is
+    ``restrict(c, W)`` and its homology is computed, cones included.
     """
     n = c.vertex_count
     if n > max_vertices and not override_guard:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass override to force")
     oracle = _oracle(c, field)
-    verts = list(range(1, n + 1))
-    facet_masks = [_mask(f) for f in c.facets]
     best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
-    from itertools import combinations as _comb
-
     for size in range(n, 0, -1):
         if size - 1 <= best:
             break
-        for wt in _comb(verts, size):
-            wmask = _mask(wt)
+        for w in combinations(range(1, n + 1), size):
             if oracle is not None:
-                nonzero = oracle.betti(wmask)
+                nonzero = oracle.betti(_mask(w))
             else:
-                nonzero = _restriction_betti(c, facet_masks, wmask, field)
+                nonzero = [j for j, b in reduced_betti(restrict(c, w), field).by_dim if b]
             for j in nonzero:
                 best = max(best, size - j - 1)
     return best
-
-
-def _restriction_betti(c: Complex, facet_masks: list[int], wmask: int, field: FieldChoice) -> list[int]:
-    """Degrees of the nonzero reduced Betti numbers of c restricted to wmask."""
-    restricted = {m & wmask for m in facet_masks}
-    common = wmask
-    for m in restricted:
-        common &= m
-    if common:
-        return []  # cone over any common vertex: acyclic
-    fsets = [frozenset(v + 1 for v in _bits(m)) for m in restricted]
-    sub = Complex(c.vertex_count, _maximal(fsets))
-    betti = reduced_betti(sub, field)
-    return [j for j in range(-1, sub.dim() + 1) if betti[j]]
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # --- assembled report ---------------------------------------------------------
@@ -479,7 +445,6 @@ def full_report(
     token = _REPORT_ORACLE.set((ind, InducedHomology(flag, fld)))
     try:
         fh = f_vector(ind)
-        a = graph_alpha(g)
         pure = ind.is_pure()
         cm_wit = reisner_violation(ind, fld)
         bb_wit: Optional[Witness] = None
@@ -510,8 +475,8 @@ def full_report(
         graph_label=label,
         vertex_count=n,
         field=fld,
-        alpha=a,
-        krull_dim=a,
+        alpha=ind.dim() + 1,
+        krull_dim=max(k for k, count in enumerate(fh.f) if count),
         dim=fh.dim,
         fh=fh,
         h_nonnegative=all(h >= 0 for h in fh.h),

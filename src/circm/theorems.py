@@ -11,7 +11,7 @@ from typing import Optional
 
 from .complexes import independence_complex, is_well_covered
 from .errors import GuardError, InconsistencyError
-from .fields import FieldChoice
+from .fields import FieldChoice, rank_of_rows
 from .graphs import (
     CirculantSpec,
     CubicDecomposition,
@@ -22,7 +22,7 @@ from .graphs import (
     lex_product,
     make_circulant,
 )
-from .homology import build_chain_complex, kernel_rank_of, reduced_betti
+from .homology import build_chain_complex, reduced_betti
 from .properties import PropertyReport, full_report
 
 
@@ -185,14 +185,7 @@ def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: int =
             raise AssertionError(f"distinguished face {sorted(distinguished)} of {t} already appeared")
         seen.update(face for face, _ in _octahedron_faces(t))
 
-    width = chain.face_count(2)
-    vectors = []
-    for w in witnesses:
-        vec = [0] * width
-        for col, coeff in w.cycle.items():
-            vec[col] = coeff
-        vectors.append(vec)
-    rank = kernel_rank_of(vectors, fld)
+    rank = rank_of_rows([w.cycle for w in witnesses], fld)
     if rank != len(tuples):
         raise AssertionError(f"octahedral cycles are rank deficient: rank {rank} of {len(tuples)}")
     return rank

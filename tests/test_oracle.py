@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import circm.complexes
 import circm.homology
 import circm.properties
 from circm import (
@@ -177,7 +178,44 @@ class TestOracleAgainstBruteForce:
         assert projective_dimension(independence_complex(g), Q) == brute_pdim(faces, n, Q)
 
 
+HOLLOW_TRIANGLE = [[1, 2], [2, 3], [1, 3]]
+
+# Complexes that are not independence complexes, so every decider takes
+# link/restrict instead of the oracle, with their shellability; RP^2 has
+# its own tests below.
+NON_FLAG = {
+    "bd-simplex-3": (Complex.from_facets(4, combinations(range(1, 5), 3)), True),
+    "bd-simplex-4": (Complex.from_facets(5, combinations(range(1, 6), 4)), True),
+    "moebius-strip-5": (Complex.from_facets(5, [[i, i % 5 + 1, (i + 1) % 5 + 1] for i in range(1, 6)]), False),
+    "torus-7": (Complex.from_facets(7, [[i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for a in (1, 2)]), False),
+    # every restriction to a vertex set with the apex is a cone
+    "cone-over-rp2": (Complex.from_facets(7, [f | {7} for f in RP2.facets]), False),
+    "hollow-triangle-and-uncovered-vertex": (Complex.from_facets(4, HOLLOW_TRIANGLE), True),
+    "two-hollow-triangles-at-a-vertex": (Complex.from_facets(5, HOLLOW_TRIANGLE + [[3, 4], [4, 5], [3, 5]]), True),
+    # a whisker on a graph keeps it pure; a filled triangle does not
+    "hollow-triangle-with-whisker": (Complex.from_facets(4, HOLLOW_TRIANGLE + [[3, 4]]), True),
+    "hollow-triangle-with-filled-triangle": (Complex.from_facets(5, HOLLOW_TRIANGLE + [[3, 4, 5]]), False),
+}
+
+
 class TestNonFlagFallback:
+    @pytest.mark.parametrize("name", NON_FLAG)
+    def test_deciders_match_brute_force(self, name):
+        c, shellable = NON_FLAG[name]
+        assert _flag_graph(c) is None
+        faces = downward_closure(set(c.facets))
+        scan = brute_link_scan(faces)
+        for field in FIELDS:
+            assert reisner_violation(c, field) == scan[field][0], str(field)
+            if c.is_pure():
+                assert buchsbaum_violation(c, field) == scan[field][1], str(field)
+            else:
+                with pytest.raises(ValueError):
+                    buchsbaum_violation(c, field)
+            assert projective_dimension(c, field) == brute_pdim(faces, c.vertex_count, field), str(field)
+            assert is_shellable(c, field=field).status is shellable, str(field)
+        assert is_vertex_decomposable(c) is shellable
+
     def test_rp2_is_not_flag(self):
         # every pair of the six vertices spans an edge of RP^2
         assert _flag_graph(RP2) is None
@@ -285,6 +323,23 @@ class TestSharedWork:
         r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
         assert r.cm_witness == ((), 0)
         assert (r.vertex_decomposable, r.shellable, r.pdim) == (False, False, 15)
+
+    @pytest.mark.parametrize("n,s,calls", [(12, (1, 3, 6), 2), (14, (1,), 2), (16, (1, 2), 2), (16, (8,), 1)])
+    def test_maximal_independent_sets_of_the_whole_graph_per_report(self, monkeypatch, n, s, calls):
+        # one for Ind(g), which also gives alpha and the Krull dimension, and
+        # one for the oracle's entry of a connected g
+        sizes = []
+        real = circm.complexes._maximal_independent_sets
+
+        def counting(g):
+            sizes.append(g.vertex_count)
+            return real(g)
+
+        monkeypatch.setattr(circm.complexes, "_maximal_independent_sets", counting)
+        monkeypatch.setattr(circm.properties, "_maximal_independent_sets", counting)
+        r = full_report(circulant(n, s))
+        assert r.alpha == r.krull_dim == r.dim + 1
+        assert sizes.count(n) == calls
 
     def test_vertex_decomposability_leaves_no_module_state(self):
         def sizes():
