@@ -54,8 +54,7 @@ def _report_for(g: Graph, args, checks) -> dict:
         g,
         FieldChoice.parse(args.field),
         shell_budget=args.budget,
-        pdim_guard=PDIM_VERTEX_GUARD if "pdim" in checks else 0,
-        override_pdim_guard=args.allow_large_pdim,
+        pdim_guard=(None if args.allow_large_pdim else PDIM_VERTEX_GUARD) if "pdim" in checks else 0,
         include_betti="betti" in checks,
     )
     return report.to_json_dict()
@@ -205,7 +204,7 @@ def cmd_export(args) -> int:
             fh.write(write_facets_v1(independence_complex(g)))
         wrote = True
     if args.smat:
-        chain = build_chain_complex(independence_complex(g), FieldChoice.parse(args.field))
+        chain = build_chain_complex(independence_complex(g))
         i = args.smat_dim
         if i not in chain.boundaries:
             raise ValueError(f"no boundary matrix in dimension {i}")
@@ -221,17 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="circm", description="Exact decision procedures for circulant graph independence complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="q", help="coefficient field: 'q' (exact rationals) or 'gf:P'")
-        p.add_argument("--budget", type=int, default=DEFAULT_SHELL_BUDGET, help="node budget for the shellability search")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    shared = {
+        "--field": dict(default="q", help="coefficient field: 'q' (exact rationals) or 'gf:P'"),
+        "--budget": dict(type=int, default=DEFAULT_SHELL_BUDGET, help="node budget for the shellability search"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+    }
+
+    def common(p, *options):
+        for option in options:
+            p.add_argument(option, **shared[option])
 
     p = sub.add_parser("analyze", help="full property report for one circulant graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help="comma-separated connection set, e.g. 1,2,3 (empty for no edges)")
     p.add_argument("--checks", default=",".join(ALL_CHECKS), help=f"subset of {','.join(ALL_CHECKS)}")
-    p.add_argument("--allow-large-pdim", action="store_true", help="override the projective-dimension vertex guard")
-    common(p)
+    p.add_argument("--allow-large-pdim", action="store_true", help="lift the projective-dimension vertex guard when pdim is checked")
+    common(p, "--field", "--budget", "--json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lexprod", help="analyze a lexicographical product of two circulants")
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="right factor as N:s1,s2,...")
     p.add_argument("--checks", default="wc,cm")
     p.add_argument("--allow-large-pdim", action="store_true")
-    common(p)
+    common(p, "--field", "--budget", "--json")
     p.set_defaults(func=cmd_lexprod)
 
     p = sub.add_parser("sweep", help="stream one JSON report per graph in a family")
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="default 4d+6 per d")
     p.add_argument("--max-2n", type=int, default=12, help="cubic family bound")
     p.add_argument("--jobs", type=int, default=int(os.environ.get("CIRCM_JOBS", "1")))
-    common(p)
+    common(p, "--field", "--budget")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="verify classification theorems against the checkers")
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-2n", type=int, default=12)
     p.add_argument("--lex-max", type=int, default=5)
     p.add_argument("--d", type=int, default=3, help="largest d for the H~_2 experiment")
-    common(p)
+    common(p, "--budget", "--json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="read/write edges-v1, facets-v1 and smat-v1 files")
@@ -271,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smat-dim", type=int, default=1, help="which boundary matrix to dump")
     p.add_argument("--import-edges", default=None, help="validate an edges-v1 file")
     p.add_argument("--import-facets", default=None, help="validate a facets-v1 file")
-    p.add_argument("--field", default="q")
     p.set_defaults(func=cmd_export)
 
     return parser

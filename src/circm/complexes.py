@@ -33,6 +33,8 @@ class Complex:
     facets: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.vertex_count}")
         if not self.facets:
             raise ValueError("facet family must be nonempty; use the single facet {} for the empty complex")
         for f in self.facets:
@@ -58,12 +60,6 @@ class Complex:
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
-
-    def covered_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
 
     def has_face(self, face: Iterable[int]) -> bool:
         fs = frozenset(face)

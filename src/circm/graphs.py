@@ -80,9 +80,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return bool((self.adj[self.index_of(a)] >> self.index_of(b)) & 1)
 
-    def degree(self, label: int) -> int:
-        return self.adj[self.index_of(label)].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 1-based label pairs (a, b) with a < b, sorted."""
         out = []

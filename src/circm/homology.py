@@ -18,6 +18,7 @@ of the vertex cycle that are automorphisms of G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from typing import Sequence
 
 from .complexes import Complex, f_vector, faces, independence_complex
@@ -35,21 +36,17 @@ class ChainComplexData:
 
     ``bases[i]`` lists the i-faces as sorted vertex tuples; for i >= 0,
     ``boundaries[i]`` holds one column per i-face, mapping the index of
-    an (i-1)-face to its +/-1 coefficient.
+    an (i-1)-face to its +/-1 coefficient, over every field.
     """
 
-    field: FieldChoice
     bases: dict[int, list[tuple[int, ...]]]
     boundaries: dict[int, list[SparseRow]] = dfield(default_factory=dict)
 
     def face_count(self, i: int) -> int:
         return len(self.bases.get(i, ()))
 
-    def dim(self) -> int:
-        return max(self.bases)
 
-
-def build_chain_complex(c: Complex, field: FieldChoice) -> ChainComplexData:
+def build_chain_complex(c: Complex) -> ChainComplexData:
     """Bases and boundary matrices of the reduced chain complex of c."""
     by_dim: dict[int, list[tuple[int, ...]]] = {-1: [()]}
     for f in faces(c):
@@ -57,7 +54,7 @@ def build_chain_complex(c: Complex, field: FieldChoice) -> ChainComplexData:
             by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     for i in by_dim:
         by_dim[i].sort()
-    data = ChainComplexData(field=field, bases=by_dim)
+    data = ChainComplexData(bases=by_dim)
     index: dict[int, dict[tuple[int, ...], int]] = {i: {t: k for k, t in enumerate(ts)} for i, ts in by_dim.items()}
     for i in range(0, c.dim() + 1):
         cols = []
@@ -104,7 +101,7 @@ class BettiTable:
 
 def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
     """Exact reduced Betti numbers of c over the chosen field."""
-    data = build_chain_complex(c, field)
+    data = build_chain_complex(c)
     top = c.dim()
     ranks = {i: rank_of_rows(data.boundaries[i], field) for i in data.boundaries}
     out = []
@@ -167,6 +164,11 @@ class InducedHomology:
             if self._is_automorphism(lambda m: self._rotate(self._mirror(m), r)):
                 self._reflections.append(r)
 
+    @cached_property
+    def whole(self) -> Complex:
+        """Ind(G) itself, built once for the oracle and its callers."""
+        return independence_complex(self.graph)
+
     def _rotate(self, mask: int, r: int) -> int:
         return ((mask << r) | (mask >> (self._n - r))) & self.full
 
@@ -197,7 +199,7 @@ class InducedHomology:
             entry = self._memo.get(key)
             if entry is None:
                 labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
-                c = independence_complex(induced_subgraph(self.graph, labels))
+                c = self.whole if comp == self.full else independence_complex(induced_subgraph(self.graph, labels))
                 table = reduced_betti(c, self.field)
                 entry = (c.dim(), {i: b for i, b in table.by_dim if b})
                 self._store(key, entry)

@@ -15,7 +15,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .complexes import (
     Complex,
@@ -24,7 +24,6 @@ from .complexes import (
     _maximal_independent_sets,
     faces,
     f_vector,
-    independence_complex,
     link,
     restrict,
 )
@@ -38,9 +37,9 @@ PDIM_VERTEX_GUARD = 16
 
 Witness = tuple[tuple[int, ...], int]
 
-# The complex full_report is deciding and its oracle, shared by every
+# The oracle of the complex full_report is deciding, shared by every
 # decider the report calls on that complex; unset outside a report.
-_REPORT_ORACLE: ContextVar[Optional[tuple[Complex, InducedHomology]]] = ContextVar("_REPORT_ORACLE", default=None)
+_REPORT_ORACLE: ContextVar[Optional[InducedHomology]] = ContextVar("_REPORT_ORACLE", default=None)
 
 
 def _mask(face: Iterable[int]) -> int:
@@ -71,8 +70,8 @@ def _flag_graph(c: Complex) -> Optional[Graph]:
 def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     """The homology oracle of c over the field when c is flag, else None."""
     shared = _REPORT_ORACLE.get()
-    if shared is not None and shared[0] is c and shared[1].field == field:
-        return shared[1]
+    if shared is not None and shared.whole is c and shared.field == field:
+        return shared
     g = _flag_graph(c)
     return None if g is None else InducedHomology(g, field)
 
@@ -103,6 +102,15 @@ def _sorted_faces(c: Complex) -> list[frozenset[int]]:
     return sorted(faces(c), key=lambda f: (len(f), sorted(f)))
 
 
+def _violations(c: Complex, candidates: list[frozenset[int]], field: FieldChoice) -> Iterator[Witness]:
+    """(face, i) for each candidate face, in order, that fails Reisner's test."""
+    oracle = _oracle(c, field)
+    for face in candidates:
+        i = _link_violation(c, face, field, oracle)
+        if i is not None:
+            yield (tuple(sorted(face)), i)
+
+
 def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """First face whose link has homology below its dimension.
 
@@ -110,12 +118,7 @@ def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     Cohen-Macaulay over the field.  The empty face is checked too, so a
     disconnected complex fails here already.
     """
-    oracle = _oracle(c, field)
-    for face in _sorted_faces(c):
-        i = _link_violation(c, face, field, oracle)
-        if i is not None:
-            return (tuple(sorted(face)), i)
-    return None
+    return next(_violations(c, _sorted_faces(c), field), None)
 
 
 def is_cohen_macaulay(c: Complex, field: FieldChoice) -> bool:
@@ -129,14 +132,8 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
-    oracle = _oracle(c, field)
-    for face in _sorted_faces(c):
-        if not face:
-            continue
-        i = _link_violation(c, face, field, oracle)
-        if i is not None:
-            return (tuple(sorted(face)), i)
-    return None
+    # the empty face sorts first
+    return next(_violations(c, _sorted_faces(c)[1:], field), None)
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -315,8 +312,7 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
 def projective_dimension(
     c: Complex,
     field: FieldChoice,
-    max_vertices: int = PDIM_VERTEX_GUARD,
-    override_guard: bool = False,
+    max_vertices: Optional[int] = PDIM_VERTEX_GUARD,
 ) -> int:
     """Projective dimension of the face ring, from induced subcomplexes.
 
@@ -327,10 +323,12 @@ def projective_dimension(
     are skipped.  On a flag complex Ind(G) the restriction to W is
     Ind(G[W]), answered by the homology oracle; otherwise it is
     ``restrict(c, W)`` and its homology is computed, cones included.
+    More than ``max_vertices`` vertices raise ``GuardError``; None means
+    no limit.
     """
     n = c.vertex_count
-    if n > max_vertices and not override_guard:
-        raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass override to force")
+    if max_vertices is not None and n > max_vertices:
+        raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
     oracle = _oracle(c, field)
     best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
     for size in range(n, 0, -1):
@@ -420,8 +418,7 @@ def full_report(
     g: Graph,
     field: Optional[FieldChoice] = None,
     shell_budget: int = DEFAULT_SHELL_BUDGET,
-    pdim_guard: int = PDIM_VERTEX_GUARD,
-    override_pdim_guard: bool = False,
+    pdim_guard: Optional[int] = PDIM_VERTEX_GUARD,
     include_betti: bool = False,
 ) -> PropertyReport:
     """Run every checker on Ind(g) and cross-validate the results.
@@ -434,24 +431,28 @@ def full_report(
     the complex, it is neither and no search runs.  Otherwise a vertex
     decomposition gives the shelling order; only a complex that is not
     vertex decomposable runs the budgeted shelling search.  pdim and
-    depth count one variable per vertex of g, whatever its labels.
+    depth count one variable per vertex of g, whatever its labels; they
+    are None when g has more than ``pdim_guard`` vertices (0 skips them,
+    None lifts the guard).
     """
     fld = field if field is not None else FieldChoice.rational()
     n = g.vertex_count
     # Numbering the labels 1..n in increasing order keeps every scan order.
     names = sorted(g.labels)
     flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
-    ind = independence_complex(flag)
-    token = _REPORT_ORACLE.set((ind, InducedHomology(flag, fld)))
+    oracle = InducedHomology(flag, fld)
+    ind = oracle.whole
+    token = _REPORT_ORACLE.set(oracle)
     try:
         fh = f_vector(ind)
         pure = ind.is_pure()
-        cm_wit = reisner_violation(ind, fld)
+        scan = _violations(ind, _sorted_faces(ind), fld)
+        cm_wit = next(scan, None)
         bb_wit: Optional[Witness] = None
         if pure:
-            # Both scans walk the same sorted faces and Buchsbaum only skips the
-            # empty face, so only a witness on the empty face needs a second scan.
-            bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
+            # Buchsbaum skips only the empty face, so Reisner's witness is
+            # Buchsbaum's unless it is the empty face; then the scan goes on.
+            bb_wit = next(scan, None) if cm_wit is not None and not cm_wit[0] else cm_wit
         bb = pure and bb_wit is None
         shedding = _shedding_order(ind) if cm_wit is None else None
         if shedding is not None:
@@ -460,7 +461,7 @@ def full_report(
             shell = is_shellable(ind, shell_budget, fld) if cm_wit is None else ShellabilityResult(False)
         pdim: Optional[int]
         try:
-            pdim = projective_dimension(ind, fld, max_vertices=pdim_guard, override_guard=override_pdim_guard)
+            pdim = projective_dimension(ind, fld, max_vertices=pdim_guard)
         except GuardError:
             pdim = None
         betti = _whole_betti(ind, fld).as_dict() if include_betti else None

@@ -103,7 +103,7 @@ def octahedron_witness(g: Graph, t: OctTuple, chain=None) -> OctahedronWitness:
     if have != want:
         raise ValueError(f"induced subgraph on {t} is not three disjoint edges (edges: {sorted(map(sorted, have))})")
     if chain is None:
-        chain = build_chain_complex(independence_complex(g), FieldChoice.rational())
+        chain = build_chain_complex(independence_complex(g))
     index2 = {f: i for i, f in enumerate(chain.bases[2])}
     cycle: dict[int, int] = {}
     for face, sign in _octahedron_faces(t):
@@ -162,18 +162,19 @@ def build_octahedron_list(d: int) -> list[OctTuple]:
     return out
 
 
-def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: int = 5, override_guard: bool = False) -> int:
+def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: Optional[int] = 5) -> int:
     """Rank of the octahedral cycle family; must equal the list size.
 
     Also re-verifies the distinguished-face argument: walking the list
     in lexicographic order, the 2-face {i2, j2, k1} of each octahedron
-    has not appeared among the faces of any earlier octahedron.
+    has not appeared among the faces of any earlier octahedron.  A d
+    above ``max_d`` raises ``GuardError``; None means no limit.
     """
-    if d > max_d and not override_guard:
+    if max_d is not None and d > max_d:
         raise GuardError(f"kernel-rank verification guarded at d={max_d}")
     fld = field if field is not None else FieldChoice.rational()
     g = interval_circulant(4 * d + 3, d)
-    chain = build_chain_complex(independence_complex(g), fld)
+    chain = build_chain_complex(independence_complex(g))
     tuples = build_octahedron_list(d)
     witnesses = [octahedron_witness(g, t, chain) for t in tuples]
 
@@ -199,15 +200,16 @@ class H2Evidence:
     equal: bool
 
 
-def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: int = 4, override_guard: bool = False) -> H2Evidence:
+def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: Optional[int] = 4) -> H2Evidence:
     """Compare dim H~_2(Ind(C_{4d+3}(1..d))) with (4d+3)/3 * C(d-1, 2).
 
     The >= direction is a theorem for d >= 3 and is asserted; equality
-    is only reported, never asserted.
+    is only reported, never asserted.  A d above ``max_d`` raises
+    ``GuardError``; None means no limit.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d > max_d and not override_guard:
+    if max_d is not None and d > max_d:
         raise GuardError(f"H~_2 experiment guarded at d={max_d}")
     fld = field if field is not None else FieldChoice.rational()
     formula = expected_octahedron_count(d) if d >= 2 else 0
@@ -275,22 +277,20 @@ def verify_wellcovered_family(scope: VerifyScope) -> TheoremResult:
 _RUN_REPORTS: ContextVar[dict] = ContextVar("_RUN_REPORTS")
 
 
-def _family_report(n: int, d: int, fld: FieldChoice, scope: VerifyScope) -> PropertyReport:
+def _family_report(n: int, d: int, scope: VerifyScope) -> PropertyReport:
     memo = _RUN_REPORTS.get({})
-    key = (n, d, fld, scope.shell_budget)
-    if key not in memo:
-        memo[key] = full_report(interval_circulant(n, d), fld, shell_budget=scope.shell_budget, pdim_guard=0)
-    return memo[key]
+    if (n, d) not in memo:
+        memo[n, d] = full_report(interval_circulant(n, d), shell_budget=scope.shell_budget, pdim_guard=0)
+    return memo[n, d]
 
 
-def verify_cm_family(scope: VerifyScope, field: Optional[FieldChoice] = None) -> TheoremResult:
+def verify_cm_family(scope: VerifyScope) -> TheoremResult:
     """CM = shellable = vertex decomposable = (n <= 3d+2 and n != 2d+2)."""
-    fld = field if field is not None else FieldChoice.rational()
     res = TheoremResult("main", f"d=1..{scope.d_max}, n=2d..4d+6", 0)
     for d in range(1, scope.d_max + 1):
         for n in scope.family_range(d):
             res.cases_run += 1
-            report = _family_report(n, d, fld, scope)
+            report = _family_report(n, d, scope)
             want = expected_family_status(n, d)
             bad = {}
             if report.well_covered != want.well_covered_expected:
@@ -306,14 +306,13 @@ def verify_cm_family(scope: VerifyScope, field: Optional[FieldChoice] = None) ->
     return res
 
 
-def verify_buchsbaum_family(scope: VerifyScope, field: Optional[FieldChoice] = None) -> TheoremResult:
+def verify_buchsbaum_family(scope: VerifyScope) -> TheoremResult:
     """Buchsbaum but not CM happens exactly at n = 2d+2 and n = 4d+3."""
-    fld = field if field is not None else FieldChoice.rational()
     res = TheoremResult("buchsbaum", f"d=1..{scope.d_max}, n=2d..4d+6", 0)
     for d in range(1, scope.d_max + 1):
         for n in scope.family_range(d):
             res.cases_run += 1
-            report = _family_report(n, d, fld, scope)
+            report = _family_report(n, d, scope)
             got = report.buchsbaum and not report.cm
             want = expected_family_status(n, d).buchsbaum_not_cm_expected
             if got != want:
@@ -321,16 +320,15 @@ def verify_buchsbaum_family(scope: VerifyScope, field: Optional[FieldChoice] = N
     return res
 
 
-def verify_cubic(scope: VerifyScope, field: Optional[FieldChoice] = None) -> TheoremResult:
+def verify_cubic(scope: VerifyScope) -> TheoremResult:
     """Cubic circulants: CM iff 2n/gcd(a,2n) in {3,4}; component split checked."""
-    fld = field if field is not None else FieldChoice.rational()
     res = TheoremResult("cubic", f"2n=4..{scope.max_two_n}", 0)
     for two_n in range(4, scope.max_two_n + 1, 2):
         n = two_n // 2
         for a in range(1, n):
             res.cases_run += 1
             g = circulant(two_n, sorted({a, n}))
-            report = full_report(g, fld, shell_budget=scope.shell_budget, pdim_guard=0)
+            report = full_report(g, shell_budget=scope.shell_budget, pdim_guard=0)
             want = expected_cubic_cm(two_n, a)
             entry = {"two_n": two_n, "a": a}
             if report.cm != want:
@@ -394,14 +392,13 @@ def verify_lex_wellcovered(scope: VerifyScope) -> TheoremResult:
     return res
 
 
-def verify_h2(scope: VerifyScope, field: Optional[FieldChoice] = None) -> TheoremResult:
+def verify_h2(scope: VerifyScope) -> TheoremResult:
     """Evidence for the open H~_2 equality; the >= bound is asserted."""
-    fld = field if field is not None else FieldChoice.rational()
     res = TheoremResult("lemma-h2", f"d=1..{scope.h2_d_max}", 0)
     for d in range(1, scope.h2_d_max + 1):
         res.cases_run += 1
         try:
-            ev = h2_equality_experiment(d, fld, max_d=scope.h2_d_max)
+            ev = h2_equality_experiment(d, max_d=scope.h2_d_max)
         except AssertionError as exc:
             res.failures.append({"d": d, "error": str(exc)})
             continue

@@ -238,7 +238,7 @@ def test_criterion_11_global_invariants():
             continue
         seen.add(key)
         # boundary composition is asserted inside the chain builder
-        build_chain_complex(c, Q)
+        build_chain_complex(c)
         assert euler_check(c, Q)
         if g.vertex_count <= 12:
             r = full_report(g, Q, pdim_guard=0)

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 import circm.cli
 from circm import InconsistencyError
-from circm.cli import main
+from circm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -84,6 +85,18 @@ class TestAnalyze:
         assert code == 0
         rep = json.loads(out)
         assert rep["pdim"] is None and rep["depth"] is None
+
+    def test_allow_large_pdim_computes_no_pdim_that_was_not_asked_for(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--n", "12", "--set", "1", "--checks", "cm", "--allow-large-pdim", "--json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["pdim"] is None and rep["depth"] is None
+
+    def test_allow_large_pdim_lifts_the_guard(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--n", "17", "--set", "1", "--checks", "pdim", "--allow-large-pdim", "--json")
+        assert code == 0
+        # Jacques: the edge ideal of the cycle C_n has pdim ceil((2n - 1) / 3)
+        assert json.loads(out)["pdim"] == 11
 
 
 class TestLexprod:
@@ -212,11 +225,33 @@ class TestExport:
         code, _, _ = run(capsys, "export", "--n", "5", "--set", "1", "--smat", str(tmp_path / "x"), "--smat-dim", "9")
         assert code == 2
 
+    def test_negative_vertex_count_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "negative.facets"
+        path.write_text("n -3\n\n")
+        code, out, err = run(capsys, "export", "--import-facets", str(path))
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
+
 
 class TestParser:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "brown41", "--d-max", "1", "--field", "q"],
+            ["sweep", "--family", "cubic", "--max-2n", "4", "--json"],
+            ["export", "--n", "5", "--set", "1", "--smat", "{tmp}/d.smat", "--field", "gf:2"],
+        ],
+        ids=["verify-field", "sweep-json", "export-field"],
+    )
+    def test_options_that_change_no_answer_are_not_accepted(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_entry(self):
         import subprocess
@@ -229,3 +264,49 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cm"] is True
+
+
+def declared_options() -> dict[str, set[str]]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)} for name, p in sub.choices.items()}
+
+
+def options_read(argv: list[str]) -> set[str]:
+    """The attributes the subcommand reads off its parsed arguments."""
+    args = build_parser().parse_args(argv)
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    assert args.func(Recording(**vars(args))) == 0
+    return read
+
+
+# tiny invocations that together reach every branch reading an option
+INVOCATIONS = {
+    "analyze": [["analyze", "--n", "5", "--set", "1", "--json"]],
+    "lexprod": [["lexprod", "--g", "3:1", "--h", "2:1", "--checks", "wc,pdim", "--json"]],
+    "sweep": [
+        ["sweep", "--family", "interval", "--d-max", "1", "--n-min", "2", "--n-max", "3"],
+        ["sweep", "--family", "cubic", "--max-2n", "6"],
+    ],
+    "verify": [["verify", "--theorem", "brown41", "--d-max", "1", "--max-2n", "4", "--lex-max", "1", "--d", "1", "--json"]],
+    "export": [["export", "--n", "5", "--set", "1", "--edges", "{tmp}/g.edges", "--facets", "{tmp}/c.facets", "--smat", "{tmp}/d.smat", "--smat-dim", "1"]],
+}
+
+
+class TestOptionHygiene:
+    def test_every_subcommand_is_invoked(self):
+        assert set(INVOCATIONS) == set(declared_options())
+
+    @pytest.mark.parametrize("command", sorted(INVOCATIONS))
+    def test_every_declared_option_is_read(self, capsys, tmp_path, command):
+        read = set()
+        for argv in INVOCATIONS[command]:
+            read |= options_read([arg.format(tmp=tmp_path) for arg in argv])
+        capsys.readouterr()
+        unread = declared_options()[command] - read
+        assert not unread, f"{command} declares options it never reads: {sorted(unread)}"

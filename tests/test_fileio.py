@@ -1,6 +1,6 @@
 import pytest
 
-from circm import Complex, FieldChoice, build_chain_complex, circulant, independence_complex
+from circm import Complex, build_chain_complex, circulant, independence_complex
 from circm.fileio import (
     read_edges_v1,
     read_facets_v1,
@@ -60,7 +60,7 @@ class TestFacetsFormat:
 class TestSmatFormat:
     def test_triangle_boundary(self):
         c = Complex.from_facets(3, [[1, 2, 3]])
-        data = build_chain_complex(c, FieldChoice.rational())
+        data = build_chain_complex(c)
         text = write_smat_v1(data.boundaries[1], rows=data.face_count(0))
         lines = text.strip().splitlines()
         rows, cols = map(int, lines[0].split())

@@ -78,7 +78,7 @@ class TestRank:
 class TestChainComplex:
     def test_boundary_shapes_for_triangle(self):
         c = Complex.from_facets(3, [[1, 2, 3]])
-        data = build_chain_complex(c, Q)
+        data = build_chain_complex(c)
         assert [data.face_count(i) for i in range(-1, 3)] == [1, 3, 3, 1]
         # each column of the 1-boundary has one +1 and one -1
         for col in data.boundaries[1]:
@@ -86,7 +86,7 @@ class TestChainComplex:
 
     def test_basis_is_lexicographic(self):
         c = Complex.from_facets(3, [[1, 2], [2, 3], [1, 3]])
-        data = build_chain_complex(c, Q)
+        data = build_chain_complex(c)
         assert data.bases[1] == [(1, 2), (1, 3), (2, 3)]
 
 

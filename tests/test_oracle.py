@@ -6,6 +6,8 @@ cycles."""
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circm.complexes
 import circm.homology
@@ -28,7 +30,7 @@ from circm.graphs import induced_subgraph
 from circm.homology import InducedHomology
 from circm.properties import _flag_graph, buchsbaum_violation
 
-from conftest import brute_reduced_betti, downward_closure
+from conftest import brute_independent_sets, brute_maximal_independent_sets, brute_reduced_betti, downward_closure
 from test_homology import RP2
 
 Q = FieldChoice.rational()
@@ -259,6 +261,57 @@ class TestNonFlagFallback:
         assert reisner_violation(RP2, Q) is None
 
 
+@st.composite
+def small_circulants(draw):
+    n = draw(st.integers(1, 10))
+    chosen = draw(st.integers(0, (1 << (n // 2)) - 1))
+    return n, tuple(k + 1 for k in range(n // 2) if (chosen >> k) & 1)
+
+
+def is_shelling(order: list[frozenset[int]]) -> bool:
+    """The definition: each facet meets the complex of the earlier ones in
+    a pure complex of codimension one in that facet."""
+    earlier: set[frozenset[int]] = set()
+    for i, facet in enumerate(order):
+        if i:
+            meet = {f for f in earlier if f <= facet}
+            if any(len(f) != len(facet) - 1 for f in meet if not any(f < g for g in meet)):
+                return False
+        earlier |= downward_closure({facet})
+    return True
+
+
+class TestReportAgainstBruteForce:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=small_circulants(), field=st.sampled_from(FIELDS))
+    def test_full_report_matches_the_brute_oracles(self, spec, field):
+        n, s = spec
+        g = circulant(n, s)
+        faces = brute_independent_sets(g)
+        sizes = {len(m) for m in brute_maximal_independent_sets(g)}
+        r = full_report(g, field, include_betti=True)
+
+        assert r.fh.f == tuple(sum(len(f) == k for f in faces) for k in range(max(sizes) + 1))
+        assert (r.alpha, r.well_covered) == (max(sizes), len(sizes) == 1)
+        reisner, buchsbaum = brute_link_scan(faces)[field]
+        assert (r.cm, r.cm_witness) == (reisner is None, reisner)
+        if r.pure:
+            assert (r.buchsbaum, r.buchsbaum_witness) == (buchsbaum is None, buchsbaum)
+        else:
+            assert not r.buchsbaum
+        pdim = brute_pdim(faces, n, field)
+        assert (r.pdim, r.depth) == (pdim, n - pdim)
+        assert r.betti == brute_table(faces, field)
+
+        assert (r.shellable is True) == (r.shelling_order is not None)
+        if reisner is not None:
+            assert r.shellable is False and not r.vertex_decomposable
+        if r.shellable:
+            order = [frozenset(f) for f in r.shelling_order]
+            assert sorted(map(sorted, order)) == sorted(map(sorted, brute_maximal_independent_sets(g)))
+            assert is_shelling(order)
+
+
 def kozlov_path(m: int) -> dict[int, int]:
     """Ind(P_m): contractible for m = 3k+1, S^{k-1} for m = 3k-1 and 3k."""
     return {} if m % 3 == 1 else {(m + 1) // 3 - 1: 1}
@@ -324,10 +377,10 @@ class TestSharedWork:
         assert r.cm_witness == ((), 0)
         assert (r.vertex_decomposable, r.shellable, r.pdim) == (False, False, 15)
 
-    @pytest.mark.parametrize("n,s,calls", [(12, (1, 3, 6), 2), (14, (1,), 2), (16, (1, 2), 2), (16, (8,), 1)])
-    def test_maximal_independent_sets_of_the_whole_graph_per_report(self, monkeypatch, n, s, calls):
-        # one for Ind(g), which also gives alpha and the Krull dimension, and
-        # one for the oracle's entry of a connected g
+    @pytest.mark.parametrize("n,s", [(12, (1, 3, 6)), (14, (1,)), (16, (1, 2)), (16, (8,))])
+    def test_maximal_independent_sets_of_the_whole_graph_per_report(self, monkeypatch, n, s):
+        # Ind(g) is built once: it gives alpha and the Krull dimension, and
+        # it is the oracle's entry for the whole of a connected g
         sizes = []
         real = circm.complexes._maximal_independent_sets
 
@@ -339,7 +392,7 @@ class TestSharedWork:
         monkeypatch.setattr(circm.properties, "_maximal_independent_sets", counting)
         r = full_report(circulant(n, s))
         assert r.alpha == r.krull_dim == r.dim + 1
-        assert sizes.count(n) == calls
+        assert sizes.count(n) == 1
 
     def test_vertex_decomposability_leaves_no_module_state(self):
         def sizes():

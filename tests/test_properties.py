@@ -180,7 +180,7 @@ class TestProjectiveDimension:
         c = ind(6, [1])
         with pytest.raises(GuardError):
             projective_dimension(c, Q, max_vertices=5)
-        assert projective_dimension(c, Q, max_vertices=5, override_guard=True) == projective_dimension(c, Q)
+        assert projective_dimension(c, Q, max_vertices=None) == projective_dimension(c, Q)
 
     def test_fields_agree(self):
         c = ind(10, [2, 5])
