@@ -1,8 +1,8 @@
 """Command-line front end: analyze, sweep, verify, lexprod, export.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 invalid input, 3 guard violation without override, 4 internal
-inconsistency (a library bug; for sweep, any line carrying an error).
+2 invalid input, 4 internal inconsistency (a library bug; for sweep,
+any line carrying an error).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from contextlib import ExitStack
 from typing import Optional
 
 from .complexes import independence_complex
-from .errors import GuardError, InconsistencyError
+from .errors import InconsistencyError
 from .fields import FieldChoice
 from .fileio import read_edges_v1, read_facets_v1, write_edges_v1, write_facets_v1, write_smat_v1
 from .graphs import CirculantSpec, Graph, lex_product, make_circulant
@@ -285,9 +285,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardError as exc:
-        print(f"guard violation: {exc}", file=sys.stderr)
-        return 3
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4

@@ -182,8 +182,6 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
             x |= low
             cand ^= low
 
-    if n == 0:
-        return [0]
     bk(0, full, 0)
     return out
 
@@ -191,7 +189,7 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
 def independence_complex(g: Graph) -> Complex:
     """The complex of independent vertex sets of g, by its facets."""
     n = g.vertex_count
-    ambient = max(g.labels)
+    ambient = max(g.labels, default=0)
     masks = _maximal_independent_sets(g)
     facets = []
     for m in masks:

@@ -21,7 +21,6 @@ from .complexes import (
     Complex,
     FHVectors,
     _maximal,
-    _maximal_independent_sets,
     faces,
     f_vector,
     link,
@@ -30,7 +29,7 @@ from .complexes import (
 from .errors import GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
-from .homology import BettiTable, InducedHomology, reduced_betti
+from .homology import InducedHomology, reduced_betti
 
 DEFAULT_SHELL_BUDGET = 10_000_000
 PDIM_VERTEX_GUARD = 16
@@ -46,40 +45,28 @@ def _mask(face: Iterable[int]) -> int:
     return sum(1 << (v - 1) for v in face)
 
 
-def _flag_graph(c: Complex) -> Optional[Graph]:
-    """The graph G with c = Ind(G), or None when c is not flag.
+def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
+    """The homology oracle of c over the field when c is flag, else None.
 
     G is the complement of the 1-skeleton of c on the vertices 1..n; c is
-    flag when it covers every vertex and its facets are exactly the
-    maximal independent sets of G.
+    flag when it covers every vertex and equals Ind(G), the oracle's own
+    ``whole``, so one enumeration of G's maximal independent sets serves
+    both the test and the oracle.
     """
-    n = c.vertex_count
-    masks = {_mask(f) for f in c.facets}
-    skeleton = [0] * n
-    for m in masks:
-        for v in range(n):
-            if (m >> v) & 1:
-                skeleton[v] |= m
-    if not all(skeleton):
-        return None
-    full = (1 << n) - 1
-    g = Graph(adj=tuple(full & ~s for s in skeleton), labels=tuple(range(1, n + 1)))
-    return g if set(_maximal_independent_sets(g)) == masks else None
-
-
-def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
-    """The homology oracle of c over the field when c is flag, else None."""
     shared = _REPORT_ORACLE.get()
     if shared is not None and shared.whole is c and shared.field == field:
         return shared
-    g = _flag_graph(c)
-    return None if g is None else InducedHomology(g, field)
-
-
-def _whole_betti(c: Complex, field: FieldChoice) -> BettiTable:
-    """``reduced_betti(c, field)``, read from the oracle when c is flag."""
-    oracle = _oracle(c, field)
-    return reduced_betti(c, field) if oracle is None else oracle.table(oracle.full)
+    n = c.vertex_count
+    skeleton = [0] * n
+    for f in c.facets:
+        m = _mask(f)
+        for v in f:
+            skeleton[v - 1] |= m
+    if not all(skeleton):
+        return None
+    full = (1 << n) - 1
+    oracle = InducedHomology(Graph(adj=tuple(full & ~s for s in skeleton), labels=tuple(range(1, n + 1))), field)
+    return oracle if oracle.whole == c else None
 
 
 def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle: Optional[InducedHomology]) -> Optional[int]:
@@ -245,9 +232,10 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     """
     if not c.is_pure():
         return ShellabilityResult(False)
-    betti = _whole_betti(c, field if field is not None else FieldChoice.rational())
-    if any(betti[i] != 0 for i in range(-1, c.dim())):
-        # shellable complexes have homology only in the top dimension
+    fld = field if field is not None else FieldChoice.rational()
+    # shellable complexes have homology only in the top dimension:
+    # Reisner's test on the empty face
+    if next(_violations(c, [frozenset()], fld), None) is not None:
         return ShellabilityResult(False)
     return _shelling_search(sorted(c.facets, key=lambda f: sorted(f)), node_budget)
 
@@ -446,13 +434,13 @@ def full_report(
     try:
         fh = f_vector(ind)
         pure = ind.is_pure()
-        scan = _violations(ind, _sorted_faces(ind), fld)
-        cm_wit = next(scan, None)
+        cm_wit = reisner_violation(ind, fld)
         bb_wit: Optional[Witness] = None
         if pure:
             # Buchsbaum skips only the empty face, so Reisner's witness is
-            # Buchsbaum's unless it is the empty face; then the scan goes on.
-            bb_wit = next(scan, None) if cm_wit is not None and not cm_wit[0] else cm_wit
+            # Buchsbaum's unless it is the empty face; then Buchsbaum's
+            # scan starts where Reisner's stopped.
+            bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
         bb = pure and bb_wit is None
         shedding = _shedding_order(ind) if cm_wit is None else None
         if shedding is not None:
@@ -464,7 +452,7 @@ def full_report(
             pdim = projective_dimension(ind, fld, max_vertices=pdim_guard)
         except GuardError:
             pdim = None
-        betti = _whole_betti(ind, fld).as_dict() if include_betti else None
+        betti = oracle.table(oracle.full).as_dict() if include_betti else None
     finally:
         _REPORT_ORACLE.reset(token)
 

@@ -76,6 +76,12 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--n", "5", "--set", "1", "--field", "gf:10")
         assert code == 2
 
+    def test_composite_field_modulus_exits_2(self, capsys):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        code, _, err = run(capsys, "analyze", "--n", "5", "--set", "1", "--field", "gf:3215031751")
+        assert code == 2
+        assert "prime" in err
+
     def test_unknown_check_exits_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "--n", "5", "--set", "1", "--checks", "bogus")
         assert code == 2

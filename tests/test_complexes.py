@@ -19,6 +19,7 @@ from circm import (
     restrict,
 )
 from circm.complexes import h_from_f
+from circm.graphs import induced_subgraph
 
 from conftest import brute_independent_sets, brute_maximal_independent_sets, downward_closure
 
@@ -105,6 +106,9 @@ class TestIndependenceComplex:
         # maximal independent sets of C6(2,3) are the six cyclically adjacent pairs
         c = independence_complex(circulant(6, [2, 3]))
         assert c.facets == frozenset(frozenset({i, i % 6 + 1}) for i in range(1, 7))
+
+    def test_graph_with_no_vertices_has_the_empty_complex(self):
+        assert independence_complex(induced_subgraph(circulant(5, [1]), [])) == Complex.from_facets(0, [[]])
 
     def test_alpha_and_well_covered(self):
         assert alpha(circulant(7, [1])) == 3

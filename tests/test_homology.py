@@ -12,7 +12,7 @@ from circm import (
     kernel_rank_of,
     reduced_betti,
 )
-from circm.fields import rank_of_rows, rows_from_vectors
+from circm.fields import _is_prime, rank_of_rows, rows_from_vectors
 
 from conftest import dense_rank, dense_rank_mod
 
@@ -30,6 +30,22 @@ class TestFieldChoice:
             FieldChoice.gf(9)
         with pytest.raises(ValueError):
             FieldChoice.parse("gf:1")
+
+    def test_large_moduli(self):
+        for p in (998244353, 1000000007, (1 << 61) - 1):
+            assert FieldChoice.gf(p).p == p
+        # Fermat and strong pseudoprimes to small bases, and a prime square
+        for n in (341, 561, 2047, 25326001, 3215031751, 1000003**2):
+            with pytest.raises(ValueError):
+                FieldChoice.gf(n)
+
+    def test_primality_matches_a_sieve(self):
+        limit = 200_000
+        sieve = [False, False] + [True] * (limit - 1)
+        for d in range(2, int(limit**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+        assert [n for n in range(limit + 1) if _is_prime(n) != sieve[n]] == []
 
     def test_str_roundtrip(self):
         assert FieldChoice.parse(str(GF)) == GF

@@ -3,6 +3,7 @@ checked against dense brute-force homology, brute link scans, Hochster's
 formula by subset enumeration, and Kozlov's closed forms for paths and
 cycles."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from circm import (
 )
 from circm.graphs import induced_subgraph
 from circm.homology import InducedHomology
-from circm.properties import _flag_graph, buchsbaum_violation
+from circm.properties import _oracle, buchsbaum_violation
 
 from conftest import brute_independent_sets, brute_maximal_independent_sets, brute_reduced_betti, downward_closure
 from test_homology import RP2
@@ -204,7 +205,7 @@ class TestNonFlagFallback:
     @pytest.mark.parametrize("name", NON_FLAG)
     def test_deciders_match_brute_force(self, name):
         c, shellable = NON_FLAG[name]
-        assert _flag_graph(c) is None
+        assert _oracle(c, Q) is None
         faces = downward_closure(set(c.facets))
         scan = brute_link_scan(faces)
         for field in FIELDS:
@@ -220,12 +221,12 @@ class TestNonFlagFallback:
 
     def test_rp2_is_not_flag(self):
         # every pair of the six vertices spans an edge of RP^2
-        assert _flag_graph(RP2) is None
+        assert _oracle(RP2, Q) is None
 
     def test_independence_complexes_are_flag(self):
         c = Complex.from_facets(5, [[1, 2, 3], [3, 4, 5]])
-        g = _flag_graph(c)
-        assert g is not None and independence_complex(g) == c
+        oracle = _oracle(c, Q)
+        assert oracle is not None and independence_complex(oracle.graph) == c
 
     def test_rp2_deciders_match_brute_force(self):
         faces = downward_closure(set(RP2.facets))
@@ -349,6 +350,25 @@ def count_betti_calls(monkeypatch) -> list:
     return calls
 
 
+def enumerated_graph_sizes(run) -> list[int]:
+    """Vertex counts of the graphs whose maximal independent sets
+    ``run()`` enumerates, under whatever name the enumerator is imported."""
+    code = circm.complexes._maximal_independent_sets.__code__
+    sizes = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            sizes.append(frame.f_locals["g"].vertex_count)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return sizes
+
+
 class TestSharedWork:
     def test_whole_complex_homology_once_per_report(self, monkeypatch):
         # Ind(C12(1,3,6)) is connected, Cohen-Macaulay and 2-dimensional, so
@@ -389,10 +409,66 @@ class TestSharedWork:
             return real(g)
 
         monkeypatch.setattr(circm.complexes, "_maximal_independent_sets", counting)
-        monkeypatch.setattr(circm.properties, "_maximal_independent_sets", counting)
         r = full_report(circulant(n, s))
         assert r.alpha == r.krull_dim == r.dim + 1
         assert sizes.count(n) == 1
+
+    @pytest.mark.parametrize(
+        "decider",
+        [reisner_violation, projective_dimension, lambda c, field: is_shellable(c, field=field)],
+        ids=["reisner", "pdim", "shellable"],
+    )
+    def test_standalone_decider_enumerates_the_whole_graph_once(self, decider):
+        # the flag test is the oracle's own Ind(G), which is also its entry
+        # for the whole of the connected graph
+        c = independence_complex(circulant(12, [1, 3, 6]))
+        assert enumerated_graph_sizes(lambda: decider(c, Q)).count(12) == 1
+
+    @pytest.mark.parametrize(
+        "n,s,calls_buchsbaum",
+        [
+            (16, (1, 3, 4, 5, 7, 8), True),  # pure, disconnected: witness ((), 0)
+            (7, (1,), True),  # pure, witness ((), 1)
+            (11, (1, 2), True),
+            (8, (1,), False),  # impure
+            (12, (1, 3, 6), False),  # Cohen-Macaulay
+        ],
+    )
+    def test_report_calls_the_public_scans(self, monkeypatch, n, s, calls_buchsbaum):
+        # Reisner stops at the empty face and Buchsbaum starts after it, so
+        # Buchsbaum's scan runs only when Reisner's witness is the empty face
+        calls = []
+        for name in ("reisner_violation", "buchsbaum_violation"):
+            real = getattr(circm.properties, name)
+
+            def counting(c, field, real=real, name=name):
+                calls.append(name)
+                return real(c, field)
+
+            monkeypatch.setattr(circm.properties, name, counting)
+        r = full_report(circulant(n, s))
+        assert calls_buchsbaum == (r.pure and r.cm_witness is not None and r.cm_witness[0] == ())
+        assert calls == ["reisner_violation"] + ["buchsbaum_violation"] * calls_buchsbaum
+
+    def test_answers_survive_a_memo_of_four_entries(self, monkeypatch):
+        cases = {(14, (1,)): (9, ((), 4)), (12, (1, 3, 6)): (9, None), (11, (1, 2)): (9, ((), 1)), (12, (6,)): (6, None)}
+
+        def answers(n, s):
+            c = independence_complex(circulant(n, s))
+            return projective_dimension(c, Q), reisner_violation(c, Q)
+
+        assert {key: answers(*key) for key in cases} == cases
+        sizes = []
+        real = InducedHomology._store
+
+        def store(self, mask, entry):
+            real(self, mask, entry)
+            sizes.append(len(self._memo))
+
+        monkeypatch.setattr(circm.homology, "ORACLE_ENTRIES", 4)
+        monkeypatch.setattr(InducedHomology, "_store", store)
+        assert {key: answers(*key) for key in cases} == cases
+        assert len(sizes) > 4 and max(sizes) == 4
 
     def test_vertex_decomposability_leaves_no_module_state(self):
         def sizes():

@@ -20,6 +20,7 @@ from circm import (
     reisner_violation,
 )
 import circm.properties
+from circm.graphs import induced_subgraph
 from circm.properties import buchsbaum_violation, check_shelling_order
 
 Q = FieldChoice.rational()
@@ -91,6 +92,26 @@ class TestVertexDecomposable:
 
     def test_disconnected_is_not_vd(self):
         assert not is_vertex_decomposable(ind(4, [1]))
+
+
+class TestEmptyComplex:
+    # {emptyset}: Ind of a graph with no vertices, the ring is the field itself
+    EMPTY = Complex.from_facets(0, [[]])
+
+    def test_deciders(self):
+        for field in (Q, GF):
+            assert reisner_violation(self.EMPTY, field) is None
+            assert buchsbaum_violation(self.EMPTY, field) is None
+            assert projective_dimension(self.EMPTY, field) == 0
+        assert is_shellable(self.EMPTY).status is True
+        assert is_vertex_decomposable(self.EMPTY)
+
+    def test_report_of_a_graph_with_no_vertices(self):
+        r = full_report(induced_subgraph(circulant(5, [1]), []), include_betti=True)
+        assert r.cm and r.buchsbaum and r.vertex_decomposable and r.shellable is True
+        assert (r.pdim, r.depth, r.alpha, r.dim) == (0, 0, 0, -1)
+        assert r.shelling_order == ((),)
+        assert r.betti == {-1: 1}
 
 
 class TestShellability:
