@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph
+from .graphs import Graph, _component_masks
 
 
 def _maximal(sets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
@@ -148,10 +148,12 @@ def restrict(c: Complex, w: Iterable[int]) -> Complex:
     return Complex(c.vertex_count, new)
 
 
-def _maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets of g as bitmasks over internal indices.
+def _maximal_independent_sets(g: Graph, mask: Optional[int] = None) -> list[int]:
+    """All maximal independent sets of g[mask] (default: all of g) as
+    bitmasks over internal indices.
 
-    Bron-Kerbosch with pivoting on the complement graph.
+    Bron-Kerbosch with pivoting on the complement graph, started from
+    P = mask, so no subgraph is built.
     """
     n = g.vertex_count
     full = (1 << n) - 1
@@ -182,7 +184,7 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
             x |= low
             cand ^= low
 
-    bk(0, full, 0)
+    bk(0, full if mask is None else mask, 0)
     return out
 
 
@@ -197,12 +199,29 @@ def independence_complex(g: Graph) -> Complex:
     return Complex(ambient, frozenset(facets))
 
 
+def _component_set_sizes(g: Graph) -> Iterator[set[int]]:
+    """For each connected component of g, in turn, the sizes of its
+    maximal independent sets.
+
+    A maximal independent set of g is the union of one maximal independent
+    set of each component, so no set of g itself is enumerated.
+    """
+    for comp in _component_masks(g, (1 << g.vertex_count) - 1):
+        yield {m.bit_count() for m in _maximal_independent_sets(g, comp)}
+
+
 def alpha(g: Graph) -> int:
-    """Independence number: the largest size of a maximal independent set."""
-    return max(m.bit_count() for m in _maximal_independent_sets(g))
+    """Independence number: the sum over the connected components of g of
+    the largest size of a maximal independent set (0 with no vertices)."""
+    return sum(max(sizes) for sizes in _component_set_sizes(g))
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff every maximal independent set has the maximum cardinality."""
-    sizes = {m.bit_count() for m in _maximal_independent_sets(g)}
-    return len(sizes) == 1
+    """True iff every maximal independent set has the maximum cardinality.
+
+    Decided one connected component at a time: g is well-covered iff each
+    component is (Plummer 1970), and the first component that is not
+    answers False without enumerating the rest.  A graph with no vertices
+    is well-covered.
+    """
+    return all(len(sizes) == 1 for sizes in _component_set_sizes(g))

@@ -118,7 +118,11 @@ def euler_check(c: Complex, field: FieldChoice) -> bool:
     """Verify the reduced Euler characteristic identity on c.
 
     Always true when the engine is correct; a False return is a bug
-    signal, not a property of the input.
+    signal, not a property of the input.  It can only catch a chain basis
+    whose face counts differ from ``f_vector``: ``reduced_betti`` sets
+    H~_i = f_i - r_i - r_{i+1}, so in the alternating sum the boundary
+    ranks r_i telescope away: a wrong rank goes undetected here (one that
+    makes a Betti number negative is rejected by ``reduced_betti``).
     """
     betti = reduced_betti(c, field)
     lhs = sum((-1 if i % 2 else 1) * betti[i] for i in range(-1, c.dim() + 1))

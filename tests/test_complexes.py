@@ -1,11 +1,15 @@
 import math
+import sys
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import circm.complexes
 from circm import (
     Complex,
+    Graph,
     alpha,
     circulant,
     deletion,
@@ -15,6 +19,7 @@ from circm import (
     independence_complex,
     interval_circulant,
     is_well_covered,
+    lex_product,
     link,
     restrict,
 )
@@ -35,6 +40,44 @@ small_circulants = st.integers(min_value=2, max_value=9).flatmap(
 def build(params):
     n, s = params
     return circulant(n, sorted(s))
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)))
+
+
+# small edge sets leave many graphs disconnected, often with isolated vertices
+small_graphs = st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.builds(
+        graph_from_edges,
+        st.just(n),
+        st.sets(st.sampled_from(list(combinations(range(n), 2)))) if n > 1 else st.just(set()),
+    )
+)
+
+
+def enumerated_set_count(run) -> int:
+    """How many maximal independent sets ``run()`` enumerates, summed over
+    every call of the enumerator."""
+    code = circm.complexes._maximal_independent_sets.__code__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "return" and frame.f_code is code and arg is not None:
+            count += len(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 class TestComplexValidation:
@@ -114,6 +157,43 @@ class TestIndependenceComplex:
         assert alpha(circulant(7, [1])) == 3
         assert is_well_covered(circulant(7, [1]))
         assert not is_well_covered(circulant(8, [1]))
+
+
+class TestWellCoveredByComponents:
+    @staticmethod
+    def check_against_brute(g):
+        sizes = {len(m) for m in brute_maximal_independent_sets(g)}
+        assert (is_well_covered(g), alpha(g)) == (len(sizes) == 1, max(sizes))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_graphs)
+    @example(graph_from_edges(0, []))
+    @example(graph_from_edges(7, [(0, 1), (2, 3), (3, 4)]))
+    def test_matches_brute_force(self, g):
+        self.check_against_brute(g)
+
+    @pytest.mark.parametrize(
+        "g,h",
+        [
+            ((2, []), (5, [1])),
+            ((5, [1]), (2, [])),
+            ((3, []), (3, [1])),
+            ((3, [1]), (3, [])),
+            ((2, []), (4, [1])),
+            ((4, [1]), (2, [])),
+            ((3, []), (3, [])),
+            ((1, []), (6, [2])),
+        ],
+    )
+    def test_lex_products_with_an_edgeless_factor(self, g, h):
+        self.check_against_brute(lex_product(circulant(*g), circulant(*h)))
+
+    def test_disjoint_triangles_enumerate_per_component(self):
+        # C6()[C6(2)] is twelve disjoint triangles: 3^12 maximal independent
+        # sets as a whole, 12 * 3 one component at a time
+        g = lex_product(circulant(6, []), circulant(6, [2]))
+        assert enumerated_set_count(lambda: is_well_covered(g)) <= 36
+        assert is_well_covered(g) and alpha(g) == 12
 
 
 class TestClosedFormFVector:

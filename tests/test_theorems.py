@@ -16,7 +16,7 @@ from circm import (
     verify_kernel_rank,
     verify_theorems,
 )
-from circm.theorems import THEOREM_VERIFIERS, expected_octahedron_count
+from circm.theorems import THEOREM_VERIFIERS, expected_octahedron_count, verify_lex_wellcovered
 
 Q = FieldChoice.rational()
 
@@ -169,3 +169,8 @@ class TestWellCoveredLexProduct:
         assert not is_well_covered(lex_product(wc, not_wc))
         assert not is_well_covered(lex_product(not_wc, wc))
         assert not is_well_covered(lex_product(not_wc, not_wc))
+
+    def test_every_product_of_circulants_on_at_most_six_vertices(self):
+        # the scope of `circm verify --lex-max 6`: 21 factors, 441 products
+        res = verify_lex_wellcovered(VerifyScope(lex_factor_max=6))
+        assert (res.cases_run, res.failures) == (441, [])
