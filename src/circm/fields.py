@@ -6,6 +6,9 @@ of persistent homology, computes ranks over both; only its arithmetic
 depends on the field.  Over Q it works on integer rows (fraction-free
 cross-multiplication with gcd reduction), so no rounding ever occurs;
 over GF(p) each pivot is scaled to 1 and every entry is kept mod p.
+The rank it returns also names the pivots' ``lows``, which is all that
+clearing (the twist of persistent homology) asks of the reduction of
+the next boundary matrix up; see ``homology.reduced_betti``.
 """
 
 from __future__ import annotations
@@ -95,13 +98,22 @@ def _row_gcd_reduce(row: SparseRow) -> SparseRow:
     return row
 
 
+class _Rank(int):
+    """A rank, with the set ``lows`` of the columns its pivots end at."""
+
+    lows: set[int]
+
+
 def rank_of_rows(rows: list[SparseRow], field: FieldChoice) -> int:
     """Exact rank of a sparse integer matrix given as rows {col: value}.
 
     Each row in turn is reduced against the pivots found so far, keyed by
     their largest column ``low``: while the row is nonzero and its ``low``
     already has a pivot, that entry is cancelled.  A row reaching a new
-    ``low`` becomes its pivot, and the rank is the number of pivots.
+    ``low`` becomes its pivot, and the rank is the number of pivots.  The
+    int returned carries their lows as ``.lows``: each is the largest
+    column of a nonzero combination of the rows, with a nonzero entry
+    there over the field.  ``rows`` is left as it was.
     """
     p = field.p if field.kind == "gf" else None
     pivots: dict[int, SparseRow] = {}
@@ -137,7 +149,9 @@ def rank_of_rows(rows: list[SparseRow], field: FieldChoice) -> int:
                     row.pop(c, None)
             if row and not p:
                 row = _row_gcd_reduce(row)
-    return len(pivots)
+    rank = _Rank(len(pivots))
+    rank.lows = set(pivots)
+    return rank
 
 
 def rows_from_vectors(vectors: Sequence[Sequence]) -> list[SparseRow]:

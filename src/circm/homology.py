@@ -4,7 +4,16 @@ homology oracle for the independence complexes of induced subgraphs.
 Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
-reproducible bit-for-bit.
+reproducible bit-for-bit.  The chain complex is built on integer
+bitmasks, vertex v of n being bit n - v: among faces of one size,
+descending masks are ascending tuples, so sorting the masks gives the
+lexicographic bases, and the boundary faces of a face are its mask with
+one bit cleared.  Ranks are taken from the top dimension down with
+clearing (the twist of persistent homology): an i-face that is the
+pivot ``low`` of the reduced boundary matrix one dimension up is the
+leading face of a boundary, hence of a cycle, so its column of the i-th
+boundary matrix is a combination of columns before it and is never
+reduced.
 
 ``InducedHomology`` answers H~_*(Ind(G[W])) for vertex bitmasks W of one
 graph G.  That is all Reisner's criterion and Hochster's formula ask of
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from typing import Sequence
 
-from .complexes import Complex, f_vector, faces, independence_complex
+from .complexes import Complex, f_vector, independence_complex
 from .errors import InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -48,23 +57,36 @@ class ChainComplexData:
 
 def build_chain_complex(c: Complex) -> ChainComplexData:
     """Bases and boundary matrices of the reduced chain complex of c."""
-    by_dim: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-    for f in faces(c):
-        if f:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for i in by_dim:
-        by_dim[i].sort()
-    data = ChainComplexData(bases=by_dim)
-    index: dict[int, dict[tuple[int, ...], int]] = {i: {t: k for k, t in enumerate(ts)} for i, ts in by_dim.items()}
-    for i in range(0, c.dim() + 1):
-        cols = []
-        for t in by_dim[i]:
-            col: SparseRow = {}
-            for pos in range(len(t)):
-                sub = t[:pos] + t[pos + 1 :]
-                col[index[i - 1][sub]] = -1 if pos % 2 else 1
-            cols.append(col)
-        data.boundaries[i] = cols
+    n, top = c.vertex_count, c.dim()
+    # the i-faces by mask, each with its sorted vertex tuple, from the facets down
+    levels: dict[int, dict[int, tuple[int, ...]]] = {i: {} for i in range(-1, top + 1)}
+    for f in c.facets:
+        levels[len(f) - 1][sum(1 << (n - v) for v in f)] = tuple(sorted(f))
+    for i in range(top, 0, -1):
+        lower = levels[i - 1]
+        for m, t in levels[i].items():
+            for pos, v in enumerate(t):
+                sub = m ^ (1 << (n - v))
+                if sub not in lower:
+                    lower[sub] = t[:pos] + t[pos + 1 :]
+    levels[-1] = {0: ()}
+    data = ChainComplexData(bases={})
+    index: dict[int, int] = {}  # mask -> position among the (i-1)-faces
+    for i in range(-1, top + 1):
+        level = levels.pop(i)
+        masks = sorted(level, reverse=True)
+        data.bases[i] = [level[m] for m in masks]
+        if i >= 0:
+            cols = []
+            for m in masks:
+                col: SparseRow = {}
+                sign = 1
+                for v in level[m]:
+                    col[index[m ^ (1 << (n - v))]] = sign
+                    sign = -sign
+                cols.append(col)
+            data.boundaries[i] = cols
+        index = {m: k for k, m in enumerate(masks)}
     _assert_boundary_squares_to_zero(data)
     return data
 
@@ -100,10 +122,19 @@ class BettiTable:
 
 
 def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
-    """Exact reduced Betti numbers of c over the chosen field."""
+    """Exact reduced Betti numbers of c over the chosen field.
+
+    Ranks go from the top dimension down; each ∂_i is reduced without
+    the columns cleared by the pivot lows of ∂_{i+1}.
+    """
     data = build_chain_complex(c)
     top = c.dim()
-    ranks = {i: rank_of_rows(data.boundaries[i], field) for i in data.boundaries}
+    ranks = {}
+    cleared: set[int] = set()  # lows of ∂_{i+1}: ∂_i columns spanned by earlier ones
+    for i in range(top, -1, -1):
+        cols = data.boundaries[i]
+        ranks[i] = rank = rank_of_rows([col for k, col in enumerate(cols) if k not in cleared], field)
+        cleared = rank.lows
     out = []
     for i in range(-1, top + 1):
         f_i = data.face_count(i)

@@ -17,6 +17,15 @@ def circular_distance(n: int, i: int, j: int) -> int:
     return min(d, n - d)
 
 
+def graph_from_edges(n: int, edges) -> Graph:
+    """The graph on labels 1..n with an edge {i+1, j+1} for each (i, j)."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)))
+
+
 def brute_independent_sets(g: Graph) -> set[frozenset[int]]:
     """Every independent set of g (by label), by checking all subsets."""
     labels = list(g.labels)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import circm.complexes
 from circm import (
     Complex,
-    Graph,
     alpha,
     circulant,
     deletion,
@@ -26,7 +25,7 @@ from circm import (
 from circm.complexes import h_from_f
 from circm.graphs import induced_subgraph
 
-from conftest import brute_independent_sets, brute_maximal_independent_sets, downward_closure
+from conftest import brute_independent_sets, brute_maximal_independent_sets, downward_closure, graph_from_edges
 
 
 small_circulants = st.integers(min_value=2, max_value=9).flatmap(
@@ -40,14 +39,6 @@ small_circulants = st.integers(min_value=2, max_value=9).flatmap(
 def build(params):
     n, s = params
     return circulant(n, sorted(s))
-
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)))
 
 
 # small edge sets leave many graphs disconnected, often with isolated vertices

@@ -1,20 +1,27 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import circm.homology
 from circm import (
     Complex,
     FieldChoice,
+    InconsistencyError,
     build_chain_complex,
     circulant,
     euler_check,
+    f_vector,
     independence_complex,
     kernel_rank_of,
     reduced_betti,
 )
+from circm.complexes import faces
 from circm.fields import _is_prime, rank_of_rows, rows_from_vectors
+from circm.homology import _assert_boundary_squares_to_zero
 
-from conftest import dense_rank, dense_rank_mod
+from conftest import brute_reduced_betti, dense_rank, dense_rank_mod, graph_from_edges
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -76,6 +83,24 @@ class TestRank:
     def test_small_prime_matches_dense_residue_elimination(self, p, mat):
         # over GF(2) and GF(3) the rank can fall below the rank over Q
         assert rank_of_rows(rows_from_vectors(mat), FieldChoice.gf(p)) == dense_rank_mod(mat, p)
+
+    @given(matrices(-3, 3, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_lows_are_the_pivot_columns(self, mat):
+        rows = rows_from_vectors(mat)
+        before = [dict(r) for r in rows]
+        # column j ends a vector of the row space iff the columns from j
+        # on have a larger rank than the columns after j
+        for field, dense in ((Q, dense_rank), (FieldChoice.gf(2), lambda m: dense_rank_mod(m, 2))):
+            rank = rank_of_rows(rows, field)
+            tail = [dense([row[j:] for row in mat]) for j in range(len(mat[0]) + 1)]
+            assert rank.lows == {j for j in range(len(mat[0])) if tail[j] > tail[j + 1]}
+            assert rows == before
+
+    def test_lows_of_a_dependent_row(self):
+        # the third row is the sum of the first two, which end at columns 1 and 2
+        rank = rank_of_rows([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 1: 2, 2: 1}], Q)
+        assert (rank, rank.lows) == (2, {1, 2})
 
     def test_rank_with_fractions(self):
         from fractions import Fraction
@@ -183,3 +208,118 @@ class TestFieldAgreement:
     def test_rational_equals_large_prime(self, n, s):
         c = independence_complex(circulant(n, list(s)))
         assert reduced_betti(c, Q).as_dict() == reduced_betti(c, GF).as_dict()
+
+
+# the 7-vertex torus and the 5-vertex Möbius strip
+TORUS7 = Complex.from_facets(7, [[i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for a in (1, 2)])
+MOBIUS5 = Complex.from_facets(5, [[i % 5 + 1, (i + 1) % 5 + 1, (i + 2) % 5 + 1] for i in range(5)])
+SMALL_FIELDS = [Q, FieldChoice.gf(2), FieldChoice.gf(3)]
+
+
+@st.composite
+def complexes(draw) -> Complex:
+    """Flag complexes Ind(G) and arbitrary facet families on up to 7
+    vertices, with up to two further vertices in no face."""
+    used = draw(st.integers(0, 7))
+    uncovered = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        edges = draw(st.sets(st.sampled_from(list(combinations(range(used), 2))))) if used > 1 else set()
+        facets = independence_complex(graph_from_edges(used, edges)).facets
+    else:
+        vertex_sets = st.sets(st.integers(1, used), max_size=4) if used else st.just(set())
+        facets = draw(st.lists(vertex_sets, min_size=1, max_size=8))
+    return Complex.from_facets(used + uncovered, facets, reduce=True)
+
+
+class TestBettiAgainstDenseElimination:
+    """Clearing skips columns; the dense oracle of conftest reduces every one."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(complexes())
+    @example(Complex.from_facets(0, [[]]))
+    @example(Complex.from_facets(3, [[]]))
+    @example(RP2)
+    def test_random_complexes(self, c):
+        for field in SMALL_FIELDS:
+            assert reduced_betti(c, field).as_dict() == brute_reduced_betti(c.facets, field)
+
+    @pytest.mark.parametrize(
+        "c,betti",
+        [
+            # the Z/2 of H_1(RP^2; Z) shows over GF(2) only
+            (RP2, [{}, {1: 1, 2: 1}, {}]),
+            (TORUS7, [{1: 2, 2: 1}] * 3),
+            (MOBIUS5, [{1: 1}] * 3),
+        ],
+        ids=["rp2", "torus7", "mobius5"],
+    )
+    def test_surfaces(self, c, betti):
+        for field, expected in zip(SMALL_FIELDS, betti):
+            got = reduced_betti(c, field).as_dict()
+            assert got == brute_reduced_betti(c.facets, field)
+            assert {i: b for i, b in got.items() if b} == expected
+
+
+class TestChainBasisOrder:
+    @staticmethod
+    def check(c):
+        data = build_chain_complex(c)
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for f in faces(c):
+            by_size.setdefault(len(f), []).append(tuple(sorted(f)))
+        assert data.bases == {i: sorted(by_size[i + 1]) for i in range(-1, c.dim() + 1)}
+        assert sorted(data.boundaries) == list(range(c.dim() + 1))
+        for i, cols in data.boundaries.items():
+            index = {t: k for k, t in enumerate(data.bases[i - 1])}
+            assert len(cols) == len(data.bases[i])
+            for t, col in zip(data.bases[i], cols):
+                assert col == {index[t[:pos] + t[pos + 1 :]]: (-1) ** pos for pos in range(len(t))}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(complexes())
+    @example(Complex.from_facets(0, [[]]))
+    @example(Complex.from_facets(4, [[]]))
+    def test_bases_are_lexicographic_and_signs_alternate(self, c):
+        self.check(c)
+
+    @pytest.mark.parametrize("c", [TORUS7, independence_complex(circulant(11, [1, 2]))], ids=["torus7", "C11(1,2)"])
+    def test_fixed_complexes(self, c):
+        self.check(c)
+
+
+class TestBoundarySquareCheck:
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_flipped_sign_is_caught(self, i, k):
+        data = build_chain_complex(Complex.from_facets(5, [[1, 2, 3, 4], [2, 3, 4, 5]]))
+        _assert_boundary_squares_to_zero(data)
+        col = data.boundaries[i][k]
+        row = next(iter(col))
+        col[row] = -col[row]
+        with pytest.raises(InconsistencyError):
+            _assert_boundary_squares_to_zero(data)
+
+    def test_every_build_runs_it(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(circm.homology, "_assert_boundary_squares_to_zero", checked.append)
+        data = build_chain_complex(TORUS7)
+        assert checked == [data]
+
+
+class TestClearing:
+    def test_cleared_columns_are_never_reduced(self, monkeypatch):
+        c = independence_complex(circulant(18, [1]))
+        data = build_chain_complex(c)
+        rank = {i: int(rank_of_rows(cols, Q)) for i, cols in data.boundaries.items()}
+        rows_in = []
+
+        def counting(rows, field):
+            rows_in.append(len(rows))
+            return rank_of_rows(rows, field)
+
+        monkeypatch.setattr(circm.homology, "rank_of_rows", counting)
+        assert {i: b for i, b in reduced_betti(c, Q).as_dict().items() if b} == {5: 2}
+        f = f_vector(c).f  # f[i + 1] is the number of i-faces
+        uncleared = [f[i + 1] - rank.get(i + 1, 0) for i in range(c.dim() + 1)]
+        assert sum(rows_in) == sum(uncleared) < sum(f[1:])
+        assert sorted(rows_in) == sorted(uncleared)
