@@ -9,11 +9,11 @@ Vertices of links/deletions/restrictions keep their original labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
+from .errors import Frozen
 from .graphs import Graph, _component_masks
 
 
@@ -27,25 +27,36 @@ def _maximal(sets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Complex:
-    vertex_count: int
-    facets: frozenset[frozenset[int]]
+class Complex(Frozen):
+    """A complex by its ambient vertex count and its facets; equal
+    complexes hash equal, so one can key a cache."""
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.vertex_count}")
-        if not self.facets:
+    __slots__ = ("vertex_count", "facets")
+
+    def __init__(self, vertex_count: int, facets: frozenset[frozenset[int]]) -> None:
+        if vertex_count < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {vertex_count}")
+        if not facets:
             raise ValueError("facet family must be nonempty; use the single facet {} for the empty complex")
-        for f in self.facets:
+        for f in facets:
             for v in f:
-                if not 1 <= v <= self.vertex_count:
-                    raise ValueError(f"vertex {v} outside ambient range 1..{self.vertex_count}")
-        fs = sorted(self.facets, key=len)
+                if not 1 <= v <= vertex_count:
+                    raise ValueError(f"vertex {v} outside ambient range 1..{vertex_count}")
+        fs = sorted(facets, key=len)
         for i, a in enumerate(fs):
             for b in fs[i + 1 :]:
                 if a < b:
                     raise ValueError(f"facets are not an antichain: {set(a)} < {set(b)}")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "facets", facets)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Complex:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.facets == other.facets
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.facets))
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets: Iterable[Iterable[int]], reduce: bool = False) -> "Complex":
@@ -77,13 +88,15 @@ def faces(c: Complex) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FHVectors:
+class FHVectors(Frozen):
     """f-vector (f_{-1}, ..., f_D) and h-vector (h_0, ..., h_{D+1})."""
 
-    dim: int
-    f: tuple[int, ...]
-    h: tuple[int, ...]
+    __slots__ = ("dim", "f", "h")
+
+    def __init__(self, dim: int, f: tuple[int, ...], h: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "h", h)
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:

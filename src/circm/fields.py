@@ -14,10 +14,10 @@ the next boundary matrix up; see ``homology.reduced_betti``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
+
+from .errors import Frozen
 
 DEFAULT_PRIME = 32003
 _PRIME_CAP = 1 << 61
@@ -48,22 +48,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldChoice:
+class FieldChoice(Frozen):
     """Coefficient field: exact rationals or GF(p)."""
 
-    kind: str  # "rational" | "gf"
-    p: Optional[int] = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.p is not None:
+    def __init__(self, kind: str, p: Optional[int] = None) -> None:
+        if kind == "rational":
+            if p is not None:
                 raise ValueError("rational field takes no prime")
-        elif self.kind == "gf":
-            if self.p is None or not 2 <= self.p < _PRIME_CAP or not _is_prime(self.p):
-                raise ValueError(f"GF(p) needs a prime 2 <= p < 2^61, got {self.p}")
+        elif kind == "gf":
+            if p is None or not 2 <= p < _PRIME_CAP or not _is_prime(p):
+                raise ValueError(f"GF(p) needs a prime 2 <= p < 2^61, got {p}")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        object.__setattr__(self, "kind", kind)  # "rational" | "gf"
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FieldChoice:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     @staticmethod
     def rational() -> "FieldChoice":
@@ -159,7 +167,8 @@ def rows_from_vectors(vectors: Sequence[Sequence]) -> list[SparseRow]:
 
     Each rational row is scaled by its common denominator, which leaves
     the rank unchanged.  Over GF(p) the denominators must not be
-    divisible by p.
+    divisible by p.  An entry without an exact ``numerator`` and
+    ``denominator`` (a float, say) raises ``ValueError``.
     """
     if not vectors:
         return []
@@ -168,14 +177,10 @@ def rows_from_vectors(vectors: Sequence[Sequence]) -> list[SparseRow]:
     for vec in vectors:
         if len(vec) != length:
             raise ValueError("vectors must share a common length")
-        scale = 1
-        for x in vec:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        row: SparseRow = {}
-        for c, x in enumerate(vec):
-            v = int(x * scale)
-            if v:
-                row[c] = v
-        rows.append(row)
+        try:
+            exact = [(int(x.numerator), int(x.denominator)) for x in vec]
+        except AttributeError:
+            raise ValueError(f"vector entries must be ints or Fractions, got {vec!r}") from None
+        scale = math.lcm(*(den for _, den in exact))
+        rows.append({c: num * (scale // den) for c, (num, den) in enumerate(exact) if num})
     return rows

@@ -8,64 +8,62 @@ component splits and independence-set enumeration cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import GuardError
+from .errors import Frozen, GuardError
 
 ISO_VERTEX_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(Frozen):
     """A circulant graph description: vertex count n and connection set s."""
 
-    n: int
-    s: tuple[int, ...]
+    __slots__ = ("n", "s")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        s = tuple(self.s)
+    def __init__(self, n: int, s: tuple[int, ...]) -> None:
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        s = tuple(s)
         if any(not isinstance(x, int) for x in s):
             raise ValueError("connection set entries must be integers")
         if list(s) != sorted(set(s)):
             raise ValueError(f"connection set must be strictly increasing without duplicates: {s}")
         for x in s:
-            if not 1 <= x <= self.n // 2:
-                raise ValueError(f"connection set entry {x} outside [1, {self.n // 2}] for n={self.n}")
+            if not 1 <= x <= n // 2:
+                raise ValueError(f"connection set entry {x} outside [1, {n // 2}] for n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
 
     def __str__(self) -> str:
         return f"C{self.n}({','.join(map(str, self.s))})"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """A finite simple graph with labelled vertices.
 
     ``adj[i]`` is the neighbour bitmask of internal index i; ``labels[i]``
     is the external (1-based) name of that vertex.
     """
 
-    adj: tuple[int, ...]
-    labels: tuple[int, ...]
-    origin: Optional[CirculantSpec] = None
+    __slots__ = ("adj", "labels", "origin")
 
-    def __post_init__(self) -> None:
-        n = len(self.adj)
-        if len(self.labels) != n:
+    def __init__(self, adj: tuple[int, ...], labels: tuple[int, ...], origin: Optional[CirculantSpec] = None) -> None:
+        n = len(adj)
+        if len(labels) != n:
             raise ValueError("labels/adjacency length mismatch")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("duplicate vertex labels")
-        for i, mask in enumerate(self.adj):
+        for i, mask in enumerate(adj):
             if mask >> n:
                 raise ValueError("adjacency mask out of range")
             if mask & (1 << i):
                 raise ValueError("adjacency has a loop")
             for j in range(n):
-                if (mask >> j) & 1 and not (self.adj[j] >> i) & 1:
+                if (mask >> j) & 1 and not (adj[j] >> i) & 1:
                     raise ValueError("adjacency is not symmetric")
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "origin", origin)
 
     @property
     def vertex_count(self) -> int:
@@ -202,13 +200,15 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class CubicDecomposition:
+class CubicDecomposition(Frozen):
     """How a cubic circulant C_{2n}(a, n) splits into connected copies."""
 
-    t: int
-    copies: int
-    component_spec: CirculantSpec
+    __slots__ = ("t", "copies", "component_spec")
+
+    def __init__(self, t: int, copies: int, component_spec: CirculantSpec) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "component_spec", component_spec)
 
 
 def cubic_decompose(two_n: int, a: int) -> CubicDecomposition:

@@ -26,12 +26,11 @@ of the vertex cycle that are automorphisms of G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .complexes import Complex, f_vector, independence_complex
-from .errors import InconsistencyError
+from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
 
@@ -39,7 +38,6 @@ from .graphs import Graph, _component_masks, induced_subgraph
 ORACLE_ENTRIES = 1 << 16
 
 
-@dataclass
 class ChainComplexData:
     """Ordered face bases and sparse boundary columns of a complex.
 
@@ -48,8 +46,11 @@ class ChainComplexData:
     an (i-1)-face to its +/-1 coefficient, over every field.
     """
 
-    bases: dict[int, list[tuple[int, ...]]]
-    boundaries: dict[int, list[SparseRow]] = dfield(default_factory=dict)
+    __slots__ = ("bases", "boundaries")
+
+    def __init__(self, bases: dict[int, list[tuple[int, ...]]], boundaries: Optional[dict[int, list[SparseRow]]] = None) -> None:
+        self.bases = bases
+        self.boundaries = {} if boundaries is None else boundaries
 
     def face_count(self, i: int) -> int:
         return len(self.bases.get(i, ()))
@@ -105,11 +106,13 @@ def _assert_boundary_squares_to_zero(data: ChainComplexData) -> None:
                 raise InconsistencyError("boundary composition is nonzero; chain complex construction is broken")
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """dim_k H~_i per dimension; zero outside the stored range."""
 
-    by_dim: tuple[tuple[int, int], ...]
+    __slots__ = ("by_dim",)
+
+    def __init__(self, by_dim: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "by_dim", by_dim)
 
     def __getitem__(self, i: int) -> int:
         for d, v in self.by_dim:

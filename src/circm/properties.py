@@ -12,9 +12,8 @@ oracle over vertex masks; any other complex takes the textbook route,
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
 from .complexes import (
@@ -26,7 +25,7 @@ from .complexes import (
     link,
     restrict,
 )
-from .errors import GuardError, InconsistencyError
+from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
 from .homology import InducedHomology, reduced_betti
@@ -85,11 +84,22 @@ def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle
     return low if low is not None and low < dim() else None
 
 
-def _sorted_faces(c: Complex) -> list[frozenset[int]]:
-    return sorted(faces(c), key=lambda f: (len(f), sorted(f)))
+def _sorted_faces(c: Complex) -> Iterator[frozenset[int]]:
+    """Every face of c by size, then lexicographically, sorted lazily.
+
+    The empty face comes first, before any face is enumerated; each
+    larger size is sorted only once the scan reaches it.
+    """
+    yield frozenset()
+    by_size: dict[int, list[frozenset[int]]] = {}
+    for f in faces(c):
+        if f:
+            by_size.setdefault(len(f), []).append(f)
+    for size in sorted(by_size):
+        yield from sorted(by_size[size], key=sorted)
 
 
-def _violations(c: Complex, candidates: list[frozenset[int]], field: FieldChoice) -> Iterator[Witness]:
+def _violations(c: Complex, candidates: Iterable[frozenset[int]], field: FieldChoice) -> Iterator[Witness]:
     """(face, i) for each candidate face, in order, that fails Reisner's test."""
     oracle = _oracle(c, field)
     for face in candidates:
@@ -120,7 +130,7 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
     # the empty face sorts first
-    return next(_violations(c, _sorted_faces(c)[1:], field), None)
+    return next(_violations(c, islice(_sorted_faces(c), 1, None), field), None)
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -181,28 +191,32 @@ def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
     memo: dict[frozenset[frozenset[int]], bool] = {}
     if not _vd_recursive(c.facets, memo):
         return None
+    return _order_by_shedding(c.facets, memo)
 
-    def order(facets: frozenset[frozenset[int]]) -> list[frozenset[int]]:
-        found = _shedding_vertex(facets, memo) if len(facets) > 1 else None
-        if found is None:
-            return list(facets)
-        x, link_f, del_f = found
-        cone = [f | {x} for f in order(link_f)]
-        return cone if del_f == link_f else order(del_f) + cone
 
-    return order(c.facets)
+def _order_by_shedding(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> list[frozenset[int]]:
+    # Not a closure: one that calls itself is a reference cycle, which
+    # would hold the memo until the next full garbage collection.
+    found = _shedding_vertex(facets, memo) if len(facets) > 1 else None
+    if found is None:
+        return list(facets)
+    x, link_f, del_f = found
+    cone = [f | {x} for f in _order_by_shedding(link_f, memo)]
+    return cone if del_f == link_f else _order_by_shedding(del_f, memo) + cone
 
 
 # --- shellability ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShellabilityResult:
+class ShellabilityResult(Frozen):
     """Tri-state answer: True/False, or None when the budget ran out."""
 
-    status: Optional[bool]
-    order: Optional[tuple[frozenset[int], ...]] = None
-    nodes: int = 0
+    __slots__ = ("status", "order", "nodes")
+
+    def __init__(self, status: Optional[bool], order: Optional[tuple[frozenset[int], ...]] = None, nodes: int = 0) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def check_shelling_order(order: list[frozenset[int]]) -> bool:
@@ -335,28 +349,58 @@ def projective_dimension(
 # --- assembled report ---------------------------------------------------------
 
 
-@dataclass
 class PropertyReport:
-    graph_label: str
-    vertex_count: int
-    field: FieldChoice
-    alpha: int
-    krull_dim: int
-    dim: int
-    fh: FHVectors
-    h_nonnegative: bool
-    well_covered: bool
-    pure: bool
-    cm: bool
-    cm_witness: Optional[Witness]
-    buchsbaum: bool
-    buchsbaum_witness: Optional[Witness]
-    vertex_decomposable: bool
-    shellable: Optional[bool]
-    shelling_order: Optional[tuple[tuple[int, ...], ...]]
-    pdim: Optional[int]
-    depth: Optional[int]
-    betti: Optional[dict[int, int]] = None
+    """Every answer ``full_report`` gives for one graph."""
+
+    __slots__ = (
+        "graph_label", "vertex_count", "field", "alpha", "krull_dim", "dim", "fh", "h_nonnegative", "well_covered", "pure",
+        "cm", "cm_witness", "buchsbaum", "buchsbaum_witness", "vertex_decomposable", "shellable", "shelling_order",
+        "pdim", "depth", "betti",
+    )
+
+    def __init__(
+        self,
+        graph_label: str,
+        vertex_count: int,
+        field: FieldChoice,
+        alpha: int,
+        krull_dim: int,
+        dim: int,
+        fh: FHVectors,
+        h_nonnegative: bool,
+        well_covered: bool,
+        pure: bool,
+        cm: bool,
+        cm_witness: Optional[Witness],
+        buchsbaum: bool,
+        buchsbaum_witness: Optional[Witness],
+        vertex_decomposable: bool,
+        shellable: Optional[bool],
+        shelling_order: Optional[tuple[tuple[int, ...], ...]],
+        pdim: Optional[int],
+        depth: Optional[int],
+        betti: Optional[dict[int, int]] = None,
+    ) -> None:
+        self.graph_label = graph_label
+        self.vertex_count = vertex_count
+        self.field = field
+        self.alpha = alpha
+        self.krull_dim = krull_dim
+        self.dim = dim
+        self.fh = fh
+        self.h_nonnegative = h_nonnegative
+        self.well_covered = well_covered
+        self.pure = pure
+        self.cm = cm
+        self.cm_witness = cm_witness
+        self.buchsbaum = buchsbaum
+        self.buchsbaum_witness = buchsbaum_witness
+        self.vertex_decomposable = vertex_decomposable
+        self.shellable = shellable
+        self.shelling_order = shelling_order
+        self.pdim = pdim
+        self.depth = depth
+        self.betti = betti
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .complexes import independence_complex, is_well_covered
-from .errors import GuardError, InconsistencyError
+from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice, rank_of_rows
 from .graphs import (
     CirculantSpec,
@@ -26,15 +25,17 @@ from .homology import build_chain_complex, reduced_betti
 from .properties import PropertyReport, full_report
 
 
-@dataclass(frozen=True)
-class FamilyStatus:
+class FamilyStatus(Frozen):
     """Expected classification of C_n(1..d) from the closed forms."""
 
-    n: int
-    d: int
-    well_covered_expected: bool
-    cm_expected: bool
-    buchsbaum_not_cm_expected: bool
+    __slots__ = ("n", "d", "well_covered_expected", "cm_expected", "buchsbaum_not_cm_expected")
+
+    def __init__(self, n: int, d: int, well_covered_expected: bool, cm_expected: bool, buchsbaum_not_cm_expected: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "well_covered_expected", well_covered_expected)
+        object.__setattr__(self, "cm_expected", cm_expected)
+        object.__setattr__(self, "buchsbaum_not_cm_expected", buchsbaum_not_cm_expected)
 
 
 def expected_family_status(n: int, d: int) -> FamilyStatus:
@@ -63,13 +64,15 @@ def expected_cubic_cm(two_n: int, a: int) -> bool:
 OctTuple = tuple[int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class OctahedronWitness:
+class OctahedronWitness(Frozen):
     """Three pairwise-disjoint induced edges and the signed 8-term cycle
     their octahedron contributes to the kernel of the 2-boundary."""
 
-    vertices: OctTuple
-    cycle: dict[int, int]  # index in the global 2-face basis -> coefficient
+    __slots__ = ("vertices", "cycle")
+
+    def __init__(self, vertices: OctTuple, cycle: dict[int, int]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "cycle", cycle)  # index in the global 2-face basis -> coefficient
 
 
 def _octahedron_faces(t: OctTuple) -> list[tuple[frozenset[int], int]]:
@@ -192,12 +195,16 @@ def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: Optio
     return rank
 
 
-@dataclass(frozen=True)
-class H2Evidence:
-    d: int
-    computed: int
-    formula: int
-    equal: bool
+class H2Evidence(Frozen):
+    """dim H~_2 of Ind(C_{4d+3}(1..d)) beside the octahedron count."""
+
+    __slots__ = ("d", "computed", "formula", "equal")
+
+    def __init__(self, d: int, computed: int, formula: int, equal: bool) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "equal", equal)
 
 
 def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: Optional[int] = 4) -> H2Evidence:
@@ -223,25 +230,40 @@ def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: O
 # --- exhaustive verification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyScope:
-    d_max: int = 4
-    max_two_n: int = 12
-    lex_factor_max: int = 5
-    h2_d_max: int = 3
-    shell_budget: int = 10_000_000
+class VerifyScope(Frozen):
+    """How far each theorem verifier searches."""
+
+    __slots__ = ("d_max", "max_two_n", "lex_factor_max", "h2_d_max", "shell_budget")
+
+    def __init__(self, d_max: int = 4, max_two_n: int = 12, lex_factor_max: int = 5, h2_d_max: int = 3, shell_budget: int = 10_000_000) -> None:
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "max_two_n", max_two_n)
+        object.__setattr__(self, "lex_factor_max", lex_factor_max)
+        object.__setattr__(self, "h2_d_max", h2_d_max)
+        object.__setattr__(self, "shell_budget", shell_budget)
 
     def family_range(self, d: int) -> range:
         return range(2 * d, 4 * d + 7)
 
 
-@dataclass
 class TheoremResult:
-    theorem_id: str
-    scope: str
-    cases_run: int
-    failures: list[dict] = dfield(default_factory=list)
-    evidence: list[dict] = dfield(default_factory=list)
+    """Cases run, counterexamples and evidence of one theorem verifier."""
+
+    __slots__ = ("theorem_id", "scope", "cases_run", "failures", "evidence")
+
+    def __init__(
+        self,
+        theorem_id: str,
+        scope: str,
+        cases_run: int,
+        failures: Optional[list[dict]] = None,
+        evidence: Optional[list[dict]] = None,
+    ) -> None:
+        self.theorem_id = theorem_id
+        self.scope = scope
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.evidence = [] if evidence is None else evidence
 
     @property
     def passed(self) -> bool:

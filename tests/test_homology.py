@@ -115,6 +115,17 @@ class TestRank:
         assert kernel_rank_of([[1, 0], [0, 1]], Q) == 2
         assert kernel_rank_of([[0, 0], [0, 0]], Q) == 0
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [[[0.5, 1], [1, 2]], [[0.5, 0.0]], [[1, 2.0]], [[1, "2"]], [[1, None]]],
+        ids=["rank-1-read-as-2", "nonzero-read-as-zero", "integral-float", "str", "none"],
+    )
+    def test_inexact_entries_are_rejected(self, vectors):
+        # truncating 0.5 to 0 turned the rank-1 pair into rank 2, and a
+        # nonzero row into the zero row
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            kernel_rank_of(vectors, Q)
+
 
 class TestChainComplex:
     def test_boundary_shapes_for_triangle(self):

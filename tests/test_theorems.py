@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import pytest
 
 from circm import (
     CirculantSpec,
+    CubicDecomposition,
     FieldChoice,
     VerifyScope,
     build_octahedron_list,
@@ -148,7 +147,7 @@ class TestVerifyTheorems:
         def wrong(two_n, a):
             deco = real(two_n, a)
             # C14(2,7) has the vertex and edge counts of C14(1,7), not its edges
-            return replace(deco, component_spec=CirculantSpec(14, (2, 7))) if (two_n, a) == (14, 1) else deco
+            return CubicDecomposition(deco.t, deco.copies, CirculantSpec(14, (2, 7))) if (two_n, a) == (14, 1) else deco
 
         monkeypatch.setattr(circm.theorems, "cubic_decompose", wrong)
         (res,) = verify_theorems(VerifyScope(max_two_n=14), ["cubic"])
