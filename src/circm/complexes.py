@@ -109,12 +109,16 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def f_vector(c: Complex) -> FHVectors:
-    """f/h-vectors by exact face enumeration."""
+    """f/h-vectors by exact face counts, the faces of each size as vertex
+    bitmasks: its facets and the faces one size up less one vertex each."""
     dim = c.dim()
-    f = [0] * (dim + 2)
-    for face in faces(c):
-        f[len(face)] += 1
-    ft = tuple(f)
+    levels: list[set[int]] = [set() for _ in range(dim + 2)]
+    for f in c.facets:
+        levels[len(f)].add(sum(1 << v for v in f))
+    bits = [1 << v for v in range(c.vertex_count + 1)]
+    for size in range(dim + 1, 0, -1):
+        levels[size - 1].update([m ^ b for m in levels[size] for b in bits if m & b])
+    ft = tuple(map(len, levels))
     return FHVectors(dim=dim, f=ft, h=h_from_f(ft))
 
 

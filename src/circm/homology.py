@@ -193,14 +193,13 @@ class InducedHomology:
         self.full = (1 << n) - 1  # the mask of every vertex: Ind(G) itself
         self._memo: dict[int, tuple[int, dict[int, int]]] = {}
         # rotation amounts r, applied to the mask itself or to its mirror
-        # image, whose vertex maps are automorphisms of g
-        self._rotations: list[int] = []
-        self._reflections: list[int] = []
-        for r in range(max(n, 1)):
-            if self._is_automorphism(lambda m: self._rotate(m, r)):
-                self._rotations.append(r)
-            if self._is_automorphism(lambda m: self._rotate(self._mirror(m), r)):
-                self._reflections.append(r)
+        # image, whose vertex maps are automorphisms of g: vertex i of g, or
+        # of its mirror image, goes to i + r together with its neighbours
+        adj = g.adj
+        mirrored = [self._mirror(a) for a in reversed(adj)]  # the adjacency of g's mirror image
+        self._rotations, self._reflections = (
+            [r for r in range(max(n, 1)) if all(self._rotate(m[i], r) == adj[(i + r) % n] for i in range(n))] for m in (adj, mirrored)
+        )
 
     @cached_property
     def whole(self) -> Complex:
@@ -212,10 +211,6 @@ class InducedHomology:
 
     def _mirror(self, mask: int) -> int:
         return int(format(mask, f"0{self._n}b")[::-1], 2)
-
-    def _is_automorphism(self, image) -> bool:
-        adj = self.graph.adj
-        return all(image(adj[i]) == adj[image(1 << i).bit_length() - 1] for i in range(self._n))
 
     def _key(self, mask: int) -> int:
         n, full = self._n, self.full

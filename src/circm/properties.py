@@ -12,19 +12,12 @@ oracle over vertex masks; any other complex takes the textbook route,
 from __future__ import annotations
 
 from contextvars import ContextVar
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .complexes import (
-    Complex,
-    FHVectors,
-    _maximal,
-    faces,
-    f_vector,
-    link,
-    restrict,
-)
+from .complexes import Complex, FHVectors, f_vector, faces, link, restrict
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
@@ -137,48 +130,53 @@ def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
     return buchsbaum_violation(c, field) is None
 
 
-# --- vertex decomposability -------------------------------------------------
+# --- vertex decomposability, on facets as vertex bitmasks (``_mask``) ---------
 
-def _canonical_facets(facets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Relabel vertices by sorted occurrence: a cheap canonical form."""
-    fs = list(facets)
-    verts = sorted(set().union(*fs)) if any(fs) else []
-    relabel = {v: i + 1 for i, v in enumerate(verts)}
-    return frozenset(frozenset(relabel[v] for v in f) for f in fs)
+def _canonical_facets(facets: frozenset[int]) -> frozenset[int]:
+    """Relabel vertices by sorted occurrence, a cheap canonical form: the
+    union's bits are packed down to 0..k-1, one run of them at a time."""
+    rest, pos, packed = reduce(or_, facets), 0, [0] * len(facets)
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        packed = [p | (f & run) >> (low.bit_length() - 1 - pos) for p, f in zip(packed, facets)]
+        pos += run.bit_count()
+        rest ^= run
+    return frozenset(packed)
 
 
-def _vd_recursive(facets: Iterable[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> bool:
+def _vd_recursive(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> bool:
     key = _canonical_facets(facets)
-    if key not in memo:
-        memo[key] = len({len(f) for f in key}) == 1 and (len(key) == 1 or _shedding_vertex(key, memo) is not None)
-    return memo[key]
+    found = memo.get(key)
+    if found is None:
+        memo[key] = found = len(key) == 1 or _shedding_vertex(key, memo) is not None
+    return found
 
 
-def _shedding_vertex(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> Optional[tuple]:
-    """(x, lk_x, del_x) for the first vertex x whose link and deletion
-    are vertex decomposable, as facet families; None if there is none.
-
-    The facets must be pure, so the link's are an antichain as they come.
-    """
-    for x in sorted(set().union(*facets)):
-        link_f = frozenset(f - {x} for f in facets if x in f)
-        if not _vd_recursive(link_f, memo):
+def _shedding_vertex(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> Optional[tuple]:
+    """(x, lk_x, del_x) for the first vertex x, a bit, whose link and
+    deletion are vertex decomposable, or None.  Of pure facets, the
+    deletion is those avoiding x (the link if none does); it is impure,
+    and x is skipped, when a link facet lies in none of them."""
+    rest = reduce(or_, facets)
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        link_f = frozenset(f ^ x for f in facets if f & x)
+        del_f = frozenset(f for f in facets if not f & x) or link_f
+        if del_f is not link_f and any(all(g & ~h for h in del_f) for g in link_f):
             continue
-        del_f = _maximal(f - {x} for f in facets)
-        if _vd_recursive(del_f, memo):
+        if _vd_recursive(link_f, memo) and _vd_recursive(del_f, memo):
             return x, link_f, del_f
     return None
 
 
 def is_vertex_decomposable(c: Complex) -> bool:
-    """Pure-complex vertex decomposability.
-
-    A simplex is vertex decomposable; otherwise some vertex must have a
-    vertex-decomposable link and deletion.  Impure complexes are not
-    vertex decomposable.  Within one call, results are memoized on a
-    canonical relabeling of the facet family.
-    """
-    return _vd_recursive(c.facets, {})
+    """Pure-complex vertex decomposability: a simplex is vertex
+    decomposable, and so is a complex with a vertex whose link and
+    deletion are; impure complexes are not.  Within one call, results are
+    memoized on a canonical relabeling of the facet family."""
+    return c.is_pure() and _vd_recursive(frozenset(map(_mask, c.facets)), {})
 
 
 def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
@@ -188,21 +186,22 @@ def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
     order of lk_x (Provan-Billera); only the latter when x lies in every
     facet, where del_x is lk_x.  Every branch taken is in the memo.
     """
-    memo: dict[frozenset[frozenset[int]], bool] = {}
-    if not _vd_recursive(c.facets, memo):
+    memo: dict[frozenset[int], bool] = {}
+    facets = frozenset(map(_mask, c.facets))
+    if not c.is_pure() or not _vd_recursive(facets, memo):
         return None
-    return _order_by_shedding(c.facets, memo)
+    return [frozenset(v + 1 for v in range(m.bit_length()) if m >> v & 1) for m in _order_by_shedding(facets, memo)]
 
 
-def _order_by_shedding(facets: frozenset[frozenset[int]], memo: dict[frozenset[frozenset[int]], bool]) -> list[frozenset[int]]:
+def _order_by_shedding(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> list[int]:
     # Not a closure: one that calls itself is a reference cycle, which
     # would hold the memo until the next full garbage collection.
     found = _shedding_vertex(facets, memo) if len(facets) > 1 else None
     if found is None:
         return list(facets)
     x, link_f, del_f = found
-    cone = [f | {x} for f in _order_by_shedding(link_f, memo)]
-    return cone if del_f == link_f else _order_by_shedding(del_f, memo) + cone
+    cone = [f | x for f in _order_by_shedding(link_f, memo)]
+    return cone if del_f is link_f else _order_by_shedding(del_f, memo) + cone
 
 
 # --- shellability ------------------------------------------------------------
@@ -225,12 +224,12 @@ def check_shelling_order(order: list[frozenset[int]]) -> bool:
     For all j < i there must be an x in F_i \\ F_j and a k < i with
     F_i \\ F_k = {x}.
     """
-    for i in range(1, len(order)):
-        fi = order[i]
-        singles = {next(iter(fi - order[k])) for k in range(i) if len(fi - order[k]) == 1}
-        for j in range(i):
-            if not (fi - order[j]) & singles:
-                return False
+    masks = [_mask(f) for f in order]
+    for i, fi in enumerate(masks):
+        gaps = [fi & ~fj for fj in masks[:i]]
+        singles = reduce(or_, (d for d in gaps if d & (d - 1) == 0), 0)
+        if not all(d & singles for d in gaps):
+            return False
     return True
 
 

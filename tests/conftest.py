@@ -42,6 +42,28 @@ def brute_maximal_independent_sets(g: Graph) -> set[frozenset[int]]:
     return {s for s in ind if not any(s < t for t in ind)}
 
 
+def brute_vertex_decomposable(facets) -> bool:
+    """Vertex decomposability of the complex with these facets, straight
+    from the definition (Provan-Billera), with no memo and no relabeling.
+
+    A pure complex is vertex decomposable when it is a simplex ({∅}
+    included) or has a vertex x whose link {F - x : x in F} and deletion
+    (the maximal sets F - x) are both vertex decomposable.
+    """
+    fs = {frozenset(f) for f in facets}
+    if len({len(f) for f in fs}) != 1:
+        return False
+    if len(fs) == 1:
+        return True
+    for x in sorted(frozenset().union(*fs)):
+        link = {f - {x} for f in fs if x in f}
+        dele = {f - {x} for f in fs}
+        dele = {f for f in dele if not any(f < g for g in dele)}
+        if brute_vertex_decomposable(link) and brute_vertex_decomposable(dele):
+            return True
+    return False
+
+
 def dense_rank(rows: list[list[int]]) -> int:
     """Rank over Q by textbook forward elimination on Fractions.
 

@@ -114,6 +114,19 @@ class TestFaceEnumeration:
         assert fh.f == (1, 3, 3)
         assert fh.h == (1, 1, 1)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_f_vector_counts_the_downward_closure(self, n):
+        complexes = [independence_complex(circulant(n, s)) for r in range(n // 2 + 1) for s in combinations(range(1, n // 2 + 1), r)]
+        # a simplex on the odd labels beside the edge {2, 4}: gaps, and impure from n = 6
+        complexes.append(Complex.from_facets(n, [range(1, n + 1, 2)] + ([[2, 4]] if n >= 4 else [])))
+        for c in complexes:
+            sizes = [len(f) for f in downward_closure(set(c.facets))]
+            assert f_vector(c).f == tuple(sizes.count(k) for k in range(c.dim() + 2))
+
+    def test_f_vector_of_the_empty_complex(self):
+        fh = f_vector(Complex.from_facets(0, [[]]))
+        assert (fh.dim, fh.f, fh.h) == (-1, (1,), (1,))
+
     def test_h_from_f_alternating_sum(self):
         # h_{D+1} equals the reduced Euler characteristic up to sign
         f = (1, 7, 14, 7)

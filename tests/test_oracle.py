@@ -3,8 +3,9 @@ checked against dense brute-force homology, brute link scans, Hochster's
 formula by subset enumeration, and Kozlov's closed forms for paths and
 cycles."""
 
+import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,16 @@ from circm import (
 )
 from circm.graphs import induced_subgraph
 from circm.homology import InducedHomology
-from circm.properties import _oracle, buchsbaum_violation
+from circm.properties import _oracle, _shedding_order, buchsbaum_violation, check_shelling_order
 
-from conftest import brute_independent_sets, brute_maximal_independent_sets, brute_reduced_betti, downward_closure
+from conftest import (
+    brute_independent_sets,
+    brute_maximal_independent_sets,
+    brute_reduced_betti,
+    brute_vertex_decomposable,
+    downward_closure,
+    graph_from_edges,
+)
 from test_homology import RP2
 
 Q = FieldChoice.rational()
@@ -174,6 +182,22 @@ class TestOracleAgainstBruteForce:
         assert oracle._rotations == [0, 2, 4, 6]
         assert oracle._key(0b1100) == oracle._key(0b11) == 0b11
 
+    def test_symmetries_are_the_rotations_and_reflections_that_are_automorphisms(self):
+        rng = random.Random(7)
+        graphs = [graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4]) for n in range(13) for _ in range(8)]
+        graphs += [lex_product(P3, K2_K1), lex_product(circulant(4, [1]), circulant(2, [1])), lex_product(circulant(3, [1]), circulant(2, []))]
+        graphs += [induced_subgraph(circulant(12, s), [1, 2, 4, 5, 7, 8, 10, 11]) for s in ([1], [1, 5], [2, 3])]
+        for g in graphs:
+            n = g.vertex_count
+            edges = {frozenset((i, j)) for i in range(n) for j in range(n) if g.adj[i] >> j & 1}
+
+            def automorphism(image):
+                return {frozenset(map(image, e)) for e in edges} == edges
+
+            oracle = InducedHomology(g, Q)
+            assert oracle._rotations == [r for r in range(max(n, 1)) if automorphism(lambda i: (i + r) % n)], g.adj
+            assert oracle._reflections == [r for r in range(max(n, 1)) if automorphism(lambda i: (n - 1 - i + r) % n)], g.adj
+
     @pytest.mark.parametrize("n,s", [(9, (1, 2)), (10, (2, 5)), (10, (1, 3, 5))])
     def test_projective_dimension_matches_hochster_by_subsets(self, n, s):
         g = circulant(n, s)
@@ -280,6 +304,61 @@ def is_shelling(order: list[frozenset[int]]) -> bool:
                 return False
         earlier |= downward_closure({facet})
     return True
+
+
+# Complexes on labels with gaps, so that the canonical form of the vertex
+# decomposition search packs several runs of bits, with their vertex
+# decomposability
+GAPPED = {
+    "bd-simplex-on-2-5-9-11": (Complex.from_facets(12, combinations([2, 5, 9, 11], 3)), True),
+    "path-on-3-4-7-10-11": (Complex.from_facets(12, [[3, 4], [4, 7], [7, 10], [10, 11]]), True),
+    "two-edges-on-2-6-9-12": (Complex.from_facets(12, [[2, 6], [9, 12]]), False),
+    "moebius-strip-on-odd-labels": (Complex.from_facets(9, [[2 * v - 1 for v in f] for f in NON_FLAG["moebius-strip-5"][0].facets]), False),
+    "cross-polytope-on-even-labels": (Complex.from_facets(12, [[2 * v for v in f] for f in independence_complex(circulant(6, [3])).facets]), True),
+}
+
+
+class TestVertexDecomposabilityAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_circulant(self, n):
+        for s in connection_sets(n):
+            c = independence_complex(circulant(n, s))
+            assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets), (n, s)
+
+    @pytest.mark.parametrize("name", NON_FLAG)
+    def test_non_flag_complexes(self, name):
+        c = NON_FLAG[name][0]
+        assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets)
+
+    @pytest.mark.parametrize("name", GAPPED)
+    def test_labels_with_gaps(self, name):
+        c, vd = GAPPED[name]
+        assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets) is vd
+        order = _shedding_order(c)
+        assert (order is not None) is vd
+        if vd:
+            assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
+
+    def test_rp2_and_the_empty_complex(self):
+        assert is_vertex_decomposable(RP2) is brute_vertex_decomposable(RP2.facets) is False
+        empty = Complex.from_facets(0, [[]])
+        assert is_vertex_decomposable(empty) is brute_vertex_decomposable(empty.facets) is True
+        assert _shedding_order(empty) == [frozenset()]
+
+
+class TestShellingConditionAgainstTheDefinition:
+    def test_every_order_of_small_complexes_and_shuffles_of_larger_ones(self):
+        rng = random.Random(3)
+        complexes = [independence_complex(circulant(n, s)) for n, s in [(5, [1]), (6, [2, 3]), (7, [1]), (8, [1, 2]), (8, [4]), (9, [1, 2, 3])]]
+        complexes += [NON_FLAG["moebius-strip-5"][0], RP2]
+        seen = set()
+        for c in complexes:
+            facets = sorted(c.facets, key=sorted)
+            orders = [list(p) for p in permutations(facets)] if len(facets) <= 6 else [rng.sample(facets, len(facets)) for _ in range(300)]
+            for order in orders:
+                seen.add(is_shelling(order))
+                assert check_shelling_order(order) is is_shelling(order), order
+        assert seen == {True, False}
 
 
 class TestReportAgainstBruteForce:

@@ -254,6 +254,27 @@ class TestFullReport:
                     assert sorted(map(sorted, order)) == sorted(map(sorted, ind(n, s).facets))
         assert vd == 80
 
+    # Reports print these orders; C12(4,6) is the disconnected graph of
+    # two C6(2, 3), so its complex is a join.  In C12(6)'s order, the k-th
+    # facet holds i rather than i + 6 exactly where bit 6 - i of k is set.
+    PINNED_ORDERS = {
+        (8, (1, 2)): [[3, 8], [3, 7], [3, 6], [5, 8], [4, 8], [4, 7], [2, 7], [2, 6], [2, 5], [1, 6], [1, 5], [1, 4]],
+        (12, (6,)): [sorted(i if k >> (6 - i) & 1 else i + 6 for i in range(1, 7)) for k in range(64)],
+        (12, (4, 6)): [
+            [9, 10, 11, 12], [8, 9, 10, 11], [7, 9, 10, 12], [7, 8, 9, 10], [6, 8, 9, 11], [6, 7, 8, 9],
+            [5, 7, 10, 12], [5, 7, 8, 10], [5, 6, 7, 8], [4, 6, 9, 11], [4, 6, 7, 9], [4, 5, 6, 7],
+            [3, 5, 10, 12], [3, 5, 8, 10], [3, 5, 6, 8], [3, 4, 5, 6], [2, 9, 11, 12], [2, 7, 9, 12],
+            [2, 5, 7, 12], [2, 4, 9, 11], [2, 4, 7, 9], [2, 4, 5, 7], [2, 3, 5, 12], [2, 3, 4, 5],
+            [1, 10, 11, 12], [1, 8, 10, 11], [1, 6, 8, 11], [1, 4, 6, 11], [1, 3, 10, 12], [1, 3, 8, 10],
+            [1, 3, 6, 8], [1, 3, 4, 6], [1, 2, 11, 12], [1, 2, 4, 11], [1, 2, 3, 12], [1, 2, 3, 4],
+        ],
+    }
+
+    @pytest.mark.parametrize("n,s", PINNED_ORDERS)
+    def test_pinned_shelling_orders(self, n, s):
+        r = full_report(circulant(n, s), pdim_guard=0)
+        assert r.vertex_decomposable and [list(f) for f in r.shelling_order] == self.PINNED_ORDERS[n, s]
+
     @pytest.mark.parametrize("n", [12, 16])
     def test_small_budget_on_a_vertex_decomposable_complex(self, n):
         # the shedding order decides shellability: no budget is spent
