@@ -9,8 +9,8 @@ Vertices of links/deletions/restrictions keep their original labels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import Frozen
@@ -42,9 +42,11 @@ class Complex(Frozen):
             for v in f:
                 if not 1 <= v <= vertex_count:
                     raise ValueError(f"vertex {v} outside ambient range 1..{vertex_count}")
+        # only a smaller facet can lie in another, so a pure family needs no comparison
         fs = sorted(facets, key=len)
-        for i, a in enumerate(fs):
-            for b in fs[i + 1 :]:
+        sizes = [len(f) for f in fs]
+        for a in fs:
+            for b in fs[bisect_right(sizes, len(a)) :]:
                 if a < b:
                     raise ValueError(f"facets are not an antichain: {set(a)} < {set(b)}")
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -77,15 +79,30 @@ class Complex(Frozen):
         return any(fs <= f for f in self.facets)
 
 
+def _face_levels(c: Complex) -> list[dict[int, tuple[int, ...]]]:
+    """The faces of c by size, from the facets down: ``levels[k]`` maps
+    each face of k vertices, as a bitmask with vertex v of n at bit n - v,
+    to its sorted vertex tuple.  Among faces of one size, descending masks
+    are ascending tuples; a face one size down is a mask with a bit cleared."""
+    n = c.vertex_count
+    levels: list[dict[int, tuple[int, ...]]] = [{} for _ in range(c.dim() + 2)]
+    for f in c.facets:
+        levels[len(f)][sum(1 << (n - v) for v in f)] = tuple(sorted(f))
+    for k in range(len(levels) - 1, 1, -1):
+        lower = levels[k - 1]
+        for m, t in levels[k].items():
+            for pos, v in enumerate(t):
+                sub = m ^ (1 << (n - v))
+                if sub not in lower:
+                    lower[sub] = t[:pos] + t[pos + 1 :]
+    levels[0] = {0: ()}
+    return levels
+
+
 @lru_cache(maxsize=256)
 def faces(c: Complex) -> frozenset[frozenset[int]]:
     """Every face of c, the empty face included."""
-    out: set[frozenset[int]] = set()
-    for f in c.facets:
-        fl = sorted(f)
-        for r in range(len(fl) + 1):
-            out.update(frozenset(s) for s in combinations(fl, r))
-    return frozenset(out)
+    return frozenset(frozenset(t) for level in _face_levels(c) for t in level.values())
 
 
 class FHVectors(Frozen):
@@ -109,17 +126,9 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def f_vector(c: Complex) -> FHVectors:
-    """f/h-vectors by exact face counts, the faces of each size as vertex
-    bitmasks: its facets and the faces one size up less one vertex each."""
-    dim = c.dim()
-    levels: list[set[int]] = [set() for _ in range(dim + 2)]
-    for f in c.facets:
-        levels[len(f)].add(sum(1 << v for v in f))
-    bits = [1 << v for v in range(c.vertex_count + 1)]
-    for size in range(dim + 1, 0, -1):
-        levels[size - 1].update([m ^ b for m in levels[size] for b in bits if m & b])
-    ft = tuple(map(len, levels))
-    return FHVectors(dim=dim, f=ft, h=h_from_f(ft))
+    """f/h-vectors by exact face counts."""
+    ft = tuple(map(len, _face_levels(c)))
+    return FHVectors(dim=c.dim(), f=ft, h=h_from_f(ft))
 
 
 def family_f_vector(n: int, d: int) -> FHVectors:

@@ -56,11 +56,15 @@ class Graph(Frozen):
         for i, mask in enumerate(adj):
             if mask >> n:
                 raise ValueError("adjacency mask out of range")
-            if mask & (1 << i):
+            bit = 1 << i
+            if mask & bit:
                 raise ValueError("adjacency has a loop")
-            for j in range(n):
-                if (mask >> j) & 1 and not (adj[j] >> i) & 1:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                if not adj[low.bit_length() - 1] & bit:
                     raise ValueError("adjacency is not symmetric")
+                rest ^= low
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "origin", origin)

@@ -4,16 +4,16 @@ homology oracle for the independence complexes of induced subgraphs.
 Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
-reproducible bit-for-bit.  The chain complex is built on integer
-bitmasks, vertex v of n being bit n - v: among faces of one size,
-descending masks are ascending tuples, so sorting the masks gives the
-lexicographic bases, and the boundary faces of a face are its mask with
-one bit cleared.  Ranks are taken from the top dimension down with
-clearing (the twist of persistent homology): an i-face that is the
-pivot ``low`` of the reduced boundary matrix one dimension up is the
-leading face of a boundary, hence of a cycle, so its column of the i-th
-boundary matrix is a combination of columns before it and is never
-reduced.
+reproducible bit-for-bit.  The chain complex is built on the face
+bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v:
+among faces of one size, descending masks are ascending tuples, so
+sorting the masks gives the lexicographic bases, and the boundary faces
+of a face are its mask with one bit cleared.  Ranks are taken from the
+top dimension down with clearing (the twist of persistent homology): an
+i-face that is the pivot ``low`` of the reduced boundary matrix one
+dimension up is the leading face of a boundary, hence of a cycle, so its
+column of the i-th boundary matrix is a combination of columns before
+it and is never reduced.
 
 ``InducedHomology`` answers H~_*(Ind(G[W])) for vertex bitmasks W of one
 graph G.  That is all Reisner's criterion and Hochster's formula ask of
@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .complexes import Complex, f_vector, independence_complex
+from .complexes import Complex, _face_levels, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -58,23 +58,12 @@ class ChainComplexData:
 
 def build_chain_complex(c: Complex) -> ChainComplexData:
     """Bases and boundary matrices of the reduced chain complex of c."""
-    n, top = c.vertex_count, c.dim()
-    # the i-faces by mask, each with its sorted vertex tuple, from the facets down
-    levels: dict[int, dict[int, tuple[int, ...]]] = {i: {} for i in range(-1, top + 1)}
-    for f in c.facets:
-        levels[len(f) - 1][sum(1 << (n - v) for v in f)] = tuple(sorted(f))
-    for i in range(top, 0, -1):
-        lower = levels[i - 1]
-        for m, t in levels[i].items():
-            for pos, v in enumerate(t):
-                sub = m ^ (1 << (n - v))
-                if sub not in lower:
-                    lower[sub] = t[:pos] + t[pos + 1 :]
-    levels[-1] = {0: ()}
+    n = c.vertex_count
+    levels = _face_levels(c)
     data = ChainComplexData(bases={})
     index: dict[int, int] = {}  # mask -> position among the (i-1)-faces
-    for i in range(-1, top + 1):
-        level = levels.pop(i)
+    for i in range(-1, c.dim() + 1):
+        level = levels.pop(0)  # the i-faces, released once their columns are built
         masks = sorted(level, reverse=True)
         data.bases[i] = [level[m] for m in masks]
         if i >= 0:

@@ -17,7 +17,7 @@ from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, f_vector, faces, link, restrict
+from .complexes import Complex, FHVectors, _face_levels, f_vector, link, restrict
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
@@ -61,7 +61,7 @@ def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     return oracle if oracle.whole == c else None
 
 
-def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle: Optional[InducedHomology]) -> Optional[int]:
+def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracle: Optional[InducedHomology]) -> Optional[int]:
     """Smallest i < dim link with nonvanishing H~_i of the link, if any."""
     if oracle is not None:
         closed = _mask(face)
@@ -77,28 +77,23 @@ def _link_violation(c: Complex, face: frozenset[int], field: FieldChoice, oracle
     return low if low is not None and low < dim() else None
 
 
-def _sorted_faces(c: Complex) -> Iterator[frozenset[int]]:
-    """Every face of c by size, then lexicographically, sorted lazily.
-
-    The empty face comes first, before any face is enumerated; each
-    larger size is sorted only once the scan reaches it.
-    """
-    yield frozenset()
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for f in faces(c):
-        if f:
-            by_size.setdefault(len(f), []).append(f)
-    for size in sorted(by_size):
-        yield from sorted(by_size[size], key=sorted)
+def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
+    """Every face of c as a sorted vertex tuple, by size, then
+    lexicographically: the empty face first, before any face is
+    enumerated, then each size's faces in descending mask order."""
+    yield ()
+    for level in _face_levels(c)[1:]:
+        for m in sorted(level, reverse=True):
+            yield level[m]
 
 
-def _violations(c: Complex, candidates: Iterable[frozenset[int]], field: FieldChoice) -> Iterator[Witness]:
+def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
     """(face, i) for each candidate face, in order, that fails Reisner's test."""
     oracle = _oracle(c, field)
     for face in candidates:
         i = _link_violation(c, face, field, oracle)
         if i is not None:
-            yield (tuple(sorted(face)), i)
+            yield (face, i)
 
 
 def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
@@ -218,6 +213,15 @@ class ShellabilityResult(Frozen):
         object.__setattr__(self, "nodes", nodes)
 
 
+def _attaches(f: int, earlier: list[int]) -> bool:
+    """The shelling condition on facet f after the facets ``earlier``, all
+    vertex bitmasks: every gap f & ~g holds a vertex x with f & ~h == x
+    for some earlier h."""
+    gaps = [f & ~g for g in earlier]
+    singles = reduce(or_, (d for d in gaps if d & (d - 1) == 0), 0)
+    return all(d & singles for d in gaps)
+
+
 def check_shelling_order(order: list[frozenset[int]]) -> bool:
     """Direct test of the shelling condition on a given facet order.
 
@@ -225,12 +229,7 @@ def check_shelling_order(order: list[frozenset[int]]) -> bool:
     F_i \\ F_k = {x}.
     """
     masks = [_mask(f) for f in order]
-    for i, fi in enumerate(masks):
-        gaps = [fi & ~fj for fj in masks[:i]]
-        singles = reduce(or_, (d for d in gaps if d & (d - 1) == 0), 0)
-        if not all(d & singles for d in gaps):
-            return False
-    return True
+    return all(_attaches(f, masks[:i]) for i, f in enumerate(masks))
 
 
 def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Optional[FieldChoice] = None) -> ShellabilityResult:
@@ -248,9 +247,9 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     fld = field if field is not None else FieldChoice.rational()
     # shellable complexes have homology only in the top dimension:
     # Reisner's test on the empty face
-    if next(_violations(c, [frozenset()], fld), None) is not None:
+    if next(_violations(c, [()], fld), None) is not None:
         return ShellabilityResult(False)
-    return _shelling_search(sorted(c.facets, key=lambda f: sorted(f)), node_budget)
+    return _shelling_search(sorted(c.facets, key=sorted), node_budget)
 
 
 def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult:
@@ -261,22 +260,13 @@ def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult
 
 
 def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> ShellabilityResult:
-    t = len(facets)
+    masks = [_mask(f) for f in facets]
+    t = len(masks)
     nodes = 0
-    dead: set[frozenset[int]] = set()
+    dead: set[int] = set()  # prefixes that extend to no shelling, by their bits of placed indices
+    placed: list[int] = []
 
-    def attachable(fi: int, placed: list[int]) -> bool:
-        f = facets[fi]
-        xs = set()
-        for x in f:
-            sub = f - {x}
-            if any(sub <= facets[p] for p in placed):
-                xs.add(x)
-        if not xs:
-            return False
-        return all(not xs <= facets[p] for p in placed)
-
-    def search(placed: list[int], placed_key: frozenset[int]) -> Optional[bool]:
+    def search(placed_key: int) -> Optional[bool]:
         nonlocal nodes
         if len(placed) == t:
             return True
@@ -285,26 +275,22 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
         nodes += 1
         if nodes > node_budget:
             return None
+        earlier = [masks[p] for p in placed]
         for fi in range(t):
-            if fi in placed_key:
-                continue
-            if placed and not attachable(fi, placed):
+            if placed_key >> fi & 1 or not _attaches(masks[fi], earlier):
                 continue
             placed.append(fi)
-            res = search(placed, placed_key | {fi})
-            if res is None or res is True:
+            res = search(placed_key | 1 << fi)
+            if res is not False:
                 return res
             placed.pop()
         dead.add(placed_key)
         return False
 
-    placed: list[int] = []
-    res = search(placed, frozenset())
-    if res is True:
+    res = search(0)
+    if res:
         return _verified([facets[i] for i in placed], nodes)
-    if res is False:
-        return ShellabilityResult(False, None, nodes)
-    return ShellabilityResult(None, None, nodes)
+    return ShellabilityResult(res, None, nodes)
 
 
 # --- projective dimension via induced-subcomplex homology --------------------

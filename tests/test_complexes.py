@@ -76,6 +76,15 @@ class TestComplexValidation:
         with pytest.raises(ValueError):
             Complex(3, frozenset({frozenset({1}), frozenset({1, 2})}))
 
+    def test_rejects_a_pair_apart_in_size_order(self):
+        # {1} < {1, 4, 5}, with a facet of size 2 between them
+        with pytest.raises(ValueError, match="antichain"):
+            Complex.from_facets(5, [[1], [2, 3], [1, 4, 5]])
+
+    def test_accepts_an_impure_antichain(self):
+        c = Complex.from_facets(5, [[1, 2, 3], [3, 4], [5], [2, 4]])
+        assert (c.dim(), c.is_pure(), len(c.facets)) == (2, False, 4)
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             Complex(2, frozenset({frozenset({3})}))

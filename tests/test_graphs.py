@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from circm import (
     CirculantSpec,
+    Graph,
     GuardError,
     circulant,
     connected_components,
@@ -50,6 +51,33 @@ class TestCirculantSpec:
     def test_empty_connection_set_allowed(self):
         g = circulant(4, [])
         assert g.edge_count() == 0
+
+
+class TestGraphValidation:
+    # vertex 0 is adjacent to 2, vertex 1 to nobody
+    @pytest.mark.parametrize(
+        "adj, labels, message",
+        [
+            ((0b100, 0b000, 0b000), (1, 2, 3), "not symmetric"),
+            ((0b100, 0b000, 0b001), (1, 2, 3), None),
+            ((0b011, 0b001), (1, 2), "loop"),
+            ((0b1000, 0b000, 0b000), (1, 2, 3), "out of range"),
+            ((0b10, 0b01), (1, 1), "duplicate"),
+            ((0b10, 0b01), (1, 2, 3), "length mismatch"),
+        ],
+        ids=["asymmetric", "symmetric", "loop", "out-of-range", "duplicate-labels", "length-mismatch"],
+    )
+    def test_rejections(self, adj, labels, message):
+        if message is None:
+            assert Graph(adj=adj, labels=labels).edges() == [(1, 3)]
+        else:
+            with pytest.raises(ValueError, match=message):
+                Graph(adj=adj, labels=labels)
+
+    def test_asymmetry_past_the_first_set_bit(self):
+        # 0 -> {1, 2} with 1 -> 0 but 2 -/-> 0
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(adj=(0b110, 0b001, 0b000), labels=(1, 2, 3))
 
 
 class TestConstruction:

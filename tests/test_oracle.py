@@ -3,6 +3,7 @@ checked against dense brute-force homology, brute link scans, Hochster's
 formula by subset enumeration, and Kozlov's closed forms for paths and
 cycles."""
 
+import math
 import random
 import sys
 from itertools import combinations, permutations
@@ -28,9 +29,10 @@ from circm import (
     projective_dimension,
     reisner_violation,
 )
+from circm.complexes import faces
 from circm.graphs import induced_subgraph
-from circm.homology import InducedHomology
-from circm.properties import _oracle, _shedding_order, buchsbaum_violation, check_shelling_order
+from circm.homology import InducedHomology, build_chain_complex
+from circm.properties import _oracle, _shedding_order, _sorted_faces, buchsbaum_violation, check_shelling_order
 
 from conftest import (
     brute_independent_sets,
@@ -359,6 +361,69 @@ class TestShellingConditionAgainstTheDefinition:
                 seen.add(is_shelling(order))
                 assert check_shelling_order(order) is is_shelling(order), order
         assert seen == {True, False}
+
+    @staticmethod
+    def random_pure_complex(rng: random.Random) -> Complex:
+        n = rng.randint(3, 8)
+        size = rng.randint(2, min(4, n - 1))
+        return Complex.from_facets(n, rng.sample(list(combinations(range(1, n + 1), size)), rng.randint(1, min(7, math.comb(n, size)))))
+
+    def test_search_finds_a_shelling_iff_some_order_is_one(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(200):
+            c = self.random_pure_complex(rng)
+            res = is_shellable(c, field=Q)
+            assert res.status is any(map(is_shelling, permutations(sorted(c.facets, key=sorted)))), sorted(map(sorted, c.facets))
+            if res.status:
+                assert is_shelling(list(res.order))
+            # no node: Reisner's test on the empty face answered alone
+            seen.add((res.status, res.nodes > 0))
+        assert seen == {(True, True), (False, False), (False, True)}
+
+    # (budget, status, nodes): RP^2 passes Reisner's test on the empty face
+    # over Q and the search refutes it; the bipyramid over a pentagon is a
+    # 2-sphere, shelled in lexicographic order; of three tetrahedra only the
+    # first and the last share a triangle, so every start is a dead end and
+    # the prefix {0, 2}, reached again as {2, 0}, is answered by its memo
+    @pytest.mark.parametrize(
+        "c, runs",
+        [
+            (RP2, [(101, None, 102), (102, False, 102)]),
+            (Complex.from_facets(7, [[i, i % 5 + 1, a] for i in range(1, 6) for a in (6, 7)]), [(9, None, 10), (10, True, 10)]),
+            (Complex.from_facets(8, [[1, 2, 3, 8], [1, 2, 6, 7], [1, 3, 6, 8]]), [(4, None, 5), (5, False, 5)]),
+        ],
+        ids=["rp2", "bipyramid", "three-tetrahedra"],
+    )
+    def test_pinned_node_counts_at_small_budgets(self, c, runs):
+        for budget, status, nodes in runs:
+            res = is_shellable(c, node_budget=budget, field=Q)
+            assert (res.status, res.nodes) == (status, nodes), budget
+
+
+def enumerated_complexes():
+    for n in range(1, 11):
+        for s in connection_sets(n):
+            yield f"C{n}{s}", independence_complex(circulant(n, s))
+    for group in (NON_FLAG, GAPPED):
+        for name, (c, _) in group.items():
+            yield name, c
+    yield "rp2", RP2
+    yield "empty", Complex.from_facets(0, [[]])
+
+
+class TestFaceEnumeration:
+    """The one face enumerator behind ``faces``, the chain bases and the
+    Reisner scan, against the downward closure of the facets."""
+
+    def test_every_consumer_sees_the_downward_closure(self):
+        for name, c in enumerated_complexes():
+            closure = downward_closure(set(c.facets))
+            assert faces(c) == closure, name
+            ordered = sorted((tuple(sorted(f)) for f in closure), key=lambda t: (len(t), t))
+            assert list(_sorted_faces(c)) == ordered, name
+            bases = build_chain_complex(c).bases
+            assert [t for i in sorted(bases) for t in bases[i]] == ordered, name
 
 
 class TestReportAgainstBruteForce:
