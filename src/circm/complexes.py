@@ -79,30 +79,43 @@ class Complex(Frozen):
         return any(fs <= f for f in self.facets)
 
 
-def _face_levels(c: Complex) -> list[dict[int, tuple[int, ...]]]:
-    """The faces of c by size, from the facets down: ``levels[k]`` maps
-    each face of k vertices, as a bitmask with vertex v of n at bit n - v,
-    to its sorted vertex tuple.  Among faces of one size, descending masks
-    are ascending tuples; a face one size down is a mask with a bit cleared."""
+def _face_levels(c: Complex) -> list[set[int]]:
+    """The faces of c by size, from the facets down: ``levels[k]`` holds
+    each face of k vertices as a bitmask with vertex v of n at bit n - v.
+    Among faces of one size, descending masks are ascending vertex tuples
+    (``_face_tuple``); a face one size down is a mask with a bit cleared."""
     n = c.vertex_count
-    levels: list[dict[int, tuple[int, ...]]] = [{} for _ in range(c.dim() + 2)]
+    levels: list[set[int]] = [set() for _ in range(c.dim() + 2)]
     for f in c.facets:
-        levels[len(f)][sum(1 << (n - v) for v in f)] = tuple(sorted(f))
+        levels[len(f)].add(sum(1 << (n - v) for v in f))
     for k in range(len(levels) - 1, 1, -1):
         lower = levels[k - 1]
-        for m, t in levels[k].items():
-            for pos, v in enumerate(t):
-                sub = m ^ (1 << (n - v))
-                if sub not in lower:
-                    lower[sub] = t[:pos] + t[pos + 1 :]
-    levels[0] = {0: ()}
+        for m in levels[k]:
+            rest = m
+            while rest:
+                low = rest & -rest
+                lower.add(m ^ low)
+                rest ^= low
+    levels[0] = {0}
     return levels
+
+
+def _face_tuple(mask: int, n: int) -> tuple[int, ...]:
+    """The sorted vertex tuple of a face mask of ``_face_levels`` (vertex v
+    of n at bit n - v): the highest bit is the smallest vertex."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(n - top)
+        mask ^= 1 << top
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
 def faces(c: Complex) -> frozenset[frozenset[int]]:
     """Every face of c, the empty face included."""
-    return frozenset(frozenset(t) for level in _face_levels(c) for t in level.values())
+    n = c.vertex_count
+    return frozenset(frozenset(_face_tuple(m, n)) for level in _face_levels(c) for m in level)
 
 
 class FHVectors(Frozen):

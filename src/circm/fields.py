@@ -131,7 +131,7 @@ def rank_of_rows(rows: list[SparseRow], field: FieldChoice) -> int:
             low = max(row)
             piv = pivots.get(low)
             if piv is None:
-                if p:
+                if p and row[low] != 1:  # a boundary column's low entry is +1 until it is reduced
                     inv = pow(row[low], -1, p)
                     row = {c: v * inv % p for c, v in row.items()}
                 pivots[low] = row

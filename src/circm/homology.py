@@ -5,10 +5,15 @@ Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
 reproducible bit-for-bit.  The chain complex is built on the face
-bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v:
-among faces of one size, descending masks are ascending tuples, so
-sorting the masks gives the lexicographic bases, and the boundary faces
-of a face are its mask with one bit cleared.  Ranks are taken from the
+bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v,
+and never on vertex tuples: among faces of one size, descending masks
+are ascending tuples, so sorting the masks gives the lexicographic
+bases; the boundary faces of a face are its mask with one bit cleared,
+and the highest bit, the smallest vertex, has the sign +1.
+``reduced_betti`` ranks columns over mask bases; only
+``build_chain_complex`` decodes its bases into tuples.  Every build is
+checked before anything is ranked: each entry must be +1 or -1, and
+∂_i ∘ ∂_{i+1} must vanish, column by column.  Ranks are taken from the
 top dimension down with clearing (the twist of persistent homology): an
 i-face that is the pivot ``low`` of the reduced boundary matrix one
 dimension up is the leading face of a boundary, hence of a cycle, so its
@@ -29,7 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .complexes import Complex, _face_levels, f_vector, independence_complex
+from .complexes import Complex, _face_levels, _face_tuple, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -56,24 +61,31 @@ class ChainComplexData:
         return len(self.bases.get(i, ()))
 
 
-def build_chain_complex(c: Complex) -> ChainComplexData:
-    """Bases and boundary matrices of the reduced chain complex of c."""
-    n = c.vertex_count
+def _build_on_masks(c: Complex) -> ChainComplexData:
+    """The reduced chain complex of c with each basis left as face masks
+    in basis order (descending), its boundary columns checked.
+
+    The i-faces have i + 1 bits; the highest bit is the smallest vertex,
+    whose column entry is +1, so the lowest bit's entry is (-1)^i.
+    """
     levels = _face_levels(c)
     data = ChainComplexData(bases={})
     index: dict[int, int] = {}  # mask -> position among the (i-1)-faces
     for i in range(-1, c.dim() + 1):
-        level = levels.pop(0)  # the i-faces, released once their columns are built
-        masks = sorted(level, reverse=True)
-        data.bases[i] = [level[m] for m in masks]
+        masks = sorted(levels[i + 1], reverse=True)
+        levels[i + 1] = set()  # released once its columns are built
+        data.bases[i] = masks
         if i >= 0:
+            first = -1 if i % 2 else 1
             cols = []
             for m in masks:
                 col: SparseRow = {}
-                sign = 1
-                for v in level[m]:
-                    col[index[m ^ (1 << (n - v))]] = sign
+                sign, rest = first, m
+                while rest:
+                    low = rest & -rest
+                    col[index[m ^ low]] = sign
                     sign = -sign
+                    rest ^= low
                 cols.append(col)
             data.boundaries[i] = cols
         index = {m: k for k, m in enumerate(masks)}
@@ -81,17 +93,52 @@ def build_chain_complex(c: Complex) -> ChainComplexData:
     return data
 
 
+def build_chain_complex(c: Complex) -> ChainComplexData:
+    """Bases and boundary matrices of the reduced chain complex of c."""
+    data = _build_on_masks(c)
+    n = c.vertex_count
+    data.bases = {i: [_face_tuple(m, n) for m in masks] for i, masks in data.bases.items()}
+    return data
+
+
 def _assert_boundary_squares_to_zero(data: ChainComplexData) -> None:
-    for i in sorted(data.boundaries):
-        if i + 1 not in data.boundaries:
+    """Raise unless every stored entry is +/-1 and ∂_i ∘ ∂_{i+1} = 0.
+
+    With entries +/-1, ∂_i applied to a column of ∂_{i+1} is zero iff its
+    +1 terms and its -1 terms fall on the same rows equally often: each
+    ∂_i column is split once into its + rows and its - rows, and the two
+    term lists of each composition must be equal once sorted.
+    """
+    split: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
+    for i, cols in data.boundaries.items():
+        plus_of, minus_of = split[i] = ([], [])
+        for col in cols:
+            plus, minus = [], []
+            for r, v in col.items():
+                if v == 1:
+                    plus.append(r)
+                elif v == -1:
+                    minus.append(r)
+                else:
+                    raise InconsistencyError(f"boundary entry {v!r} in dimension {i} is not +/-1; chain complex construction is broken")
+            plus_of.append(tuple(plus))
+            minus_of.append(tuple(minus))
+    for i, (plus_of, minus_of) in split.items():
+        if i - 1 not in split:
             continue
-        lower = data.boundaries[i]
-        for col in data.boundaries[i + 1]:
-            acc: dict[int, int] = {}
-            for row, coeff in col.items():
-                for r2, c2 in lower[row].items():
-                    acc[r2] = acc.get(r2, 0) + coeff * c2
-            if any(acc.values()):
+        lower_plus, lower_minus = split[i - 1]
+        for plus, minus in zip(plus_of, minus_of):
+            pos: list[int] = []
+            neg: list[int] = []
+            for k in plus:
+                pos += lower_plus[k]
+                neg += lower_minus[k]
+            for k in minus:
+                pos += lower_minus[k]
+                neg += lower_plus[k]
+            pos.sort()
+            neg.sort()
+            if pos != neg:
                 raise InconsistencyError("boundary composition is nonzero; chain complex construction is broken")
 
 
@@ -119,7 +166,7 @@ def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
     Ranks go from the top dimension down; each ∂_i is reduced without
     the columns cleared by the pivot lows of ∂_{i+1}.
     """
-    data = build_chain_complex(c)
+    data = _build_on_masks(c)
     top = c.dim()
     ranks = {}
     cleared: set[int] = set()  # lows of ∂_{i+1}: ∂_i columns spanned by earlier ones

@@ -17,7 +17,7 @@ from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, f_vector, link, restrict
+from .complexes import Complex, FHVectors, _face_levels, _face_tuple, h_from_f, link, restrict
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
@@ -31,6 +31,9 @@ Witness = tuple[tuple[int, ...], int]
 # The oracle of the complex full_report is deciding, shared by every
 # decider the report calls on that complex; unset outside a report.
 _REPORT_ORACLE: ContextVar[Optional[InducedHomology]] = ContextVar("_REPORT_ORACLE", default=None)
+# That complex with the face levels its f-vector was counted from, while
+# the report's link scans run; unset otherwise.
+_REPORT_LEVELS: ContextVar[Optional[tuple[Complex, list[set[int]]]]] = ContextVar("_REPORT_LEVELS", default=None)
 
 
 def _mask(face: Iterable[int]) -> int:
@@ -80,11 +83,15 @@ def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracl
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
     """Every face of c as a sorted vertex tuple, by size, then
     lexicographically: the empty face first, before any face is
-    enumerated, then each size's faces in descending mask order."""
+    enumerated, then each size's faces in descending mask order.  In a
+    report the faces are those its f-vector counted."""
     yield ()
-    for level in _face_levels(c)[1:]:
+    shared = _REPORT_LEVELS.get()
+    levels = shared[1] if shared is not None and shared[0] is c else _face_levels(c)
+    n = c.vertex_count
+    for level in levels[1:]:
         for m in sorted(level, reverse=True):
-            yield level[m]
+            yield _face_tuple(m, n)
 
 
 def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
@@ -260,37 +267,40 @@ def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult
 
 
 def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> ShellabilityResult:
+    """Depth-first over prefixes of facet indices, on an explicit stack so
+    that no facet count meets the recursion limit.  A prefix is one node:
+    it tries, lowest index first, each facet that attaches to it, and is
+    remembered as dead by the bits of its indices once none leads on."""
     masks = [_mask(f) for f in facets]
     t = len(masks)
     nodes = 0
     dead: set[int] = set()  # prefixes that extend to no shelling, by their bits of placed indices
     placed: list[int] = []
-
-    def search(placed_key: int) -> Optional[bool]:
-        nonlocal nodes
+    frames: list[tuple[int, list[int]]] = []  # (bits, facet masks) of each prefix being extended
+    key = 0
+    while True:
         if len(placed) == t:
-            return True
-        if placed_key in dead:
-            return False
-        nodes += 1
-        if nodes > node_budget:
-            return None
-        earlier = [masks[p] for p in placed]
-        for fi in range(t):
-            if placed_key >> fi & 1 or not _attaches(masks[fi], earlier):
-                continue
-            placed.append(fi)
-            res = search(placed_key | 1 << fi)
-            if res is not False:
-                return res
-            placed.pop()
-        dead.add(placed_key)
-        return False
-
-    res = search(0)
-    if res:
-        return _verified([facets[i] for i in placed], nodes)
-    return ShellabilityResult(res, None, nodes)
+            return _verified([facets[i] for i in placed], nodes)
+        if key in dead:
+            start = placed.pop() + 1  # its parent tries the next facet
+        else:
+            nodes += 1
+            if nodes > node_budget:
+                return ShellabilityResult(None, None, nodes)
+            frames.append((key, [masks[p] for p in placed]))
+            start = 0
+        while True:
+            key, earlier = frames[-1]
+            fi = next((j for j in range(start, t) if not key >> j & 1 and _attaches(masks[j], earlier)), None)
+            if fi is not None:
+                break
+            dead.add(key)
+            frames.pop()
+            if not frames:
+                return ShellabilityResult(False, None, nodes)
+            start = placed.pop() + 1
+        placed.append(fi)
+        key |= 1 << fi
 
 
 # --- projective dimension via induced-subcomplex homology --------------------
@@ -459,9 +469,13 @@ def full_report(
     flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
     oracle = InducedHomology(flag, fld)
     ind = oracle.whole
-    token = _REPORT_ORACLE.set(oracle)
+    # one face enumeration serves the f-vector and the link scans
+    levels = _face_levels(ind)
+    f = tuple(map(len, levels))
+    token, levels_token = _REPORT_ORACLE.set(oracle), _REPORT_LEVELS.set((ind, levels))
+    del levels
     try:
-        fh = f_vector(ind)
+        fh = FHVectors(dim=ind.dim(), f=f, h=h_from_f(f))
         pure = ind.is_pure()
         cm_wit = reisner_violation(ind, fld)
         bb_wit: Optional[Witness] = None
@@ -470,6 +484,7 @@ def full_report(
             # Buchsbaum's unless it is the empty face; then Buchsbaum's
             # scan starts where Reisner's stopped.
             bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
+        _REPORT_LEVELS.set(None)  # the scans are done: release the faces
         bb = pure and bb_wit is None
         shedding = _shedding_order(ind) if cm_wit is None else None
         if shedding is not None:
@@ -483,6 +498,7 @@ def full_report(
             pdim = None
         betti = oracle.table(oracle.full).as_dict() if include_betti else None
     finally:
+        _REPORT_LEVELS.reset(levels_token)
         _REPORT_ORACLE.reset(token)
 
     def named(face: Iterable[int]) -> tuple[int, ...]:

@@ -139,3 +139,23 @@ def brute_reduced_betti(faces, field) -> dict[int, int]:
             rows.append(row)
         rank[i] = dense_rank(rows) if field.kind == "rational" else dense_rank_mod(rows, field.p)
     return {i: len(by_dim[i]) - rank.get(i, 0) - rank.get(i + 1, 0) for i in range(-1, top + 1)}
+
+
+def brute_boundary_composition_is_zero(boundaries: dict[int, list[dict[int, int]]]) -> bool:
+    """Whether ∂_i ∘ ∂_{i+1} = 0 for every stored pair of boundary matrices.
+
+    Each ∂_i is written out densely, rows from 0 to the largest row index
+    any column of it uses, and multiplied by every column of ∂_{i+1}
+    entry by entry, over the integers.
+    """
+    for i, upper in boundaries.items():
+        lower = boundaries.get(i - 1)
+        if lower is None:
+            continue
+        height = 1 + max((r for col in lower for r in col), default=-1)
+        dense = [[col.get(r, 0) for col in lower] for r in range(height)]
+        for col in upper:
+            vec = [col.get(k, 0) for k in range(len(lower))]
+            if any(sum(a * b for a, b in zip(row, vec)) for row in dense):
+                return False
+    return True

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -215,6 +216,26 @@ class TestExport:
         assert code == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "5 5"
+
+    @pytest.mark.parametrize(
+        "n, s, dim, digest",
+        [
+            ("11", "1", "2", "b7c70de620006fb164534164c5c649a74ab4668644797a99f01c8dc2dd28f0ac"),
+            ("11", "1", "4", "b286720268441d5cd7ab602e9617352272967e409eaac1044629e612090ef4ef"),
+            ("12", "1,3,6", "1", "c88d155c911e30f69c1d28aaf656d6abd4986ba8d7b32bf55805a01258f4b95b"),
+            ("12", "1,3,6", "2", "782009fdbb66ce966c22aa2da72ee056c90739f56963e48790bffcb77e597100"),
+            ("13", "1", "3", "37c40b7ff90e27277a912c9aeee5b44e8b6dc42d4f2841b7c2d2259c1ecb8735"),
+            ("13", "1", "5", "e558e1f5934304b0dc2803ced9c5a1c236ae008641c858345a2153985060503b"),
+            ("15", "1,2", "2", "3c6e546332f442e41d999153ebaff119e59ca0917fab351c06a87dab837e180e"),
+            ("15", "1,2", "4", "c64176831d09187698f13852db0a75ea234128ab85b9ae58f5a880029dc67071"),
+        ],
+    )
+    def test_smat_output_is_pinned(self, capsys, tmp_path, n, s, dim, digest):
+        # sha256 of the smat-v1 file, pinned from the tuple-based chain build
+        path = tmp_path / "d.smat"
+        code, _, _ = run(capsys, "export", "--n", n, "--set", s, "--smat", str(path), "--smat-dim", dim)
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_corrupt_import_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.edges"

@@ -19,9 +19,9 @@ from circm import (
 )
 from circm.complexes import faces
 from circm.fields import _is_prime, rank_of_rows, rows_from_vectors
-from circm.homology import _assert_boundary_squares_to_zero
+from circm.homology import ChainComplexData, _assert_boundary_squares_to_zero
 
-from conftest import brute_reduced_betti, dense_rank, dense_rank_mod, graph_from_edges
+from conftest import brute_boundary_composition_is_zero, brute_reduced_betti, dense_rank, dense_rank_mod, graph_from_edges
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -83,6 +83,19 @@ class TestRank:
     def test_small_prime_matches_dense_residue_elimination(self, p, mat):
         # over GF(2) and GF(3) the rank can fall below the rank over Q
         assert rank_of_rows(rows_from_vectors(mat), FieldChoice.gf(p)) == dense_rank_mod(mat, p)
+
+    @pytest.mark.parametrize("p", [5, 7, 32003])
+    @given(mat=matrices(2, 40, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_pivot_entries_other_than_one(self, p, mat):
+        # every entry is 2..40, so most lows need scaling to 1 before they pivot
+        assert rank_of_rows(rows_from_vectors(mat), FieldChoice.gf(p)) == dense_rank_mod(mat, p)
+
+    def test_scaled_pivot_cancels_a_multiple(self):
+        # over GF(7) the second row is 5 times the first, whose low entry is 2
+        mat = [[3, 2], [1, 3], [4, 1]]
+        assert rank_of_rows(rows_from_vectors(mat), FieldChoice.gf(7)) == dense_rank_mod(mat, 7) == 2
+        assert rank_of_rows(rows_from_vectors(mat[:2]), FieldChoice.gf(7)) == dense_rank_mod(mat[:2], 7) == 1
 
     @given(matrices(-3, 3, 7))
     @settings(max_examples=60, deadline=None)
@@ -315,6 +328,108 @@ class TestBoundarySquareCheck:
         monkeypatch.setattr(circm.homology, "_assert_boundary_squares_to_zero", checked.append)
         data = build_chain_complex(TORUS7)
         assert checked == [data]
+        # reduced_betti checks the very columns it ranks, before ranking any
+        ranked = []
+
+        def ranking(rows, field):
+            assert len(checked) == 2
+            ranked.extend(rows)
+            return rank_of_rows(rows, field)
+
+        monkeypatch.setattr(circm.homology, "rank_of_rows", ranking)
+        reduced_betti(TORUS7, Q)
+        assert len(checked) == 2 and checked[1] is not data
+        assert checked[1].boundaries == data.boundaries
+        stored = {id(col) for cols in checked[1].boundaries.values() for col in cols}
+        assert ranked and all(id(row) in stored for row in ranked)
+
+
+def perturb(draw, data: ChainComplexData) -> None:
+    """One change to one stored boundary entry: its sign flipped, the
+    entry set to 2 or 0, moved to a row the column does not use, or dropped."""
+    i = draw(st.sampled_from(sorted(data.boundaries)))
+    col = draw(st.sampled_from(data.boundaries[i]))
+    if not col:
+        return
+    row = draw(st.sampled_from(sorted(col)))
+    kind = draw(st.sampled_from(["flip", "two", "zero", "move", "drop"]))
+    free = [r for r in range(data.face_count(i - 1)) if r not in col]
+    if kind == "flip":
+        col[row] = -col[row]
+    elif kind in ("two", "zero"):
+        col[row] = 2 if kind == "two" else 0
+    elif kind == "move" and free:
+        col[draw(st.sampled_from(free))] = col.pop(row)
+    else:
+        del col[row]
+
+
+def check_agrees_with_brute_composition(chain: ChainComplexData) -> bool:
+    """The check passes when every entry is +/-1 and the dense ∂∂ vanishes,
+    and raises otherwise; True when it raised."""
+    unit = all(v in (1, -1) for cols in chain.boundaries.values() for col in cols for v in col.values())
+    if unit and brute_boundary_composition_is_zero(chain.boundaries):
+        _assert_boundary_squares_to_zero(chain)
+        return False
+    with pytest.raises(InconsistencyError):
+        _assert_boundary_squares_to_zero(chain)
+    return True
+
+
+class TestBoundarySquareCheckAgainstBruteComposition:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(complexes(), st.integers(1, 3), st.data())
+    def test_perturbed_columns(self, c, changes, data):
+        chain = build_chain_complex(c)
+        if not chain.boundaries:
+            return
+        for _ in range(changes):
+            perturb(data.draw, chain)
+        check_agrees_with_brute_composition(chain)
+
+    @pytest.mark.parametrize("c", [TORUS7, MOBIUS5, RP2, Complex.from_facets(5, [[1, 2, 3, 4], [2, 3, 4, 5]])], ids=["torus7", "mobius5", "rp2", "two-tetrahedra"])
+    def test_every_single_change(self, c):
+        chain = build_chain_complex(c)
+        caught = 0
+        for i, cols in chain.boundaries.items():
+            rows = range(chain.face_count(i - 1))
+            for col in cols:
+                before = dict(col)
+                for row, v in before.items():
+                    rest = {r: w for r, w in before.items() if r != row}
+                    changes = [{**rest, row: -v}, {**rest, row: 2}, {**rest, row: 0}, rest]
+                    changes += [{**rest, free: v} for free in rows if free not in before]
+                    for changed in changes:
+                        col.clear()
+                        col.update(changed)
+                        caught += check_agrees_with_brute_composition(chain)
+                col.clear()
+                col.update(before)
+        assert caught
+        _assert_boundary_squares_to_zero(chain)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_unit_matrices(self, data):
+        # few rows, so that terms repeat: equal sets of rows, unequal counts
+        height, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+
+        def columns(rows, count):
+            col = st.dictionaries(st.sampled_from(range(rows)), st.sampled_from([1, -1]), max_size=rows)
+            return st.lists(col, min_size=count, max_size=count)
+
+        check_agrees_with_brute_composition(ChainComplexData({}, {1: data.draw(columns(height, width)), 2: data.draw(columns(width, data.draw(st.integers(1, 4))))}))
+
+    @pytest.mark.parametrize("factor", [2, -2, 0, 3])
+    def test_an_entry_other_than_one_is_caught_where_the_composition_vanishes(self, factor):
+        # a multiple of a boundary column still composes to zero
+        chain = build_chain_complex(Complex.from_facets(3, [[1, 2, 3]]))
+        col = chain.boundaries[2][0]
+        for row in col:
+            col[row] *= factor
+        assert brute_boundary_composition_is_zero(chain.boundaries)
+        with pytest.raises(InconsistencyError, match="not"):
+            _assert_boundary_squares_to_zero(chain)
 
 
 class TestClearing:

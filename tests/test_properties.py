@@ -19,6 +19,7 @@ from circm import (
     projective_dimension,
     reisner_violation,
 )
+import circm.complexes
 import circm.properties
 from circm.graphs import induced_subgraph
 from circm.properties import buchsbaum_violation, check_shelling_order
@@ -169,6 +170,13 @@ class TestShellability:
         assert is_shellable(c, node_budget=24, field=Q).status is None
         assert is_shellable(c, node_budget=25, field=Q).status is True
 
+    def test_a_path_of_more_edges_than_the_recursion_limit(self):
+        # one search node per edge, each edge meeting the one before
+        edges = [[i, i + 1] for i in range(1, 1201)]
+        res = is_shellable(Complex.from_facets(1201, edges))
+        assert (res.status, res.nodes) == (True, 1200)
+        assert [sorted(f) for f in res.order] == edges
+
     def test_check_shelling_order_rejects_bad_order(self):
         # two facets meeting in a single vertex of codimension two
         order = [frozenset({1, 2, 3}), frozenset({3, 4, 5})]
@@ -315,6 +323,20 @@ class TestFullReport:
         r = full_report(circulant(12, [6]), pdim_guard=0)
         assert r.cm and r.buchsbaum
         assert calls == []
+
+
+    @pytest.mark.parametrize("n, s", [(5, [1]), (12, [6]), (7, [1]), (11, [1, 2])])
+    def test_f_vector_and_link_scans_share_one_face_enumeration(self, monkeypatch, n, s):
+        # C5(1) and C12(6) are Cohen-Macaulay, so Reisner's scan reads every
+        # face; C7(1) and C11(1,2) fail at the empty face, so Buchsbaum's does
+        calls = []
+        real = circm.complexes._face_levels
+        for module in (circm.complexes, circm.properties):
+            monkeypatch.setattr(module, "_face_levels", lambda c: calls.append(c) or real(c))
+        r = full_report(circulant(n, s), pdim_guard=0)
+        assert r.buchsbaum and r.fh.f == tuple(map(len, real(independence_complex(circulant(n, s)))))
+        assert len(calls) == 1
+        assert circm.properties._REPORT_LEVELS.get() is None
 
 
 class TestHochsterReisnerCrossValidation:
