@@ -12,8 +12,9 @@ bases; the boundary faces of a face are its mask with one bit cleared,
 and the highest bit, the smallest vertex, has the sign +1.
 ``reduced_betti`` ranks columns over mask bases; only
 ``build_chain_complex`` decodes its bases into tuples.  Every build is
-checked before anything is ranked: each entry must be +1 or -1, and
-∂_i ∘ ∂_{i+1} must vanish, column by column.  Ranks are taken from the
+checked before anything is ranked: each entry must be +1 or -1 in a row
+of the basis one dimension down, and ∂_i ∘ ∂_{i+1} must vanish, column
+by column.  Ranks are taken from the
 top dimension down with clearing (the twist of persistent homology): an
 i-face that is the pivot ``low`` of the reduced boundary matrix one
 dimension up is the leading face of a boundary, hence of a cycle, so its
@@ -23,24 +24,33 @@ it and is never reduced.
 ``InducedHomology`` answers H~_*(Ind(G[W])) for vertex bitmasks W of one
 graph G.  That is all Reisner's criterion and Hochster's formula ask of
 a flag complex Ind(G): the link of a face F is Ind(G - N[F]) and the
-restriction to W is Ind(G[W]).  Cones and joins are settled without
-linear algebra, and only connected pieces of two or more vertices reach
-``reduced_betti``, once per piece up to the rotations and reflections
-of the vertex cycle that are automorphisms of G.
+restriction to W is Ind(G[W]).  Each mask is settled in the order
+cone (an isolated vertex), join (one piece per connected component),
+fold (Engström's fold lemma), split (Adamaszek's vertex splitting, when
+its Mayer-Vietoris map is zero for want of a common degree), and only
+then linear algebra: ``reduced_betti`` of one connected piece, once per
+piece up to the rotations and reflections of the vertex cycle that are
+automorphisms of G.  The folds and splits of one piece run on an
+explicit stack, open at most ``SPLIT_BUDGET`` pieces and never run
+linear algebra themselves: a piece on the way that would need it gives
+the attempt up.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from .complexes import Complex, _face_levels, _face_tuple, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
 
-# Entries an InducedHomology keeps; the oldest goes first beyond this.
+# Entries each memo of an InducedHomology keeps; the oldest goes first beyond this.
 ORACLE_ENTRIES = 1 << 16
+# Components one fold-and-split attempt of an InducedHomology may open
+# before the component it started from goes to linear algebra.
+SPLIT_BUDGET = 1 << 12
 
 
 class ChainComplexData:
@@ -102,12 +112,16 @@ def build_chain_complex(c: Complex) -> ChainComplexData:
 
 
 def _assert_boundary_squares_to_zero(data: ChainComplexData) -> None:
-    """Raise unless every stored entry is +/-1 and ∂_i ∘ ∂_{i+1} = 0.
+    """Raise unless every stored entry is +/-1, every row is one of the
+    faces one dimension down, and ∂_i ∘ ∂_{i+1} = 0.
 
-    With entries +/-1, ∂_i applied to a column of ∂_{i+1} is zero iff its
-    +1 terms and its -1 terms fall on the same rows equally often: each
-    ∂_i column is split once into its + rows and its - rows, and the two
-    term lists of each composition must be equal once sorted.
+    The (i-1)-faces are the columns of ∂_{i-1}, or the faces of
+    ``bases[i - 1]`` where ∂_{i-1} is not stored; with neither, rows are
+    not bounded.  With entries +/-1, ∂_i applied to a column of ∂_{i+1}
+    is zero iff its +1 terms and its -1 terms fall on the same rows
+    equally often: each ∂_i column is split once into its + rows and its
+    - rows, and the two term lists of each composition must be equal
+    once sorted.
     """
     split: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
     for i, cols in data.boundaries.items():
@@ -124,22 +138,34 @@ def _assert_boundary_squares_to_zero(data: ChainComplexData) -> None:
             plus_of.append(tuple(plus))
             minus_of.append(tuple(minus))
     for i, (plus_of, minus_of) in split.items():
+        outside = f"a boundary column of dimension {i} has a row outside the faces of dimension {i - 1}; chain complex construction is broken"
         if i - 1 not in split:
+            rows = set().union(*data.boundaries[i])
+            if i - 1 in data.bases and rows and (min(rows) < 0 or max(rows) >= len(data.bases[i - 1])):
+                raise InconsistencyError(outside)
             continue
+        # each row indexes the split columns one dimension down; padding them
+        # with as many entries that are not row tuples makes a row outside
+        # 0..count-1, a negative one included, raise instead of wrapping round
         lower_plus, lower_minus = split[i - 1]
-        for plus, minus in zip(plus_of, minus_of):
-            pos: list[int] = []
-            neg: list[int] = []
-            for k in plus:
-                pos += lower_plus[k]
-                neg += lower_minus[k]
-            for k in minus:
-                pos += lower_minus[k]
-                neg += lower_plus[k]
-            pos.sort()
-            neg.sort()
-            if pos != neg:
-                raise InconsistencyError("boundary composition is nonzero; chain complex construction is broken")
+        pad = [None] * len(lower_plus)
+        lower_plus, lower_minus = lower_plus + pad, lower_minus + pad
+        try:
+            for plus, minus in zip(plus_of, minus_of):
+                pos: list[int] = []
+                neg: list[int] = []
+                for k in plus:
+                    pos += lower_plus[k]
+                    neg += lower_minus[k]
+                for k in minus:
+                    pos += lower_minus[k]
+                    neg += lower_plus[k]
+                pos.sort()
+                neg.sort()
+                if pos != neg:
+                    raise InconsistencyError("boundary composition is nonzero; chain complex construction is broken")
+        except (IndexError, TypeError):
+            raise InconsistencyError(outside) from None
 
 
 class BettiTable(Frozen):
@@ -213,12 +239,36 @@ class InducedHomology:
     mask gives H~_{-1} = 1.  An isolated vertex makes Ind(G[mask]) a cone,
     hence acyclic.  Otherwise G[mask] splits into connected components
     and Ind(G[mask]) is the join of theirs, so over a field
-    H~_{k+1}(A * B) = sum over i + j = k of H~_i(A) (x) H~_j(B).  Each
-    component is computed once, memoised under its least image by the
-    rotations and reflections of the internal indices 0..n-1 that are
-    automorphisms of g (all 2n of them for a circulant, possibly none
-    but the identity for other graphs).  At most ``ORACLE_ENTRIES``
-    entries are kept.
+    H~_{k+1}(A * B) = sum over i + j = k of H~_i(A) (x) H~_j(B).  A
+    component W of two or more vertices is settled in this order:
+
+    1. fold: a vertex v adjacent to every neighbour in W of another
+       vertex u can go, H~(W) = H~(W - v) (Engström);
+    2. split at the lowest vertex v: Ind(W) = Ind(W - v) ∪ v * Ind(W - N[v]),
+       which meet in Ind(W - N[v]); when no degree i has both
+       H~_i(W - N[v]) and H~_i(W - v) nonzero, the Mayer-Vietoris map
+       between them is zero and H~_i(W) = H~_i(W - v) + H~_{i-1}(W - N[v])
+       (Adamaszek);
+    3. otherwise ``reduced_betti`` of Ind(G[W]).
+
+    The masks a fold or a split leaves are answered by the same rules,
+    component by component, cones and memo included, on an explicit stack
+    rather than by recursion.  One such attempt opens at most
+    ``SPLIT_BUDGET`` components and runs no linear algebra: a component
+    on the way that would need it, or an exhausted budget, gives the
+    attempt up and W alone goes to ``reduced_betti``.
+
+    The dimension is one less than the independence number, memoised per
+    component mask from alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v]))
+    at the lowest vertex v, on the same kind of stack.  That recursion
+    opens fewer components than Ind(G[W]) has faces (the faces of
+    Ind(G[W]) are those of Ind(G[W - v]) and v with those of
+    Ind(G[W - N[v]])), so it has no budget of its own: building the
+    complex would cost more.  Each component's Betti numbers are kept
+    under its least image by the rotations and reflections of the
+    internal indices 0..n-1 that are automorphisms of g (all 2n of them
+    for a circulant, possibly none but the identity for other graphs).
+    Each memo keeps at most ``ORACLE_ENTRIES`` entries.
     """
 
     def __init__(self, g: Graph, field: FieldChoice) -> None:
@@ -227,7 +277,8 @@ class InducedHomology:
         n = g.vertex_count
         self._n = n
         self.full = (1 << n) - 1  # the mask of every vertex: Ind(G) itself
-        self._memo: dict[int, tuple[int, dict[int, int]]] = {}
+        self._memo: dict[int, dict[int, int]] = {}  # component -> nonzero reduced Betti numbers
+        self._alphas: dict[int, int] = {}  # component -> independence number
         # rotation amounts r, applied to the mask itself or to its mirror
         # image, whose vertex maps are automorphisms of g: vertex i of g, or
         # of its mirror image, goes to i + r together with its neighbours
@@ -256,57 +307,170 @@ class InducedHomology:
             key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
         return key
 
-    def _entry(self, comp: int) -> tuple[int, dict[int, int]]:
-        """(dimension, nonzero reduced Betti numbers) of one component.
+    def _cached(self, memo: dict, comp: int, key: Optional[Callable[[int], int]]) -> tuple[object, int]:
+        """memo's value for comp or None, and the mask it is kept under.
 
-        Stored under the component's own mask as well as under its key,
-        so a component seen again skips the key computation.
+        With ``key``, a value is kept under key(comp) as well, and one
+        found only there is stored under comp too, so a component seen
+        again skips the key computation.
         """
-        entry = self._memo.get(comp)
-        if entry is None:
-            key = self._key(comp)
-            entry = self._memo.get(key)
-            if entry is None:
-                labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
-                c = self.whole if comp == self.full else independence_complex(induced_subgraph(self.graph, labels))
-                table = reduced_betti(c, self.field)
-                entry = (c.dim(), {i: b for i, b in table.by_dim if b})
-                self._store(key, entry)
-            self._store(comp, entry)
-        return entry
+        value = memo.get(comp)
+        if value is not None or key is None:
+            return value, comp
+        k = key(comp)
+        value = memo.get(k)
+        if value is not None:
+            self._store(memo, comp, value)
+        return value, k
 
-    def _store(self, mask: int, entry: tuple[int, dict[int, int]]) -> None:
-        if len(self._memo) >= ORACLE_ENTRIES:
-            del self._memo[next(iter(self._memo))]
-        self._memo[mask] = entry
+    def _store(self, memo: dict, mask: int, value) -> None:
+        if len(memo) >= ORACLE_ENTRIES:
+            del memo[next(iter(memo))]
+        memo[mask] = value
 
-    def betti(self, mask: int) -> dict[int, int]:
-        """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
-        return self._betti(_component_masks(self.graph, mask))
+    def _solve(self, comp: int, memo: dict, key: Optional[Callable[[int], int]], node: Callable[[int], Generator], budget: Optional[int]):
+        """memo's value for the connected comp, or None once node gives up
+        or more than ``budget`` components would be opened.
 
-    def dim(self, mask: int) -> int:
-        """Dimension of Ind(G[mask]): one less than the independence number of G[mask]."""
-        return self._dim(_component_masks(self.graph, mask))
+        ``node(w)`` yields each component whose value it needs and returns
+        w's value, or None.  The components are opened depth first on an
+        explicit stack, so a long chain of them never recurses; each value
+        goes to the node that asked for it and into the memo.
+        """
+        value, k = self._cached(memo, comp, key)
+        if value is not None:
+            return value
+        stack = [(comp, k, node(comp))]
+        opened = 1
+        while stack:
+            w, k, steps = stack[-1]
+            try:
+                need = steps.send(value)
+            except StopIteration as stop:
+                value = stop.value
+                if value is None:
+                    return None
+                self._store(memo, k, value)
+                if k != w:
+                    self._store(memo, w, value)
+                stack.pop()
+                continue
+            value, k = self._cached(memo, need, key)
+            if value is None:
+                if opened == budget:
+                    return None
+                opened += 1
+                stack.append((need, k, node(need)))
+        return value
 
-    def table(self, mask: int) -> BettiTable:
-        """Every reduced Betti number of Ind(G[mask]), as ``reduced_betti`` gives them."""
+    def _entry(self, comp: int) -> dict[int, int]:
+        """Nonzero reduced Betti numbers of one component of two or more
+        vertices: by folds and splits, else by ``reduced_betti``."""
+        betti = self._solve(comp, self._memo, self._key, self._split, SPLIT_BUDGET)
+        if betti is None:
+            labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
+            c = self.whole if comp == self.full else independence_complex(induced_subgraph(self.graph, labels))
+            betti = {i: b for i, b in reduced_betti(c, self.field).by_dim if b}
+            self._store(self._memo, self._key(comp), betti)
+            self._store(self._memo, comp, betti)
+        return betti
+
+    def _fold(self, w: int) -> int:
+        """A vertex of the connected w, as a bit, adjacent to every
+        neighbour in w of some other vertex u, or 0 if there is none.
+
+        Such a v lies in the neighbourhood of each neighbour of u, so the
+        search intersects those neighbourhoods: one AND per edge, and no
+        loop over pairs of vertices.
+        """
+        adj = self.graph.adj
+        rest = w
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            common, nbrs = w ^ u, adj[u.bit_length() - 1] & w
+            while nbrs and common:
+                x = nbrs & -nbrs
+                nbrs ^= x
+                common &= adj[x.bit_length() - 1]
+            if common:
+                return common & -common
+        return 0
+
+    def _split(self, w: int) -> Generator:
+        """Steps to the nonzero reduced Betti numbers of the connected w
+        by a fold or a split, or to None where the split is undecided."""
+        v = self._fold(w)
+        if v:
+            return (yield from self._betti_steps(w ^ v))
+        v = w & -w
+        deletion = yield from self._betti_steps(w ^ v)
+        link = yield from self._betti_steps(w & ~v & ~self.graph.adj[v.bit_length() - 1])
+        if any(i in deletion for i in link):
+            return None  # the map H~_i(link) -> H~_i(deletion) may be nonzero
+        out = dict(deletion)
+        for i, b in link.items():
+            out[i + 1] = out.get(i + 1, 0) + b
+        return out
+
+    def _betti_steps(self, mask: int) -> Generator:
+        """Steps to the nonzero reduced Betti numbers of Ind(G[mask]):
+        each component of two or more vertices is yielded for its own."""
         comps = _component_masks(self.graph, mask)
-        betti = self._betti(comps)
-        return BettiTable(tuple((i, betti.get(i, 0)) for i in range(-1, self._dim(comps) + 1)))
-
-    def _betti(self, comps: list[int]) -> dict[int, int]:
         if any(c & (c - 1) == 0 for c in comps):
             return {}  # an isolated vertex: a cone
         out = {-1: 1}
         for comp in comps:
-            joined: dict[int, int] = {}
-            for j, b in self._entry(comp)[1].items():
-                for i, a in out.items():
-                    joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
-            if not joined:
-                return {}
-            out = joined
+            out = _join(out, (yield comp))
+            if not out:
+                break
         return out
 
-    def _dim(self, comps: list[int]) -> int:
-        return sum(1 if c & (c - 1) == 0 else self._entry(c)[0] + 1 for c in comps) - 1
+    def _branch(self, w: int) -> Generator:
+        """Steps to the independence number of the connected w: a largest
+        independent set avoids its lowest vertex v or holds it."""
+        v = w & -w
+        without = yield from self._alpha_steps(w ^ v)
+        inside = yield from self._alpha_steps(w & ~v & ~self.graph.adj[v.bit_length() - 1])
+        return max(without, 1 + inside)
+
+    def _alpha_steps(self, mask: int) -> Generator:
+        """Steps to the independence number of G[mask], the sum of its components'."""
+        total = 0
+        for comp in _component_masks(self.graph, mask):
+            total += 1 if comp & (comp - 1) == 0 else (yield comp)
+        return total
+
+    def betti(self, mask: int) -> dict[int, int]:
+        """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
+        return _drive(self._betti_steps(mask), self._entry)
+
+    def dim(self, mask: int) -> int:
+        """Dimension of Ind(G[mask]): one less than the independence number of G[mask]."""
+        return _drive(self._alpha_steps(mask), lambda comp: self._solve(comp, self._alphas, None, self._branch, None)) - 1
+
+    def table(self, mask: int) -> BettiTable:
+        """Every reduced Betti number of Ind(G[mask]), as ``reduced_betti`` gives them."""
+        betti = self.betti(mask)
+        return BettiTable(tuple((i, betti.get(i, 0)) for i in range(-1, self.dim(mask) + 1)))
+
+
+def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Nonzero reduced Betti numbers of the join of two complexes with
+    these, over a field: H~_{k+1}(A * B) = sum over i + j = k of H~_i(A) H~_j(B)."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return out
+
+
+def _drive(steps: Generator, answer: Callable[[int], object]):
+    """Run steps to its value, answering each component it yields with answer(component)."""
+    value = None
+    while True:
+        try:
+            need = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = answer(need)

@@ -64,8 +64,12 @@ def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     return oracle if oracle.whole == c else None
 
 
-def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracle: Optional[InducedHomology]) -> Optional[int]:
-    """Smallest i < dim link with nonvanishing H~_i of the link, if any."""
+def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracle: Optional[InducedHomology], top: Optional[int]) -> Optional[int]:
+    """Smallest i < dim link with nonvanishing H~_i of the link, if any.
+
+    ``top`` is dim c when c is pure, else None: each link of a pure
+    complex is pure, of dimension dim c - |F|.
+    """
     if oracle is not None:
         closed = _mask(face)
         for v in face:
@@ -75,9 +79,9 @@ def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracl
     else:
         lk = link(c, face)
         nonzero, dim = [i for i, b in reduced_betti(lk, field).by_dim if b], lk.dim
-    # the oracle works out the dimension only when some H~_i is nonzero
+    # the dimension is worked out only when some H~_i is nonzero
     low = min(nonzero, default=None)
-    return low if low is not None and low < dim() else None
+    return low if low is not None and low < (dim() if top is None else top - len(face)) else None
 
 
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
@@ -97,8 +101,9 @@ def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
 def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
     """(face, i) for each candidate face, in order, that fails Reisner's test."""
     oracle = _oracle(c, field)
+    top = c.dim() if c.is_pure() else None
     for face in candidates:
-        i = _link_violation(c, face, field, oracle)
+        i = _link_violation(c, face, field, oracle, top)
         if i is not None:
             yield (face, i)
 

@@ -323,6 +323,17 @@ class TestBoundarySquareCheck:
         with pytest.raises(InconsistencyError):
             _assert_boundary_squares_to_zero(data)
 
+    # the complex with facets {1, 2} and {2, 3}: three vertices, so ∂_1
+    # has rows 0..2, and ∂_0 the single row of the empty face; a row of -3
+    # would index the first vertex from the end, 7 past the last
+    @pytest.mark.parametrize("i,col", [(1, {0: 1, -3: -1}), (1, {0: 1, 7: -1}), (1, {0: 1, 3: -1}), (0, {1: 1}), (0, {-1: 1})])
+    def test_a_row_outside_the_basis_below_is_caught(self, i, col):
+        data = build_chain_complex(Complex.from_facets(3, [[1, 2], [2, 3]]))
+        _assert_boundary_squares_to_zero(data)
+        data.boundaries[i][0] = col
+        with pytest.raises(InconsistencyError, match="outside"):
+            _assert_boundary_squares_to_zero(data)
+
     def test_every_build_runs_it(self, monkeypatch):
         checked = []
         monkeypatch.setattr(circm.homology, "_assert_boundary_squares_to_zero", checked.append)

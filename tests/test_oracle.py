@@ -27,6 +27,7 @@ from circm import (
     is_vertex_decomposable,
     lex_product,
     projective_dimension,
+    reduced_betti,
     reisner_violation,
 )
 from circm.complexes import faces
@@ -205,6 +206,48 @@ class TestOracleAgainstBruteForce:
         g = circulant(n, s)
         faces = {as_face(i) for i in independent_masks(g.adj)}
         assert projective_dimension(independence_complex(g), Q) == brute_pdim(faces, n, Q)
+
+
+def random_graphs(n: int) -> list[Graph]:
+    """A graph on n vertices at each of three edge densities, seeded by n;
+    unlike circulants they are not vertex-transitive, so folds and
+    undecided splits occur in them."""
+    rng = random.Random(1000 + n)
+    return [graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]) for p in (0.3, 0.5, 0.7)]
+
+
+class TestOracleOnRandomGraphs:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_mask(self, n):
+        for g in random_graphs(n):
+            indep = independent_masks(g.adj)
+            for field in FIELDS:
+                oracle = InducedHomology(g, field)
+                for mask in range(1 << n):
+                    want = brute_table({as_face(i) for i in indep if not i & ~mask}, field)
+                    assert oracle.table(mask).as_dict() == want, (g.adj, str(field), mask)
+
+    def test_folds_splits_and_fallbacks_all_occur(self, monkeypatch):
+        # over every mask of the ten-vertex graphs, components are settled
+        # by a fold, by a decided split, and by linear algebra after an
+        # undecided split
+        settled = []
+        real = InducedHomology._split
+
+        def split(self, w):
+            folded = self._fold(w) != 0
+            betti = yield from real(self, w)
+            settled.append("fold" if folded else "split" if betti is not None else "undecided")
+            return betti
+
+        monkeypatch.setattr(InducedHomology, "_split", split)
+        calls = count_betti_calls(monkeypatch)
+        for g in random_graphs(10):
+            oracle = InducedHomology(g, Q)
+            for mask in range(1 << 10):
+                oracle.betti(mask)
+        assert set(settled) == {"fold", "split", "undecided"}
+        assert 0 < len(calls) <= settled.count("undecided")
 
 
 HOLLOW_TRIANGLE = [[1, 2], [2, 3], [1, 3]]
@@ -474,10 +517,52 @@ class TestKozlovClosedForms:
         for m in range(1, 21):
             assert oracle.betti((1 << m) - 1) == kozlov_path(m), m
 
-    def test_cycles(self):
-        for m in range(3, 21):
+    def test_cycles(self, monkeypatch):
+        # Ind(C60(1)) has about 3.5 * 10^12 faces; a split leaves two paths
+        monkeypatch.setattr(circm.homology, "reduced_betti", refuse_linear_algebra)
+        for m in range(3, 61):
             oracle = InducedHomology(circulant(m, [1]), FieldChoice.gf(3))
-            assert oracle.betti(oracle.full) == kozlov_cycle(m), m
+            want = kozlov_cycle(m)
+            assert oracle.table(oracle.full).as_dict() == {i: want.get(i, 0) for i in range(-1, m // 2)}, m
+
+    def test_a_path_longer_than_the_recursion_limit(self, monkeypatch):
+        # folds settle the path one end at a time, on an explicit stack
+        monkeypatch.setattr(circm.homology, "reduced_betti", refuse_linear_algebra)
+        m = sys.getrecursionlimit() + 100
+        oracle = InducedHomology(graph_from_edges(m, [(i, i + 1) for i in range(m - 1)]), Q)
+        assert oracle.betti(oracle.full) == kozlov_path(m)
+        assert oracle.dim(oracle.full) == (m + 1) // 2 - 1
+
+    def test_a_fold_free_graph_whose_split_fails_falls_back(self, monkeypatch):
+        # C11(1, 2) is C_{4d+3}(1..d) for d = 2: no vertex of it folds, and
+        # the split at its lowest vertex leaves H~_i nonzero on both sides
+        g = circulant(11, [1, 2])
+        opened = []
+        real_split = InducedHomology._split
+
+        def split(self, w):
+            opened.append(w)
+            return real_split(self, w)
+
+        monkeypatch.setattr(InducedHomology, "_split", split)
+        calls = count_betti_calls(monkeypatch)
+        oracle = InducedHomology(g, Q)
+        assert oracle._fold(oracle.full) == 0
+        assert oracle.table(oracle.full).as_dict() == reduced_betti(independence_complex(g), Q).as_dict()
+        assert [c.facets for c in calls] == [independence_complex(g).facets]
+        assert opened[0] == oracle.full and 1 < len(opened) < circm.homology.SPLIT_BUDGET
+
+    def test_an_exhausted_budget_falls_back_with_the_same_answer(self, monkeypatch):
+        want = {i: b for i, b in reduced_betti(independence_complex(circulant(16, [1])), Q).by_dim if b}
+        monkeypatch.setattr(circm.homology, "SPLIT_BUDGET", 2)
+        calls = count_betti_calls(monkeypatch)
+        oracle = InducedHomology(circulant(16, [1]), Q)
+        assert oracle.betti(oracle.full) == want == kozlov_cycle(16)
+        assert len(calls) == 1
+
+
+def refuse_linear_algebra(c, field):
+    raise AssertionError(f"reduced_betti called on a complex of {c.vertex_count} vertices")
 
 
 def count_betti_calls(monkeypatch) -> list:
@@ -527,9 +612,19 @@ class TestSharedWork:
         assert sum(c.facets == whole for c in calls) == 1
 
     def test_pdim_of_c14_1_needs_few_homology_computations(self, monkeypatch):
+        # every induced subgraph of a cycle is a union of paths, or the
+        # cycle itself: folds and splits settle them all
         calls = count_betti_calls(monkeypatch)
         assert projective_dimension(independence_complex(circulant(14, [1])), Q) == 9
-        assert len(calls) <= 20
+        assert not calls
+
+    def test_cubic_sweep_runs_no_linear_algebra(self, monkeypatch, capsys):
+        from circm.cli import main
+
+        calls = count_betti_calls(monkeypatch)
+        assert main(["sweep", "--family", "cubic", "--max-2n", "18"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 36
+        assert not calls
 
     def test_no_search_once_reisner_rejects(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -605,9 +700,9 @@ class TestSharedWork:
         sizes = []
         real = InducedHomology._store
 
-        def store(self, mask, entry):
-            real(self, mask, entry)
-            sizes.append(len(self._memo))
+        def store(self, memo, mask, value):
+            real(self, memo, mask, value)
+            sizes.append(len(memo))
 
         monkeypatch.setattr(circm.homology, "ORACLE_ENTRIES", 4)
         monkeypatch.setattr(InducedHomology, "_store", store)
