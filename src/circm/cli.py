@@ -131,6 +131,8 @@ def _sweep_case(params) -> dict:
 def cmd_sweep(args) -> int:
     cases = []
     if args.family == "interval":
+        if args.d_min < 1:
+            raise ValueError(f"--d-min must be at least 1, got {args.d_min}")
         for d in range(args.d_min, args.d_max + 1):
             n_hi = args.n_max if args.n_max is not None else 4 * d + 6
             n_lo = max(args.n_min if args.n_min is not None else 2 * d, 2 * d)
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=None, help="default 2d per d")
     p.add_argument("--n-max", type=int, default=None, help="default 4d+6 per d")
     p.add_argument("--max-2n", type=int, default=12, help="cubic family bound")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("CIRCM_JOBS", "1")))
+    # argparse converts a string default only when sweep is parsed, so a bad value exits 2 naming --jobs
+    p.add_argument("--jobs", type=int, default=os.environ.get("CIRCM_JOBS", "1"))
     common(p, "--field", "--budget")
     p.set_defaults(func=cmd_sweep)
 

@@ -21,32 +21,34 @@ dimension up is the leading face of a boundary, hence of a cycle, so its
 column of the i-th boundary matrix is a combination of columns before
 it and is never reduced.
 
-``InducedHomology`` answers H~_*(Ind(G[W])) for vertex bitmasks W of one
-graph G.  That is all Reisner's criterion and Hochster's formula ask of
-a flag complex Ind(G): the link of a face F is Ind(G - N[F]) and the
-restriction to W is Ind(G[W]).  Each mask is settled in the order
-cone (an isolated vertex), join (one piece per connected component),
-fold (Engström's fold lemma), split (Adamaszek's vertex splitting, when
-its Mayer-Vietoris map is zero for want of a common degree), and only
-then linear algebra: ``reduced_betti`` of one connected piece, once per
-piece up to the rotations and reflections of the vertex cycle that are
-automorphisms of G.  The folds and splits of one piece run on an
-explicit stack, open at most ``SPLIT_BUDGET`` pieces and never run
-linear algebra themselves: a piece on the way that would need it gives
-the attempt up.
+``InducedHomology`` answers one question: the nonzero reduced Betti
+numbers of Ind(G[W]) for vertex bitmasks W of one graph G.  That is all
+the homology Reisner's criterion and Hochster's formula ask of a flag
+complex Ind(G): the link of a face F is Ind(G - N[F]) and the
+restriction to W is Ind(G[W]); the dimension of a link comes from the
+facets of the complex, not from the oracle.  Each mask is settled in
+the order cone (an isolated vertex), join (one piece per connected
+component), fold (Engström's fold lemma), split (Adamaszek's vertex
+splitting, when its Mayer-Vietoris map is zero for want of a common
+degree), and only then linear algebra: ``reduced_betti`` of one
+connected piece, once per piece up to the rotations and reflections of
+the vertex cycle that are automorphisms of G.  The folds and splits of
+one piece run on an explicit stack, open at most ``SPLIT_BUDGET``
+pieces and never run linear algebra themselves: a piece on the way
+that would need it gives the attempt up.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Generator, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from .complexes import Complex, _face_levels, _face_tuple, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
 
-# Entries each memo of an InducedHomology keeps; the oldest goes first beyond this.
+# Entries the memo of an InducedHomology keeps; the oldest goes first beyond this.
 ORACLE_ENTRIES = 1 << 16
 # Components one fold-and-split attempt of an InducedHomology may open
 # before the component it started from goes to linear algebra.
@@ -233,7 +235,8 @@ def kernel_rank_of(vectors: Sequence[Sequence], field: FieldChoice) -> int:
 
 
 class InducedHomology:
-    """Reduced homology of Ind(G[mask]) over one field, for vertex bitmasks.
+    """The nonzero reduced Betti numbers of Ind(G[mask]) over one field,
+    for vertex bitmasks.
 
     Bit i of a mask is the vertex of internal index i of ``g``.  The empty
     mask gives H~_{-1} = 1.  An isolated vertex makes Ind(G[mask]) a cone,
@@ -258,17 +261,13 @@ class InducedHomology:
     on the way that would need it, or an exhausted budget, gives the
     attempt up and W alone goes to ``reduced_betti``.
 
-    The dimension is one less than the independence number, memoised per
-    component mask from alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v]))
-    at the lowest vertex v, on the same kind of stack.  That recursion
-    opens fewer components than Ind(G[W]) has faces (the faces of
-    Ind(G[W]) are those of Ind(G[W - v]) and v with those of
-    Ind(G[W - N[v]])), so it has no budget of its own: building the
-    complex would cost more.  Each component's Betti numbers are kept
-    under its least image by the rotations and reflections of the
-    internal indices 0..n-1 that are automorphisms of g (all 2n of them
-    for a circulant, possibly none but the identity for other graphs).
-    Each memo keeps at most ``ORACLE_ENTRIES`` entries.
+    Each component's Betti numbers are kept under its least image by the
+    rotations and reflections of the internal indices 0..n-1 that are
+    automorphisms of g (all 2n of them for a circulant, possibly none but
+    the identity for other graphs).  The memo keeps at most
+    ``ORACLE_ENTRIES`` entries.  The oracle answers nothing but Betti
+    numbers: a caller that needs a dimension reads it from the facets of
+    the complex, which it already holds.
     """
 
     def __init__(self, g: Graph, field: FieldChoice) -> None:
@@ -278,7 +277,6 @@ class InducedHomology:
         self._n = n
         self.full = (1 << n) - 1  # the mask of every vertex: Ind(G) itself
         self._memo: dict[int, dict[int, int]] = {}  # component -> nonzero reduced Betti numbers
-        self._alphas: dict[int, int] = {}  # component -> independence number
         # rotation amounts r, applied to the mask itself or to its mirror
         # image, whose vertex maps are automorphisms of g: vertex i of g, or
         # of its mirror image, goes to i + r together with its neighbours
@@ -307,72 +305,70 @@ class InducedHomology:
             key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
         return key
 
-    def _cached(self, memo: dict, comp: int, key: Optional[Callable[[int], int]]) -> tuple[object, int]:
-        """memo's value for comp or None, and the mask it is kept under.
+    def _cached(self, comp: int) -> tuple[Optional[dict[int, int]], int]:
+        """The memo's Betti numbers for comp or None, and the mask they are
+        kept under: comp itself, else its symmetry key, and ones found only
+        under the key are stored under comp too, so a component seen again
+        skips the key computation."""
+        betti = self._memo.get(comp)
+        if betti is not None:
+            return betti, comp
+        k = self._key(comp)
+        betti = self._memo.get(k)
+        if betti is not None:
+            self._store(comp, betti)
+        return betti, k
 
-        With ``key``, a value is kept under key(comp) as well, and one
-        found only there is stored under comp too, so a component seen
-        again skips the key computation.
+    def _store(self, mask: int, betti: dict[int, int]) -> None:
+        if len(self._memo) >= ORACLE_ENTRIES:
+            del self._memo[next(iter(self._memo))]
+        self._memo[mask] = betti
+
+    def _solve(self, comp: int) -> Optional[dict[int, int]]:
+        """Nonzero reduced Betti numbers of the connected comp by folds and
+        splits, or None once a split is undecided or more than
+        ``SPLIT_BUDGET`` components would be opened.
+
+        The components ``_split`` asks for are opened depth first on an
+        explicit stack, so a long chain of them never recurses; each answer
+        goes to the split that asked for it and into the memo.
         """
-        value = memo.get(comp)
-        if value is not None or key is None:
-            return value, comp
-        k = key(comp)
-        value = memo.get(k)
-        if value is not None:
-            self._store(memo, comp, value)
-        return value, k
-
-    def _store(self, memo: dict, mask: int, value) -> None:
-        if len(memo) >= ORACLE_ENTRIES:
-            del memo[next(iter(memo))]
-        memo[mask] = value
-
-    def _solve(self, comp: int, memo: dict, key: Optional[Callable[[int], int]], node: Callable[[int], Generator], budget: Optional[int]):
-        """memo's value for the connected comp, or None once node gives up
-        or more than ``budget`` components would be opened.
-
-        ``node(w)`` yields each component whose value it needs and returns
-        w's value, or None.  The components are opened depth first on an
-        explicit stack, so a long chain of them never recurses; each value
-        goes to the node that asked for it and into the memo.
-        """
-        value, k = self._cached(memo, comp, key)
-        if value is not None:
-            return value
-        stack = [(comp, k, node(comp))]
+        betti, k = self._cached(comp)
+        if betti is not None:
+            return betti
+        stack = [(comp, k, self._split(comp))]
         opened = 1
         while stack:
             w, k, steps = stack[-1]
             try:
-                need = steps.send(value)
+                need = steps.send(betti)
             except StopIteration as stop:
-                value = stop.value
-                if value is None:
+                betti = stop.value
+                if betti is None:
                     return None
-                self._store(memo, k, value)
+                self._store(k, betti)
                 if k != w:
-                    self._store(memo, w, value)
+                    self._store(w, betti)
                 stack.pop()
                 continue
-            value, k = self._cached(memo, need, key)
-            if value is None:
-                if opened == budget:
+            betti, k = self._cached(need)
+            if betti is None:
+                if opened == SPLIT_BUDGET:
                     return None
                 opened += 1
-                stack.append((need, k, node(need)))
-        return value
+                stack.append((need, k, self._split(need)))
+        return betti
 
     def _entry(self, comp: int) -> dict[int, int]:
         """Nonzero reduced Betti numbers of one component of two or more
         vertices: by folds and splits, else by ``reduced_betti``."""
-        betti = self._solve(comp, self._memo, self._key, self._split, SPLIT_BUDGET)
+        betti = self._solve(comp)
         if betti is None:
             labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
             c = self.whole if comp == self.full else independence_complex(induced_subgraph(self.graph, labels))
             betti = {i: b for i, b in reduced_betti(c, self.field).by_dim if b}
-            self._store(self._memo, self._key(comp), betti)
-            self._store(self._memo, comp, betti)
+            self._store(self._key(comp), betti)
+            self._store(comp, betti)
         return betti
 
     def _fold(self, w: int) -> int:
@@ -426,33 +422,16 @@ class InducedHomology:
                 break
         return out
 
-    def _branch(self, w: int) -> Generator:
-        """Steps to the independence number of the connected w: a largest
-        independent set avoids its lowest vertex v or holds it."""
-        v = w & -w
-        without = yield from self._alpha_steps(w ^ v)
-        inside = yield from self._alpha_steps(w & ~v & ~self.graph.adj[v.bit_length() - 1])
-        return max(without, 1 + inside)
-
-    def _alpha_steps(self, mask: int) -> Generator:
-        """Steps to the independence number of G[mask], the sum of its components'."""
-        total = 0
-        for comp in _component_masks(self.graph, mask):
-            total += 1 if comp & (comp - 1) == 0 else (yield comp)
-        return total
-
     def betti(self, mask: int) -> dict[int, int]:
         """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
-        return _drive(self._betti_steps(mask), self._entry)
-
-    def dim(self, mask: int) -> int:
-        """Dimension of Ind(G[mask]): one less than the independence number of G[mask]."""
-        return _drive(self._alpha_steps(mask), lambda comp: self._solve(comp, self._alphas, None, self._branch, None)) - 1
-
-    def table(self, mask: int) -> BettiTable:
-        """Every reduced Betti number of Ind(G[mask]), as ``reduced_betti`` gives them."""
-        betti = self.betti(mask)
-        return BettiTable(tuple((i, betti.get(i, 0)) for i in range(-1, self.dim(mask) + 1)))
+        steps = self._betti_steps(mask)
+        betti = None
+        while True:
+            try:
+                comp = steps.send(betti)
+            except StopIteration as stop:
+                return stop.value
+            betti = self._entry(comp)
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -464,13 +443,3 @@ def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             out[i + j + 1] = out.get(i + j + 1, 0) + x * y
     return out
 
-
-def _drive(steps: Generator, answer: Callable[[int], object]):
-    """Run steps to its value, answering each component it yields with answer(component)."""
-    value = None
-    while True:
-        try:
-            need = steps.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = answer(need)

@@ -12,7 +12,7 @@ oracle over vertex masks; any other complex takes the textbook route,
 from __future__ import annotations
 
 from contextvars import ContextVar
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -68,20 +68,23 @@ def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracl
     """Smallest i < dim link with nonvanishing H~_i of the link, if any.
 
     ``top`` is dim c when c is pure, else None: each link of a pure
-    complex is pure, of dimension dim c - |F|.
+    complex is pure, of dimension dim c - |F|.  Otherwise the facets of
+    the link are f - F for the facets f of c through F, so its dimension
+    is that of the largest such f, less |F|.
     """
     if oracle is not None:
         closed = _mask(face)
         for v in face:
             closed |= oracle.graph.adj[v - 1]
-        rest = oracle.full & ~closed  # lk_F Ind(G) = Ind(G - N[F])
-        nonzero, dim = oracle.betti(rest), partial(oracle.dim, rest)
+        nonzero = oracle.betti(oracle.full & ~closed)  # lk_F Ind(G) = Ind(G - N[F])
     else:
-        lk = link(c, face)
-        nonzero, dim = [i for i, b in reduced_betti(lk, field).by_dim if b], lk.dim
-    # the dimension is worked out only when some H~_i is nonzero
+        nonzero = [i for i, b in reduced_betti(link(c, face), field).by_dim if b]
     low = min(nonzero, default=None)
-    return low if low is not None and low < (dim() if top is None else top - len(face)) else None
+    if low is None:
+        return None
+    if top is None:  # read from the facets only when some H~_i is nonzero
+        top = max(len(f) for f in c.facets if f.issuperset(face)) - 1
+    return low if low < top - len(face) else None
 
 
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
@@ -501,7 +504,11 @@ def full_report(
             pdim = projective_dimension(ind, fld, max_vertices=pdim_guard)
         except GuardError:
             pdim = None
-        betti = oracle.table(oracle.full).as_dict() if include_betti else None
+        if include_betti:
+            nonzero = oracle.betti(oracle.full)
+            betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}
+        else:
+            betti = None
     finally:
         _REPORT_LEVELS.reset(levels_token)
         _REPORT_ORACLE.reset(token)

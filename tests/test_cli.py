@@ -174,6 +174,19 @@ class TestSweep:
         # every case finds each earlier case's line already written
         assert [p.count("\n") for p in printed] == [0] + [1] * 6
 
+    def test_d_min_below_one_exits_2_before_any_case(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "interval", "--d-min", "0", "--d-max", "1")
+        assert (code, out) == (2, "")
+        assert "--d-min" in err
+
+    def test_bad_jobs_variable_fails_only_sweep(self, capsys, monkeypatch):
+        monkeypatch.setenv("CIRCM_JOBS", "x")
+        assert main(["analyze", "--n", "5", "--set", "1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "cubic", "--max-2n", "4"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 class TestVerify:
     def test_single_theorem(self, capsys):
