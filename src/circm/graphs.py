@@ -105,21 +105,16 @@ def make_circulant(spec: CirculantSpec) -> Graph:
     """Build the circulant graph for ``spec``.
 
     Vertices i and j are adjacent iff min(|i-j|, n-|i-j|) is in the
-    connection set.
+    connection set: vertex 0's neighbours are the bits s and n - s, and
+    vertex i's are those rotated by i.
     """
     n = spec.n
-    sset = set(spec.s)
-    adj = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i == j:
-                continue
-            diff = abs(i - j)
-            if min(diff, n - diff) in sset:
-                mask |= 1 << j
-        adj.append(mask)
-    return Graph(adj=tuple(adj), labels=tuple(range(1, n + 1)), origin=spec)
+    full = (1 << n) - 1
+    row = 0
+    for s in spec.s:
+        row |= 1 << s | 1 << (n - s)
+    adj = tuple(((row << i) | (row >> (n - i))) & full for i in range(n))
+    return Graph(adj=adj, labels=tuple(range(1, n + 1)), origin=spec)
 
 
 def circulant(n: int, s: Iterable[int]) -> Graph:

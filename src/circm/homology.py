@@ -279,12 +279,21 @@ class InducedHomology:
         self._memo: dict[int, dict[int, int]] = {}  # component -> nonzero reduced Betti numbers
         # rotation amounts r, applied to the mask itself or to its mirror
         # image, whose vertex maps are automorphisms of g: vertex i of g, or
-        # of its mirror image, goes to i + r together with its neighbours
+        # of its mirror image, goes to i + r together with its neighbours.
+        # The rotations among them are the multiples of the least, which
+        # divides n; the reflections are none or one coset of those, so
+        # the first that maps lies below that least rotation.
         adj = g.adj
         mirrored = [self._mirror(a) for a in reversed(adj)]  # the adjacency of g's mirror image
-        self._rotations, self._reflections = (
-            [r for r in range(max(n, 1)) if all(self._rotate(m[i], r) == adj[(i + r) % n] for i in range(n))] for m in (adj, mirrored)
-        )
+
+        def maps(m: list[int], r: int) -> bool:
+            return all(self._rotate(m[i], r) == adj[(i + r) % n] for i in range(n))
+
+        top = max(n, 1)
+        step = next((r for r in range(1, n) if n % r == 0 and maps(adj, r)), top)
+        self._rotations = list(range(0, top, step))
+        first = next((r for r in range(step) if maps(mirrored, r)), None)
+        self._reflections = [] if first is None else list(range(first, top, step))
 
     @cached_property
     def whole(self) -> Complex:

@@ -155,11 +155,34 @@ def _canonical_facets(facets: frozenset[int]) -> frozenset[int]:
     return frozenset(packed)
 
 
+def _facets_connected(facets: frozenset[int]) -> bool:
+    """Whether the facets, vertex bitmasks, make a connected complex: one
+    facet's vertices absorb every facet that meets them, until no facet
+    is added."""
+    reach, *rest = facets
+    while rest:
+        left = []
+        for f in rest:
+            if f & reach:
+                reach |= f
+            else:
+                left.append(f)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
 def _vd_recursive(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> bool:
+    """Vertex decomposability of pure facets, memoized on their canonical
+    form.  A vertex decomposable complex is shellable (Provan-Billera), so
+    one of dimension >= 1 is connected: a disconnected one is answered
+    False before any shedding vertex is sought."""
     key = _canonical_facets(facets)
     found = memo.get(key)
     if found is None:
-        memo[key] = found = len(key) == 1 or _shedding_vertex(key, memo) is not None
+        points = next(iter(key)).bit_count() < 2  # dimension 0, connected or not
+        memo[key] = found = len(key) == 1 or ((points or _facets_connected(key)) and _shedding_vertex(key, memo) is not None)
     return found
 
 

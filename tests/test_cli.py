@@ -174,6 +174,14 @@ class TestSweep:
         # every case finds each earlier case's line already written
         assert [p.count("\n") for p in printed] == [0] + [1] * 6
 
+    def test_interval_output_is_pinned(self, capsys):
+        # sha256 of the 84 reports of C_n(1..d), d <= 6, every shelling
+        # order included, pinned before the vertex decomposition search
+        # answered disconnected complexes without searching them
+        code, out, _ = run(capsys, "sweep", "--family", "interval", "--d-max", "6", "--jobs", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "31f45b4dc8a35c9f5ed6d505af4b2978ac6d618329690ae35bfc64821d57f8d6"
+
     def test_d_min_below_one_exits_2_before_any_case(self, capsys):
         code, out, err = run(capsys, "sweep", "--family", "interval", "--d-min", "0", "--d-max", "1")
         assert (code, out) == (2, "")

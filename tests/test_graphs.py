@@ -93,6 +93,20 @@ class TestConstruction:
     def test_interval_circulant(self):
         assert interval_circulant(7, 2).edges() == circulant(7, [1, 2]).edges()
 
+    def test_every_circulant_up_to_24_vertices_matches_circular_distance(self):
+        for n in range(1, 25):
+            half = n // 2
+            # by_distance[k][i]: the vertices j at circular distance k + 1 from i
+            by_distance = [tuple(sum(1 << j for j in range(n) if circular_distance(n, i, j) == k) for i in range(n)) for k in range(1, half + 1)]
+            # want[bits]: the adjacency of C_n(S) for S = {k + 1 : bit k of bits}
+            want = [(0,) * n]
+            for bits in range(1, 1 << half):
+                low = bits & -bits
+                want.append(tuple(a | b for a, b in zip(want[bits ^ low], by_distance[low.bit_length() - 1])))
+                s = tuple(k + 1 for k in range(half) if bits >> k & 1)
+                assert make_circulant(CirculantSpec(n, s)).adj == want[bits], (n, s)
+            assert make_circulant(CirculantSpec(n, ())).adj == want[0]
+
     @given(small_circulants)
     @settings(max_examples=60, deadline=None)
     def test_adjacency_matches_circular_distance(self, params):

@@ -190,6 +190,9 @@ class TestOracleAgainstBruteForce:
         graphs = [graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4]) for n in range(13) for _ in range(8)]
         graphs += [lex_product(P3, K2_K1), lex_product(circulant(4, [1]), circulant(2, [1])), lex_product(circulant(3, [1]), circulant(2, []))]
         graphs += [induced_subgraph(circulant(12, s), [1, 2, 4, 5, 7, 8, 10, 11]) for s in ([1], [1, 5], [2, 3])]
+        # rotations by whole blocks only, and reflections that are a coset
+        # of them not through 0
+        graphs += [lex_product(circulant(a, s), h) for a in range(2, 7) for s in connection_sets(a) for h in (P3, K2_K1)]
         for g in graphs:
             n = g.vertex_count
             edges = {frozenset((i, j)) for i in range(n) for j in range(n) if g.adj[i] >> j & 1}
@@ -200,6 +203,16 @@ class TestOracleAgainstBruteForce:
             oracle = InducedHomology(g, Q)
             assert oracle._rotations == [r for r in range(max(n, 1)) if automorphism(lambda i: (i + r) % n)], g.adj
             assert oracle._reflections == [r for r in range(max(n, 1)) if automorphism(lambda i: (n - 1 - i + r) % n)], g.adj
+
+    def test_every_rotation_and_reflection_of_a_circulant_is_a_symmetry(self):
+        # i -> i + r and i -> r - i preserve circular distance, so all 2n
+        # are automorphisms of C_n(S): the scan, which tests rotations at
+        # divisors of n and reflections below the least rotation, must
+        # still list every one
+        for n in range(1, 19):
+            for s in connection_sets(n):
+                oracle = InducedHomology(circulant(n, s), Q)
+                assert oracle._rotations == oracle._reflections == list(range(n)), (n, s)
 
     @pytest.mark.parametrize("n,s", [(9, (1, 2)), (10, (2, 5)), (10, (1, 3, 5))])
     def test_projective_dimension_matches_hochster_by_subsets(self, n, s):
@@ -403,6 +416,48 @@ class TestVertexDecomposabilityAgainstBruteForce:
         assert (order is not None) is vd
         if vd:
             assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
+
+    def test_random_pure_complexes(self):
+        # 0- to 2-dimensional, up to 7 facets on up to 8 vertices, each
+        # inside one of two parts of the vertices: many are disconnected,
+        # which the search answers without seeking a shedding vertex
+        rng = random.Random(16)
+        for _ in range(500):
+            n, k = rng.randint(1, 8), rng.randint(1, 3)
+            vs, cut = rng.sample(range(1, n + 1), n), rng.randint(0, n - 1)
+            pool = [f for part in (vs[:cut], vs[cut:]) for f in combinations(sorted(part), k)]
+            if not pool:
+                continue
+            c = Complex.from_facets(n, rng.sample(pool, rng.randint(1, min(7, len(pool)))))
+            vd = brute_vertex_decomposable(c.facets)
+            assert is_vertex_decomposable(c) is vd, c.facets
+            order = _shedding_order(c)
+            assert (order is not None) is vd, c.facets
+            if vd:
+                assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
+
+    @pytest.mark.parametrize(
+        "c, vd",
+        [
+            (independence_complex(circulant(6, [1, 3])), False),  # K_{3,3}: two disjoint triangles
+            GAPPED["two-edges-on-2-6-9-12"],
+            (Complex.from_facets(4, [[1], [2], [3], [4]]), True),  # isolated points
+        ],
+        ids=["two-triangles", "two-edges-on-2-6-9-12", "four-points"],
+    )
+    def test_disconnected_complexes_of_dimension_one_or_more_seek_no_shedding_vertex(self, monkeypatch, c, vd):
+        calls = []
+        real = circm.properties._shedding_vertex
+
+        def counted(facets, memo):
+            calls.append(facets)
+            return real(facets, memo)
+
+        monkeypatch.setattr(circm.properties, "_shedding_vertex", counted)
+        assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets) is vd
+        # points are vertex decomposable whether connected or not, and only
+        # the search finds that out
+        assert bool(calls) is vd
 
     def test_rp2_and_the_empty_complex(self):
         assert is_vertex_decomposable(RP2) is brute_vertex_decomposable(RP2.facets) is False
