@@ -47,17 +47,6 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     return checks
 
 
-def _report_for(g: Graph, args, checks) -> dict:
-    report = full_report(
-        g,
-        FieldChoice.parse(args.field),
-        shell_budget=args.budget,
-        pdim_guard=(None if args.allow_large_pdim else PDIM_VERTEX_GUARD) if "pdim" in checks else 0,
-        include_betti="betti" in checks,
-    )
-    return report.to_json_dict()
-
-
 _HUMAN_KEYS = {
     "wc": ("well_covered",),
     "cm": ("cm", "cm_witness"),
@@ -86,34 +75,38 @@ def _print_human(rep: dict, checks) -> None:
             print(f"{key + ':':<14}{val}")
 
 
-def cmd_analyze(args) -> int:
-    spec = CirculantSpec(args.n, _parse_set(args.set))
+def _report_command(args, g: Graph, **overrides) -> int:
+    """Report on Ind(g) for the checks of ``args``, with ``overrides``
+    merged in, and print it as JSON or in the human form."""
     checks = _parse_checks(args.checks)
-    rep = _report_for(make_circulant(spec), args, checks)
+    report = full_report(
+        g,
+        FieldChoice.parse(args.field),
+        shell_budget=args.budget,
+        pdim_guard=(None if args.allow_large_pdim else PDIM_VERTEX_GUARD) if "pdim" in checks else 0,
+        include_betti="betti" in checks,
+    )
+    rep = {**report.to_json_dict(), **overrides}
     if args.json:
         print(json.dumps(rep, sort_keys=True))
     else:
         _print_human(rep, checks)
     return 0
+
+
+def cmd_analyze(args) -> int:
+    return _report_command(args, make_circulant(CirculantSpec(args.n, _parse_set(args.set))))
 
 
 def cmd_lexprod(args) -> int:
     g = make_circulant(_parse_spec(args.g))
     h = make_circulant(_parse_spec(args.h))
-    checks = _parse_checks(args.checks)
     prod = lex_product(g, h)
-    rep = _report_for(prod, args, checks)
-    rep["graph"] = f"{g.origin}[{h.origin}]"
-    rep["edges"] = prod.edge_count()
-    if args.json:
-        print(json.dumps(rep, sort_keys=True))
-    else:
-        _print_human(rep, checks)
-    return 0
+    return _report_command(args, prod, graph=f"{g.origin}[{h.origin}]", edges=prod.edge_count())
 
 
 def _sweep_case(params) -> dict:
-    kind, key, n, s, field_text, budget = params
+    key, n, s, field_text, budget = params
     entry = {"key": key, "n": n, "s": list(s)}
     try:
         report = full_report(
@@ -137,12 +130,12 @@ def cmd_sweep(args) -> int:
             n_hi = args.n_max if args.n_max is not None else 4 * d + 6
             n_lo = max(args.n_min if args.n_min is not None else 2 * d, 2 * d)
             for n in range(n_lo, n_hi + 1):
-                cases.append(("interval", f"d={d},n={n}", n, tuple(range(1, d + 1)), args.field, args.budget))
+                cases.append((f"d={d},n={n}", n, tuple(range(1, d + 1)), args.field, args.budget))
     else:
         for two_n in range(4, args.max_2n + 1, 2):
             n = two_n // 2
             for a in range(1, n):
-                cases.append(("cubic", f"2n={two_n},a={a}", two_n, tuple(sorted({a, n})), args.field, args.budget))
+                cases.append((f"2n={two_n},a={a}", two_n, tuple(sorted({a, n})), args.field, args.budget))
     with ExitStack() as stack:
         mapper = map
         if args.jobs > 1:
@@ -220,13 +213,25 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low; argparse names the option of a smaller one."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="circm", description="Exact decision procedures for circulant graph independence complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
         "--field": dict(default="q", help="coefficient field: 'q' (exact rationals) or 'gf:P'"),
-        "--budget": dict(type=int, default=DEFAULT_SHELL_BUDGET, help="node budget for the shellability search"),
+        "--budget": dict(type=_at_least(0), default=DEFAULT_SHELL_BUDGET, help="node budget for the shellability search"),
         "--json": dict(action="store_true", help="machine-readable output"),
     }
 
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="default 4d+6 per d")
     p.add_argument("--max-2n", type=int, default=12, help="cubic family bound")
     # argparse converts a string default only when sweep is parsed, so a bad value exits 2 naming --jobs
-    p.add_argument("--jobs", type=int, default=os.environ.get("CIRCM_JOBS", "1"))
+    p.add_argument("--jobs", type=_at_least(1), default=os.environ.get("CIRCM_JOBS", "1"))
     common(p, "--field", "--budget")
     p.set_defaults(func=cmd_sweep)
 

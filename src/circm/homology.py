@@ -32,10 +32,12 @@ component), fold (Engström's fold lemma), split (Adamaszek's vertex
 splitting, when its Mayer-Vietoris map is zero for want of a common
 degree), and only then linear algebra: ``reduced_betti`` of one
 connected piece, once per piece up to the rotations and reflections of
-the vertex cycle that are automorphisms of G.  The folds and splits of
-one piece run on an explicit stack, open at most ``SPLIT_BUDGET``
-pieces and never run linear algebra themselves: a piece on the way
-that would need it gives the attempt up.
+the vertex cycle that are automorphisms of G.  One loop answers each
+question on one explicit stack: the pieces of the mask at the bottom,
+and above them the folds and splits of one piece, its *attempt*, which
+opens at most ``SPLIT_BUDGET`` pieces and runs no linear algebra: a
+piece on the way that would need it gives the attempt up, and the piece
+it started from goes whole to ``reduced_betti``.
 """
 
 from __future__ import annotations
@@ -255,11 +257,13 @@ class InducedHomology:
     3. otherwise ``reduced_betti`` of Ind(G[W]).
 
     The masks a fold or a split leaves are answered by the same rules,
-    component by component, cones and memo included, on an explicit stack
-    rather than by recursion.  One such attempt opens at most
-    ``SPLIT_BUDGET`` components and runs no linear algebra: a component
-    on the way that would need it, or an exhausted budget, gives the
-    attempt up and W alone goes to ``reduced_betti``.
+    component by component, cones and memo included, in the one loop of
+    ``betti`` rather than by recursion.  The folds and splits that start
+    from one component W of the asked mask are one attempt: it opens at
+    most ``SPLIT_BUDGET`` components, W included, and runs no linear
+    algebra; an undecided split or an exhausted budget gives the attempt
+    up and W alone goes to ``reduced_betti``.  The count restarts for the
+    next component of the asked mask.
 
     Each component's Betti numbers are kept under its least image by the
     rotations and reflections of the internal indices 0..n-1 that are
@@ -333,53 +337,6 @@ class InducedHomology:
             del self._memo[next(iter(self._memo))]
         self._memo[mask] = betti
 
-    def _solve(self, comp: int) -> Optional[dict[int, int]]:
-        """Nonzero reduced Betti numbers of the connected comp by folds and
-        splits, or None once a split is undecided or more than
-        ``SPLIT_BUDGET`` components would be opened.
-
-        The components ``_split`` asks for are opened depth first on an
-        explicit stack, so a long chain of them never recurses; each answer
-        goes to the split that asked for it and into the memo.
-        """
-        betti, k = self._cached(comp)
-        if betti is not None:
-            return betti
-        stack = [(comp, k, self._split(comp))]
-        opened = 1
-        while stack:
-            w, k, steps = stack[-1]
-            try:
-                need = steps.send(betti)
-            except StopIteration as stop:
-                betti = stop.value
-                if betti is None:
-                    return None
-                self._store(k, betti)
-                if k != w:
-                    self._store(w, betti)
-                stack.pop()
-                continue
-            betti, k = self._cached(need)
-            if betti is None:
-                if opened == SPLIT_BUDGET:
-                    return None
-                opened += 1
-                stack.append((need, k, self._split(need)))
-        return betti
-
-    def _entry(self, comp: int) -> dict[int, int]:
-        """Nonzero reduced Betti numbers of one component of two or more
-        vertices: by folds and splits, else by ``reduced_betti``."""
-        betti = self._solve(comp)
-        if betti is None:
-            labels = [self.graph.labels[i] for i in range(self._n) if (comp >> i) & 1]
-            c = self.whole if comp == self.full else independence_complex(induced_subgraph(self.graph, labels))
-            betti = {i: b for i, b in reduced_betti(c, self.field).by_dim if b}
-            self._store(self._key(comp), betti)
-            self._store(comp, betti)
-        return betti
-
     def _fold(self, w: int) -> int:
         """A vertex of the connected w, as a bit, adjacent to every
         neighbour in w of some other vertex u, or 0 if there is none.
@@ -432,15 +389,41 @@ class InducedHomology:
         return out
 
     def betti(self, mask: int) -> dict[int, int]:
-        """Nonzero reduced Betti numbers of Ind(G[mask]), by degree."""
-        steps = self._betti_steps(mask)
-        betti = None
+        """Nonzero reduced Betti numbers of Ind(G[mask]), by degree.
+
+        The stack holds ``_betti_steps(mask)`` and, above it, the ``_split``
+        steps of one attempt's components, depth first.  Each answer is
+        stored under its key and its mask, then sent to the steps below.
+        """
+        stack = [(mask, mask, self._betti_steps(mask))]
+        betti, opened = None, 0
         while True:
             try:
-                comp = steps.send(betti)
+                need = stack[-1][2].send(betti)
             except StopIteration as stop:
-                return stop.value
-            betti = self._entry(comp)
+                betti = stop.value
+                if len(stack) == 1:
+                    return betti
+                w, k, _ = stack.pop()
+            else:
+                betti, k = self._cached(need)
+                if betti is not None:
+                    continue
+                opened = 1 if len(stack) == 1 else opened + 1
+                if opened <= SPLIT_BUDGET:
+                    stack.append((need, k, self._split(need)))
+                    continue
+                w = need
+            if betti is None:  # the attempt is given up
+                if len(stack) > 1:
+                    w, k, _ = stack[1]
+                    del stack[1:]
+                labels = [self.graph.labels[i] for i in range(self._n) if (w >> i) & 1]
+                c = self.whole if w == self.full else independence_complex(induced_subgraph(self.graph, labels))
+                betti = {i: b for i, b in reduced_betti(c, self.field).by_dim if b}
+            self._store(k, betti)
+            if k != w:
+                self._store(w, betti)
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -29,11 +29,10 @@ PDIM_VERTEX_GUARD = 16
 Witness = tuple[tuple[int, ...], int]
 
 # The oracle of the complex full_report is deciding, shared by every
-# decider the report calls on that complex; unset outside a report.
-_REPORT_ORACLE: ContextVar[Optional[InducedHomology]] = ContextVar("_REPORT_ORACLE", default=None)
-# That complex with the face levels its f-vector was counted from, while
-# the report's link scans run; unset otherwise.
-_REPORT_LEVELS: ContextVar[Optional[tuple[Complex, list[set[int]]]]] = ContextVar("_REPORT_LEVELS", default=None)
+# decider the report calls on that complex (its ``whole``), and the face
+# levels its f-vector was counted from while the report's link scans run,
+# None after them; unset outside a report.
+_REPORT: ContextVar[Optional[tuple[InducedHomology, Optional[list[set[int]]]]]] = ContextVar("_REPORT", default=None)
 
 
 def _mask(face: Iterable[int]) -> int:
@@ -48,9 +47,9 @@ def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     ``whole``, so one enumeration of G's maximal independent sets serves
     both the test and the oracle.
     """
-    shared = _REPORT_ORACLE.get()
-    if shared is not None and shared.whole is c and shared.field == field:
-        return shared
+    shared = _REPORT.get()
+    if shared is not None and shared[0].whole is c and shared[0].field == field:
+        return shared[0]
     n = c.vertex_count
     skeleton = [0] * n
     for f in c.facets:
@@ -64,37 +63,15 @@ def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     return oracle if oracle.whole == c else None
 
 
-def _link_violation(c: Complex, face: tuple[int, ...], field: FieldChoice, oracle: Optional[InducedHomology], top: Optional[int]) -> Optional[int]:
-    """Smallest i < dim link with nonvanishing H~_i of the link, if any.
-
-    ``top`` is dim c when c is pure, else None: each link of a pure
-    complex is pure, of dimension dim c - |F|.  Otherwise the facets of
-    the link are f - F for the facets f of c through F, so its dimension
-    is that of the largest such f, less |F|.
-    """
-    if oracle is not None:
-        closed = _mask(face)
-        for v in face:
-            closed |= oracle.graph.adj[v - 1]
-        nonzero = oracle.betti(oracle.full & ~closed)  # lk_F Ind(G) = Ind(G - N[F])
-    else:
-        nonzero = [i for i, b in reduced_betti(link(c, face), field).by_dim if b]
-    low = min(nonzero, default=None)
-    if low is None:
-        return None
-    if top is None:  # read from the facets only when some H~_i is nonzero
-        top = max(len(f) for f in c.facets if f.issuperset(face)) - 1
-    return low if low < top - len(face) else None
-
-
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
     """Every face of c as a sorted vertex tuple, by size, then
     lexicographically: the empty face first, before any face is
     enumerated, then each size's faces in descending mask order.  In a
     report the faces are those its f-vector counted."""
     yield ()
-    shared = _REPORT_LEVELS.get()
-    levels = shared[1] if shared is not None and shared[0] is c else _face_levels(c)
+    oracle, levels = _REPORT.get() or (None, None)
+    if levels is None or oracle.whole is not c:
+        levels = _face_levels(c)
     n = c.vertex_count
     for level in levels[1:]:
         for m in sorted(level, reverse=True):
@@ -102,13 +79,32 @@ def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
 
 
 def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
-    """(face, i) for each candidate face, in order, that fails Reisner's test."""
+    """(face, i) for each candidate face, in order, that fails Reisner's
+    test: i is the least degree with H~_i of the link nonzero, and it lies
+    below the link's dimension.
+
+    Each link of a pure complex is pure, of dimension dim c - |F|.
+    Otherwise the facets of the link are f - F for the facets f of c
+    through F, so its dimension is that of the largest such f, less |F|.
+    """
     oracle = _oracle(c, field)
-    top = c.dim() if c.is_pure() else None
+    pure_dim = c.dim() if c.is_pure() else None
     for face in candidates:
-        i = _link_violation(c, face, field, oracle, top)
-        if i is not None:
-            yield (face, i)
+        if oracle is not None:
+            closed = _mask(face)
+            for v in face:
+                closed |= oracle.graph.adj[v - 1]
+            nonzero = oracle.betti(oracle.full & ~closed)  # lk_F Ind(G) = Ind(G - N[F])
+        else:
+            nonzero = [i for i, b in reduced_betti(link(c, face), field).by_dim if b]
+        low = min(nonzero, default=None)
+        if low is None:
+            continue
+        top = pure_dim
+        if top is None:  # read from the facets only when some H~_i is nonzero
+            top = max(len(f) for f in c.facets if f.issuperset(face)) - 1
+        if low < top - len(face):
+            yield (face, low)
 
 
 def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
@@ -503,7 +499,7 @@ def full_report(
     # one face enumeration serves the f-vector and the link scans
     levels = _face_levels(ind)
     f = tuple(map(len, levels))
-    token, levels_token = _REPORT_ORACLE.set(oracle), _REPORT_LEVELS.set((ind, levels))
+    token = _REPORT.set((oracle, levels))
     del levels
     try:
         fh = FHVectors(dim=ind.dim(), f=f, h=h_from_f(f))
@@ -515,7 +511,7 @@ def full_report(
             # Buchsbaum's unless it is the empty face; then Buchsbaum's
             # scan starts where Reisner's stopped.
             bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
-        _REPORT_LEVELS.set(None)  # the scans are done: release the faces
+        _REPORT.set((oracle, None))  # the scans are done: release the faces
         bb = pure and bb_wit is None
         shedding = _shedding_order(ind) if cm_wit is None else None
         if shedding is not None:
@@ -533,8 +529,7 @@ def full_report(
         else:
             betti = None
     finally:
-        _REPORT_LEVELS.reset(levels_token)
-        _REPORT_ORACLE.reset(token)
+        _REPORT.reset(token)
 
     def named(face: Iterable[int]) -> tuple[int, ...]:
         return tuple(names[v - 1] for v in sorted(face))

@@ -183,7 +183,7 @@ def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: Optio
 
     seen: set[frozenset[int]] = set()
     for t in sorted(tuples):
-        i1, i2, j1, j2, k1, k2 = t
+        _, i2, _, j2, k1, _ = t
         distinguished = frozenset((i2, j2, k1))
         if distinguished in seen:
             raise AssertionError(f"distinguished face {sorted(distinguished)} of {t} already appeared")

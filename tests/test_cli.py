@@ -287,6 +287,40 @@ class TestParser:
             main([])
 
     @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["analyze", "--n", "5", "--set", "1", "--budget", "-1"], "--budget"),
+            (["lexprod", "--g", "5:1", "--h", "2:1", "--budget", "-1"], "--budget"),
+            (["sweep", "--family", "cubic", "--max-2n", "4", "--budget", "-1"], "--budget"),
+            (["verify", "--theorem", "cubic", "--budget", "-1"], "--budget"),
+            (["sweep", "--family", "cubic", "--max-2n", "4", "--jobs", "0"], "--jobs"),
+            (["sweep", "--family", "cubic", "--max-2n", "4", "--jobs", "-3"], "--jobs"),
+        ],
+        ids=["analyze-budget", "lexprod-budget", "sweep-budget", "verify-budget", "jobs-0", "jobs-negative"],
+    )
+    def test_counts_below_their_least_value_exit_2_before_any_case(self, capsys, monkeypatch, argv, option):
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert f"argument {option}: must be at least" in out.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_a_jobs_variable_below_one_exits_2(self, capsys, monkeypatch, jobs):
+        monkeypatch.setenv("CIRCM_JOBS", jobs)
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "cubic", "--max-2n", "4"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "argument --jobs: must be at least 1" in out.err
+
+    def test_a_zero_budget_is_valid(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--n", "5", "--set", "1", "--checks", "sh", "--budget", "0", "--json")
+        assert code == 0 and json.loads(out)["shellable"] is True
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--theorem", "brown41", "--d-max", "1", "--field", "q"],

@@ -1,6 +1,7 @@
 """Source hygiene of the circm package, read with the stdlib ``ast``:
-no module keeps an import it does not use, and no top-level private
-function or class outlives its last caller."""
+no module keeps an import it does not use, no top-level private
+function or class outlives its last caller, and no function binds a
+local it never reads."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,39 @@ def test_every_private_helper_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and is_private(node.name) and node.name not in used
     ]
     assert not dead, f"private helpers nobody refers to: {dead}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(fn: ast.AST):
+    """The nodes of fn's body outside the functions, lambdas and classes
+    it defines, whose names are their own."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(fn: ast.AST) -> set[str]:
+    """Names fn binds (by assignment, loop, with, except or walrus, not as
+    parameters) that neither fn nor a function inside it ever reads; a
+    name starting with ``_`` is exempt."""
+    nodes = list(own_nodes(fn))
+    bound = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {node.name for node in nodes if isinstance(node, ast.ExceptHandler) and node.name}
+    declared = {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+    read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name for name in bound - declared - read if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    tree = parse(path)
+    unread = [f"{fn.name}: {name}" for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS) for name in sorted(unread_locals(fn))]
+    assert not unread, f"{path.name} binds locals it never reads: {unread}"
 
 
 def top_level_definitions(tree: ast.Module) -> set[str]:

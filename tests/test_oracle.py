@@ -625,6 +625,22 @@ class TestKozlovClosedForms:
         assert oracle.betti(oracle.full) == {i: b for i, b in reduced_betti(independence_complex(g), Q).by_dim if b}
         assert [c.facets for c in calls] == [independence_complex(g).facets]
         assert opened[0] == oracle.full and 1 < len(opened) < circm.homology.SPLIT_BUDGET
+        # the given-up component's answer is in the memo
+        assert oracle.betti(oracle.full) == {i: b for i, b in reduced_betti(independence_complex(g), Q).by_dim if b}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("budget, linear_algebra", [(10, 0), (9, 1)])
+    def test_the_split_budget_restarts_for_each_component(self, monkeypatch, budget, linear_algebra):
+        # a 9-vertex arc with edges |i - j| <= 2 and a 12-vertex path: the
+        # arc's attempt opens ten components and the path's eight, so only
+        # a budget counted afresh for each component settles both
+        arc = [(i, j) for i in range(9) for j in range(i + 1, min(i + 3, 9))]
+        path = [(i, i + 1) for i in range(10, 21)]
+        oracle = InducedHomology(graph_from_edges(22, arc + path), Q)
+        monkeypatch.setattr(circm.homology, "SPLIT_BUDGET", budget)
+        calls = count_betti_calls(monkeypatch)
+        assert oracle.betti(oracle.full & ~(1 << 9)) == {5: 3}
+        assert [c.vertex_count for c in calls] == [9] * linear_algebra
 
     def test_an_exhausted_budget_falls_back_with_the_same_answer(self, monkeypatch):
         want = {i: b for i, b in reduced_betti(independence_complex(circulant(16, [1])), Q).by_dim if b}

@@ -336,7 +336,7 @@ class TestFullReport:
         r = full_report(circulant(n, s), pdim_guard=0)
         assert r.buchsbaum and r.fh.f == tuple(map(len, real(independence_complex(circulant(n, s)))))
         assert len(calls) == 1
-        assert circm.properties._REPORT_LEVELS.get() is None
+        assert circm.properties._REPORT.get() is None
 
 
 class TestHochsterReisnerCrossValidation:
