@@ -126,6 +126,8 @@ def cmd_sweep(args) -> int:
     if args.family == "interval":
         if args.d_min < 1:
             raise ValueError(f"--d-min must be at least 1, got {args.d_min}")
+        if args.d_max < args.d_min:
+            raise ValueError(f"--d-max must be at least --d-min ({args.d_min}), got {args.d_max}")
         for d in range(args.d_min, args.d_max + 1):
             n_hi = args.n_max if args.n_max is not None else 4 * d + 6
             n_lo = max(args.n_min if args.n_min is not None else 2 * d, 2 * d)
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=3)
     p.add_argument("--n-min", type=int, default=None, help="default 2d per d")
     p.add_argument("--n-max", type=int, default=None, help="default 4d+6 per d")
-    p.add_argument("--max-2n", type=int, default=12, help="cubic family bound")
+    p.add_argument("--max-2n", type=_at_least(4), default=12, help="cubic family bound")
     # argparse converts a string default only when sweep is parsed, so a bad value exits 2 naming --jobs
     p.add_argument("--jobs", type=_at_least(1), default=os.environ.get("CIRCM_JOBS", "1"))
     common(p, "--field", "--budget")
@@ -269,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify classification theorems against the checkers")
     p.add_argument("--theorem", default=None, help="one theorem id (default: all)")
-    p.add_argument("--d-max", type=int, default=4)
-    p.add_argument("--max-2n", type=int, default=12)
-    p.add_argument("--lex-max", type=int, default=5)
-    p.add_argument("--d", type=int, default=3, help="largest d for the H~_2 experiment")
+    p.add_argument("--d-max", type=_at_least(1), default=4)
+    p.add_argument("--max-2n", type=_at_least(4), default=12)
+    p.add_argument("--lex-max", type=_at_least(1), default=5)
+    p.add_argument("--d", type=_at_least(1), default=3, help="largest d for the H~_2 experiment")
     common(p, "--budget", "--json")
     p.set_defaults(func=cmd_verify)
 

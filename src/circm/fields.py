@@ -8,7 +8,7 @@ cross-multiplication with gcd reduction), so no rounding ever occurs;
 over GF(p) each pivot is scaled to 1 and every entry is kept mod p.
 The rank it returns also names the pivots' ``lows``, which is all that
 clearing (the twist of persistent homology) asks of the reduction of
-the next boundary matrix up; see ``homology.reduced_betti``.
+the next boundary matrix up; see ``homology._betti_by_ranks``.
 """
 
 from __future__ import annotations

@@ -5,39 +5,35 @@ Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
 reproducible bit-for-bit.  The chain complex is built on the face
-bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v,
-and never on vertex tuples: among faces of one size, descending masks
-are ascending tuples, so sorting the masks gives the lexicographic
-bases; the boundary faces of a face are its mask with one bit cleared,
-and the highest bit, the smallest vertex, has the sign +1.
-``reduced_betti`` ranks columns over mask bases; only
+bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v:
+among faces of one size, descending masks are ascending tuples, the
+boundary faces of a face are its mask with one bit cleared, and the
+highest bit, the smallest vertex, has the sign +1.  The rank kernel,
+``_betti_by_ranks``, ranks columns over mask bases; only
 ``build_chain_complex`` decodes its bases into tuples.  Every build is
 checked before anything is ranked: each entry must be +1 or -1 in a row
 of the basis one dimension down, and ∂_i ∘ ∂_{i+1} must vanish, column
-by column.  Ranks are taken from the
-top dimension down with clearing (the twist of persistent homology): an
-i-face that is the pivot ``low`` of the reduced boundary matrix one
-dimension up is the leading face of a boundary, hence of a cycle, so its
-column of the i-th boundary matrix is a combination of columns before
-it and is never reduced.
+by column.  Ranks go from the top dimension down with clearing (the
+twist of persistent homology): an i-face that is the pivot ``low`` of
+the reduced boundary matrix one dimension up is the leading face of a
+boundary, hence of a cycle, so its column is never reduced.
 
 ``InducedHomology`` answers one question: the nonzero reduced Betti
 numbers of Ind(G[W]) for vertex bitmasks W of one graph G.  That is all
-the homology Reisner's criterion and Hochster's formula ask of a flag
-complex Ind(G): the link of a face F is Ind(G - N[F]) and the
-restriction to W is Ind(G[W]); the dimension of a link comes from the
-facets of the complex, not from the oracle.  Each mask is settled in
-the order cone (an isolated vertex), join (one piece per connected
-component), fold (Engström's fold lemma), split (Adamaszek's vertex
-splitting, when its Mayer-Vietoris map is zero for want of a common
-degree), and only then linear algebra: ``reduced_betti`` of one
-connected piece, once per piece up to the rotations and reflections of
-the vertex cycle that are automorphisms of G.  One loop answers each
-question on one explicit stack: the pieces of the mask at the bottom,
-and above them the folds and splits of one piece, its *attempt*, which
-opens at most ``SPLIT_BUDGET`` pieces and runs no linear algebra: a
-piece on the way that would need it gives the attempt up, and the piece
-it started from goes whole to ``reduced_betti``.
+Reisner's criterion, Hochster's formula and ``reduced_betti`` ask of a
+flag complex Ind(G), G the complement of its 1-skeleton: the link of a
+face F is Ind(G - N[F]) and the restriction to W is Ind(G[W]); any other
+complex goes to the rank kernel.  Each mask is settled in the order cone
+(an isolated vertex), join (one piece per connected component), fold
+(Engström's fold lemma), split (Adamaszek's vertex splitting, when its
+Mayer-Vietoris map is zero for want of a common degree), and only then
+the rank kernel on one connected piece, once per piece up to the
+rotations and reflections of the vertex cycle that are automorphisms of
+G.  One loop answers each question on one explicit stack: the pieces of
+the mask at the bottom, and above them the folds and splits of one
+piece, its *attempt*, which opens at most ``SPLIT_BUDGET`` pieces and
+runs no linear algebra: a piece on the way that would need it gives the
+attempt up, and the piece it started from goes whole to the kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Generator, Optional, Sequence
 
-from .complexes import Complex, _face_levels, _face_tuple, f_vector, independence_complex
+from .complexes import Complex, _face_levels, _face_tuple, _maximal_independent_sets, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -191,11 +187,18 @@ class BettiTable(Frozen):
 
 
 def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
-    """Exact reduced Betti numbers of c over the chosen field.
+    """Exact reduced Betti numbers of c over the chosen field: those of its
+    homology oracle when c is flag, else those of the rank kernel."""
+    oracle = _flag_oracle(c, field)
+    if oracle is None:
+        return _betti_by_ranks(c, field)
+    nonzero = oracle.betti(oracle.full)
+    return BettiTable(tuple((i, nonzero.get(i, 0)) for i in range(-1, c.dim() + 1)))
 
-    Ranks go from the top dimension down; each ∂_i is reduced without
-    the columns cleared by the pivot lows of ∂_{i+1}.
-    """
+
+def _betti_by_ranks(c: Complex, field: FieldChoice) -> BettiTable:
+    """The rank kernel: ranks go from the top dimension down; each ∂_i is
+    reduced without the columns cleared by the pivot lows of ∂_{i+1}."""
     data = _build_on_masks(c)
     top = c.dim()
     ranks = {}
@@ -218,11 +221,11 @@ def euler_check(c: Complex, field: FieldChoice) -> bool:
     """Verify the reduced Euler characteristic identity on c.
 
     Always true when the engine is correct; a False return is a bug
-    signal, not a property of the input.  It can only catch a chain basis
-    whose face counts differ from ``f_vector``: ``reduced_betti`` sets
-    H~_i = f_i - r_i - r_{i+1}, so in the alternating sum the boundary
-    ranks r_i telescope away: a wrong rank goes undetected here (one that
-    makes a Betti number negative is rejected by ``reduced_betti``).
+    signal.  On a flag complex it checks the oracle's folds and splits
+    against ``f_vector``.  Otherwise it only catches a chain basis whose
+    face counts differ: the rank kernel sets H~_i = f_i - r_i - r_{i+1},
+    so the ranks r_i telescope away and a wrong one goes undetected (one
+    that makes a Betti number negative is rejected by the kernel).
     """
     betti = reduced_betti(c, field)
     lhs = sum((-1 if i % 2 else 1) * betti[i] for i in range(-1, c.dim() + 1))
@@ -254,7 +257,7 @@ class InducedHomology:
        H~_i(W - N[v]) and H~_i(W - v) nonzero, the Mayer-Vietoris map
        between them is zero and H~_i(W) = H~_i(W - v) + H~_{i-1}(W - N[v])
        (Adamaszek);
-    3. otherwise ``reduced_betti`` of Ind(G[W]).
+    3. otherwise the rank kernel on Ind(G[W]).
 
     The masks a fold or a split leaves are answered by the same rules,
     component by component, cones and memo included, in the one loop of
@@ -262,7 +265,7 @@ class InducedHomology:
     from one component W of the asked mask are one attempt: it opens at
     most ``SPLIT_BUDGET`` components, W included, and runs no linear
     algebra; an undecided split or an exhausted budget gives the attempt
-    up and W alone goes to ``reduced_betti``.  The count restarts for the
+    up and W alone goes to the rank kernel.  The count restarts for the
     next component of the asked mask.
 
     Each component's Betti numbers are kept under its least image by the
@@ -301,7 +304,8 @@ class InducedHomology:
 
     @cached_property
     def whole(self) -> Complex:
-        """Ind(G) itself, built once for the oracle and its callers."""
+        """Ind(G) itself, built once for the oracle and its callers, unless
+        ``_flag_oracle`` set it to the complex it found G from."""
         return independence_complex(self.graph)
 
     def _rotate(self, mask: int, r: int) -> int:
@@ -420,10 +424,28 @@ class InducedHomology:
                     del stack[1:]
                 labels = [self.graph.labels[i] for i in range(self._n) if (w >> i) & 1]
                 c = self.whole if w == self.full else independence_complex(induced_subgraph(self.graph, labels))
-                betti = {i: b for i, b in reduced_betti(c, self.field).by_dim if b}
+                betti = {i: b for i, b in _betti_by_ranks(c, self.field).by_dim if b}
             self._store(k, betti)
             if k != w:
                 self._store(w, betti)
+
+
+def _flag_oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
+    """The oracle of c over the field, its ``whole`` c itself, when c is flag:
+    when its facets, vertex v at bit v - 1, are the maximal independent sets
+    of G, the complement of its 1-skeleton on 1..n; else None."""
+    n = c.vertex_count
+    masks = {sum(1 << (v - 1) for v in f): f for f in c.facets}
+    skeleton = [1 << i for i in range(n)]  # closed neighbourhoods: {v} is maximal in G if v is in no face
+    for m, f in masks.items():
+        for v in f:
+            skeleton[v - 1] |= m
+    g = Graph(adj=tuple(((1 << n) - 1) & ~s for s in skeleton), labels=tuple(range(1, n + 1)))
+    if masks.keys() != set(_maximal_independent_sets(g)):
+        return None
+    oracle = InducedHomology(g, field)
+    oracle.whole = c
+    return oracle
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -6,7 +6,7 @@ Every homology question the deciders ask is about a link or a
 restriction.  On a flag complex Ind(G) these are Ind(G - N[F]) and
 Ind(G[W]), so a flag complex is answered by one ``InducedHomology``
 oracle over vertex masks; any other complex takes the textbook route,
-``reduced_betti`` of ``link(c, F)`` or ``restrict(c, W)``.
+the rank kernel on ``link(c, F)`` or ``restrict(c, W)``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .complexes import Complex, FHVectors, _face_levels, _face_tuple, h_from_f, 
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, induced_subgraph
-from .homology import InducedHomology, reduced_betti
+from .homology import InducedHomology, _betti_by_ranks, _flag_oracle
 
 DEFAULT_SHELL_BUDGET = 10_000_000
 PDIM_VERTEX_GUARD = 16
@@ -40,27 +40,12 @@ def _mask(face: Iterable[int]) -> int:
 
 
 def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
-    """The homology oracle of c over the field when c is flag, else None.
-
-    G is the complement of the 1-skeleton of c on the vertices 1..n; c is
-    flag when it covers every vertex and equals Ind(G), the oracle's own
-    ``whole``, so one enumeration of G's maximal independent sets serves
-    both the test and the oracle.
-    """
+    """The report's oracle while ``full_report`` decides c, else the one
+    ``homology._flag_oracle`` finds: None when c is not flag."""
     shared = _REPORT.get()
     if shared is not None and shared[0].whole is c and shared[0].field == field:
         return shared[0]
-    n = c.vertex_count
-    skeleton = [0] * n
-    for f in c.facets:
-        m = _mask(f)
-        for v in f:
-            skeleton[v - 1] |= m
-    if not all(skeleton):
-        return None
-    full = (1 << n) - 1
-    oracle = InducedHomology(Graph(adj=tuple(full & ~s for s in skeleton), labels=tuple(range(1, n + 1))), field)
-    return oracle if oracle.whole == c else None
+    return _flag_oracle(c, field)
 
 
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
@@ -96,7 +81,7 @@ def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldC
                 closed |= oracle.graph.adj[v - 1]
             nonzero = oracle.betti(oracle.full & ~closed)  # lk_F Ind(G) = Ind(G - N[F])
         else:
-            nonzero = [i for i, b in reduced_betti(link(c, face), field).by_dim if b]
+            nonzero = [i for i, b in _betti_by_ranks(link(c, face), field).by_dim if b]
         low = min(nonzero, default=None)
         if low is None:
             continue
@@ -362,7 +347,7 @@ def projective_dimension(
             if oracle is not None:
                 nonzero = oracle.betti(_mask(w))
             else:
-                nonzero = [j for j, b in reduced_betti(restrict(c, w), field).by_dim if b]
+                nonzero = [j for j, b in _betti_by_ranks(restrict(c, w), field).by_dim if b]
             for j in nonzero:
                 best = max(best, size - j - 1)
     return best

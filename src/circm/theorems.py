@@ -212,7 +212,9 @@ def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: O
 
     The >= direction is a theorem for d >= 3 and is asserted; equality
     is only reported, never asserted.  A d above ``max_d`` raises
-    ``GuardError``; None means no limit.
+    ``GuardError``; None means no limit.  Within a ``verify_theorems`` run
+    whose "main" verifier reported on C_{4d+3}(1..d) over the same field,
+    H~_2 is read from that report instead of being computed again.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -220,8 +222,11 @@ def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: O
         raise GuardError(f"H~_2 experiment guarded at d={max_d}")
     fld = field if field is not None else FieldChoice.rational()
     formula = expected_octahedron_count(d) if d >= 2 else 0
-    ind = independence_complex(interval_circulant(4 * d + 3, d))
-    computed = reduced_betti(ind, fld)[2]
+    report = _RUN_REPORTS.get({}).get((4 * d + 3, d))
+    if report is not None and report.field == fld:
+        computed = report.betti[2]
+    else:
+        computed = reduced_betti(independence_complex(interval_circulant(4 * d + 3, d)), fld)[2]
     if d >= 3 and computed < formula:
         raise AssertionError(f"H~_2 lower bound violated at d={d}: computed {computed} < {formula}")
     return H2Evidence(d=d, computed=computed, formula=formula, equal=computed == formula)
@@ -295,14 +300,15 @@ def verify_wellcovered_family(scope: VerifyScope) -> TheoremResult:
 
 
 # The interval-family reports of the current verify_theorems run, shared
-# by the "main" and "buchsbaum" verifiers; unset outside a run.
+# by the "main" and "buchsbaum" verifiers and read by the H~_2
+# experiment; unset outside a run.
 _RUN_REPORTS: ContextVar[dict] = ContextVar("_RUN_REPORTS")
 
 
 def _family_report(n: int, d: int, scope: VerifyScope) -> PropertyReport:
     memo = _RUN_REPORTS.get({})
     if (n, d) not in memo:
-        memo[n, d] = full_report(interval_circulant(n, d), shell_budget=scope.shell_budget, pdim_guard=0)
+        memo[n, d] = full_report(interval_circulant(n, d), shell_budget=scope.shell_budget, pdim_guard=0, include_betti=True)
     return memo[n, d]
 
 

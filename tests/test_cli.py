@@ -187,6 +187,13 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "--d-min" in err
 
+    @pytest.mark.parametrize("bounds", [["--d-max", "-3"], ["--d-min", "3", "--d-max", "2"]], ids=["negative", "below-d-min"])
+    def test_d_max_below_d_min_exits_2_before_any_case(self, capsys, monkeypatch, bounds):
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        code, out, err = run(capsys, "sweep", "--family", "interval", *bounds)
+        assert (code, out) == (2, "")
+        assert "--d-max" in err
+
     def test_bad_jobs_variable_fails_only_sweep(self, capsys, monkeypatch):
         monkeypatch.setenv("CIRCM_JOBS", "x")
         assert main(["analyze", "--n", "5", "--set", "1"]) == 0
@@ -295,8 +302,19 @@ class TestParser:
             (["verify", "--theorem", "cubic", "--budget", "-1"], "--budget"),
             (["sweep", "--family", "cubic", "--max-2n", "4", "--jobs", "0"], "--jobs"),
             (["sweep", "--family", "cubic", "--max-2n", "4", "--jobs", "-3"], "--jobs"),
+            # a scope that holds no case would check nothing and still pass
+            (["verify", "--d-max", "-1", "--theorem", "main", "--json"], "--d-max"),
+            (["verify", "--d-max", "0"], "--d-max"),
+            (["verify", "--lex-max", "-2"], "--lex-max"),
+            (["verify", "--d", "-4"], "--d"),
+            (["verify", "--max-2n", "2"], "--max-2n"),
+            (["sweep", "--family", "cubic", "--max-2n", "-5"], "--max-2n"),
+            (["sweep", "--family", "cubic", "--max-2n", "3"], "--max-2n"),
         ],
-        ids=["analyze-budget", "lexprod-budget", "sweep-budget", "verify-budget", "jobs-0", "jobs-negative"],
+        ids=[
+            "analyze-budget", "lexprod-budget", "sweep-budget", "verify-budget", "jobs-0", "jobs-negative",
+            "verify-d-max-negative", "verify-d-max-0", "verify-lex-max", "verify-d", "verify-max-2n", "sweep-max-2n-negative", "sweep-max-2n-3",
+        ],
     )
     def test_counts_below_their_least_value_exit_2_before_any_case(self, capsys, monkeypatch, argv, option):
         monkeypatch.setattr(circm.cli, "full_report", failing_report)

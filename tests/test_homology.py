@@ -19,7 +19,7 @@ from circm import (
 )
 from circm.complexes import faces
 from circm.fields import _is_prime, rank_of_rows, rows_from_vectors
-from circm.homology import ChainComplexData, _assert_boundary_squares_to_zero
+from circm.homology import ChainComplexData, _assert_boundary_squares_to_zero, _betti_by_ranks
 
 from conftest import brute_boundary_composition_is_zero, brute_reduced_betti, dense_rank, dense_rank_mod, graph_from_edges
 
@@ -256,7 +256,10 @@ def complexes(draw) -> Complex:
 
 
 class TestBettiAgainstDenseElimination:
-    """Clearing skips columns; the dense oracle of conftest reduces every one."""
+    """Clearing skips columns, and the public function routes a flag
+    complex through the homology oracle; the dense oracle of conftest
+    reduces every column, and both the public function and the rank
+    kernel must agree with it."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(complexes())
@@ -265,7 +268,9 @@ class TestBettiAgainstDenseElimination:
     @example(RP2)
     def test_random_complexes(self, c):
         for field in SMALL_FIELDS:
-            assert reduced_betti(c, field).as_dict() == brute_reduced_betti(c.facets, field)
+            want = brute_reduced_betti(c.facets, field)
+            assert reduced_betti(c, field).as_dict() == want
+            assert _betti_by_ranks(c, field).as_dict() == want
 
     @pytest.mark.parametrize(
         "c,betti",
@@ -280,7 +285,7 @@ class TestBettiAgainstDenseElimination:
     def test_surfaces(self, c, betti):
         for field, expected in zip(SMALL_FIELDS, betti):
             got = reduced_betti(c, field).as_dict()
-            assert got == brute_reduced_betti(c.facets, field)
+            assert got == brute_reduced_betti(c.facets, field) == _betti_by_ranks(c, field).as_dict()
             assert {i: b for i, b in got.items() if b} == expected
 
 
@@ -455,7 +460,7 @@ class TestClearing:
             return rank_of_rows(rows, field)
 
         monkeypatch.setattr(circm.homology, "rank_of_rows", counting)
-        assert {i: b for i, b in reduced_betti(c, Q).as_dict().items() if b} == {5: 2}
+        assert {i: b for i, b in _betti_by_ranks(c, Q).as_dict().items() if b} == {5: 2}
         f = f_vector(c).f  # f[i + 1] is the number of i-faces
         uncleared = [f[i + 1] - rank.get(i + 1, 0) for i in range(c.dim() + 1)]
         assert sum(rows_in) == sum(uncleared) < sum(f[1:])

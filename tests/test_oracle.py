@@ -32,7 +32,7 @@ from circm import (
 )
 from circm.complexes import faces
 from circm.graphs import induced_subgraph
-from circm.homology import InducedHomology, build_chain_complex
+from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
 from circm.properties import _oracle, _shedding_order, _sorted_faces, _violations, buchsbaum_violation, check_shelling_order
 
 from conftest import (
@@ -43,7 +43,7 @@ from conftest import (
     downward_closure,
     graph_from_edges,
 )
-from test_homology import RP2
+from test_homology import RP2, TORUS7
 
 Q = FieldChoice.rational()
 FIELDS = [Q, FieldChoice.gf(2), FieldChoice.gf(3)]
@@ -594,7 +594,7 @@ class TestKozlovClosedForms:
 
     def test_cycles(self, monkeypatch):
         # Ind(C60(1)) has about 3.5 * 10^12 faces; a split leaves two paths
-        monkeypatch.setattr(circm.homology, "reduced_betti", refuse_linear_algebra)
+        monkeypatch.setattr(circm.homology, "_betti_by_ranks", refuse_linear_algebra)
         for m in range(3, 61):
             oracle = InducedHomology(circulant(m, [1]), FieldChoice.gf(3))
             want = kozlov_cycle(m)
@@ -602,7 +602,7 @@ class TestKozlovClosedForms:
 
     def test_a_path_longer_than_the_recursion_limit(self, monkeypatch):
         # folds settle the path one end at a time, on an explicit stack
-        monkeypatch.setattr(circm.homology, "reduced_betti", refuse_linear_algebra)
+        monkeypatch.setattr(circm.homology, "_betti_by_ranks", refuse_linear_algebra)
         m = sys.getrecursionlimit() + 100
         oracle = InducedHomology(graph_from_edges(m, [(i, i + 1) for i in range(m - 1)]), Q)
         assert oracle.betti(oracle.full) == kozlov_path(m)
@@ -622,11 +622,11 @@ class TestKozlovClosedForms:
         calls = count_betti_calls(monkeypatch)
         oracle = InducedHomology(g, Q)
         assert oracle._fold(oracle.full) == 0
-        assert oracle.betti(oracle.full) == {i: b for i, b in reduced_betti(independence_complex(g), Q).by_dim if b}
+        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
         assert [c.facets for c in calls] == [independence_complex(g).facets]
         assert opened[0] == oracle.full and 1 < len(opened) < circm.homology.SPLIT_BUDGET
         # the given-up component's answer is in the memo
-        assert oracle.betti(oracle.full) == {i: b for i, b in reduced_betti(independence_complex(g), Q).by_dim if b}
+        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
         assert len(calls) == 1
 
     @pytest.mark.parametrize("budget, linear_algebra", [(10, 0), (9, 1)])
@@ -643,7 +643,7 @@ class TestKozlovClosedForms:
         assert [c.vertex_count for c in calls] == [9] * linear_algebra
 
     def test_an_exhausted_budget_falls_back_with_the_same_answer(self, monkeypatch):
-        want = {i: b for i, b in reduced_betti(independence_complex(circulant(16, [1])), Q).by_dim if b}
+        want = {i: b for i, b in _betti_by_ranks(independence_complex(circulant(16, [1])), Q).by_dim if b}
         monkeypatch.setattr(circm.homology, "SPLIT_BUDGET", 2)
         calls = count_betti_calls(monkeypatch)
         oracle = InducedHomology(circulant(16, [1]), Q)
@@ -651,21 +651,65 @@ class TestKozlovClosedForms:
         assert len(calls) == 1
 
 
+class TestReducedBettiRouting:
+    """The public reduced_betti answers a flag complex through its oracle
+    and any other complex through the rank kernel, with the same answer."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_small_circulant_matches_the_rank_kernel(self, field):
+        for n in range(1, 13):
+            for s in connection_sets(n):
+                c = independence_complex(circulant(n, s))
+                assert reduced_betti(c, field).by_dim == _betti_by_ranks(c, field).by_dim, (n, s)
+
+    @pytest.mark.parametrize("n,s", [(17, [1]), (18, [1]), (19, [1]), (20, [1]), (16, [8])])
+    def test_folds_and_splits_settle_these_without_the_kernel(self, monkeypatch, n, s):
+        calls = count_betti_calls(monkeypatch)
+        betti = reduced_betti(independence_complex(circulant(n, s)), FieldChoice.gf(32003))
+        assert not calls
+        assert {i: b for i, b in betti.by_dim if b} == (kozlov_cycle(n) if s == [1] else {7: 1})
+
+    def test_an_undecided_split_reaches_the_kernel_once(self, monkeypatch):
+        # C22(1, 2): its split leaves homology on both sides, so the whole
+        # complex goes to the kernel, and it is the complex asked about
+        c = independence_complex(circulant(22, [1, 2]))
+        calls = count_betti_calls(monkeypatch)
+        assert {i: b for i, b in reduced_betti(c, Q).by_dim if b} == {4: 43}
+        assert len(calls) == 1 and calls[0] is c
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            RP2,
+            TORUS7,
+            Complex.from_facets(4, HOLLOW_TRIANGLE),
+            independence_complex(induced_subgraph(circulant(7, [1]), [2, 3, 5, 6])),
+        ],
+        ids=["rp2", "torus7", "uncovered-vertex", "ind-with-uncovered-labels"],
+    )
+    def test_complexes_that_are_not_flag_go_to_the_kernel_once(self, monkeypatch, c):
+        want = {str(field): _betti_by_ranks(c, field).by_dim for field in FIELDS}
+        calls = count_betti_calls(monkeypatch)
+        for field in FIELDS:
+            assert reduced_betti(c, field).by_dim == want[str(field)], str(field)
+        assert calls == [c] * len(FIELDS)
+
+
 def refuse_linear_algebra(c, field):
-    raise AssertionError(f"reduced_betti called on a complex of {c.vertex_count} vertices")
+    raise AssertionError(f"the rank kernel called on a complex of {c.vertex_count} vertices")
 
 
 def count_betti_calls(monkeypatch) -> list:
-    """Record the complex of every reduced_betti call, wherever it is made."""
+    """Record the complex of every call of the rank kernel, wherever it is made."""
     calls = []
-    real = circm.homology.reduced_betti
+    real = circm.homology._betti_by_ranks
 
     def counting(c, field):
         calls.append(c)
         return real(c, field)
 
-    monkeypatch.setattr(circm.homology, "reduced_betti", counting)
-    monkeypatch.setattr(circm.properties, "reduced_betti", counting)
+    monkeypatch.setattr(circm.homology, "_betti_by_ranks", counting)
+    monkeypatch.setattr(circm.properties, "_betti_by_ranks", counting)
     return calls
 
 

@@ -139,6 +139,22 @@ class TestVerifyTheorems:
         assert [r.cases_run for r in results] == [48, 48]
         assert len(calls) == 48
 
+    def test_h2_reads_the_reports_of_main(self, monkeypatch):
+        import circm.theorems
+
+        scope = VerifyScope(d_max=3, h2_d_max=3)
+        (alone,) = verify_theorems(scope, ["lemma-h2"])
+        # main reports on every C_{4d+3}(1..d) with d <= 3, so H~_2 is not
+        # computed again; a d beyond main's scope still is
+        calls = []
+        real = circm.theorems.reduced_betti
+        monkeypatch.setattr(circm.theorems, "reduced_betti", lambda c, f: calls.append(c.vertex_count) or real(c, f))
+        main, shared = verify_theorems(scope, ["main", "lemma-h2"])
+        assert main.passed and shared.to_json_dict() == alone.to_json_dict()
+        assert calls == []
+        verify_theorems(VerifyScope(d_max=2, h2_d_max=3), ["main", "lemma-h2"])
+        assert calls == [15]
+
     def test_wrong_component_spec_is_a_failure(self, monkeypatch):
         import circm.theorems
 
