@@ -133,6 +133,9 @@ def cmd_sweep(args) -> int:
             n_lo = max(args.n_min if args.n_min is not None else 2 * d, 2 * d)
             for n in range(n_lo, n_hi + 1):
                 cases.append((f"d={d},n={n}", n, tuple(range(1, d + 1)), args.field, args.budget))
+        if not cases:
+            option = "--n-max" if args.n_max is not None else "--n-min"
+            raise ValueError(f"{option} leaves no case: no d in {args.d_min}..{args.d_max} has an n from max(--n-min, 2d) to --n-max (default 4d+6)")
     else:
         for two_n in range(4, args.max_2n + 1, 2):
             n = two_n // 2

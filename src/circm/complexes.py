@@ -238,6 +238,41 @@ def independence_complex(g: Graph) -> Complex:
     return Complex(ambient, frozenset(facets))
 
 
+def independence_polynomial(g: Graph) -> tuple[int, ...]:
+    """The number of independent sets of g of each size from 0 up: the
+    f-vector of Ind(g), counted without listing a face.
+
+    I(W), the polynomial of g[W], is the product of those of the connected
+    components of g[W], and I(W) = I(W - v) + t I(W - N[v]) at the lowest
+    vertex v of a connected W.  Each vertex mask is answered once, on an
+    explicit stack, so no vertex count meets the recursion limit.  A
+    polynomial is kept as its value at t = 2^(n+1): every coefficient of a
+    sum or a product taken here counts vertex sets, so it is at most 2^n,
+    and the base-2^(n+1) digits of the value are the coefficients.
+    """
+    n = g.vertex_count
+    shift = n + 1
+    memo = {0: 1}
+    stack = [(1 << n) - 1]
+    while stack:
+        w = stack.pop()
+        if w in memo:
+            continue
+        comps = _component_masks(g, w)
+        v = w & -w
+        parts = comps if len(comps) > 1 else [w ^ v, w & ~v & ~g.adj[v.bit_length() - 1]]
+        todo = [p for p in parts if p not in memo]
+        if todo:
+            stack += [w, *todo]
+            continue
+        memo[w] = math.prod(memo[p] for p in parts) if len(comps) > 1 else memo[parts[0]] + (memo[parts[1]] << shift)
+    value, out = memo[(1 << n) - 1], []
+    while value:
+        out.append(value & ((1 << shift) - 1))
+        value >>= shift
+    return tuple(out)
+
+
 def _component_set_sizes(g: Graph) -> Iterator[set[int]]:
     """For each connected component of g, in turn, the sizes of its
     maximal independent sets.

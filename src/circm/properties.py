@@ -17,22 +17,20 @@ from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _face_tuple, h_from_f, link, restrict
+from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _maximal_independent_sets, h_from_f, independence_polynomial, link, restrict
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
-from .graphs import Graph, induced_subgraph
-from .homology import InducedHomology, _betti_by_ranks, _flag_oracle
+from .graphs import Graph, _component_masks, induced_subgraph
+from .homology import InducedHomology, _betti_by_ranks, _flag_oracle, _join
 
 DEFAULT_SHELL_BUDGET = 10_000_000
 PDIM_VERTEX_GUARD = 16
 
 Witness = tuple[tuple[int, ...], int]
 
-# The oracle of the complex full_report is deciding, shared by every
-# decider the report calls on that complex (its ``whole``), and the face
-# levels its f-vector was counted from while the report's link scans run,
-# None after them; unset outside a report.
-_REPORT: ContextVar[Optional[tuple[InducedHomology, Optional[list[set[int]]]]]] = ContextVar("_REPORT", default=None)
+# The oracles full_report decides with, shared by every decider the report
+# calls on the Ind(G) of one of them; empty outside a report.
+_REPORT: ContextVar[tuple[InducedHomology, ...]] = ContextVar("_REPORT", default=())
 
 
 def _mask(face: Iterable[int]) -> int:
@@ -40,25 +38,22 @@ def _mask(face: Iterable[int]) -> int:
 
 
 def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
-    """The report's oracle while ``full_report`` decides c, else the one
-    ``homology._flag_oracle`` finds: None when c is not flag."""
-    shared = _REPORT.get()
-    if shared is not None and shared[0].whole is c and shared[0].field == field:
-        return shared[0]
+    """The report's oracle of c while ``full_report`` decides c, else the
+    one ``homology._flag_oracle`` finds: None when c is not flag.  Only an
+    oracle whose Ind(G) is built, in its ``__dict__``, can be c's."""
+    for o in _REPORT.get():
+        if vars(o).get("whole") is c and o.field == field:
+            return o
     return _flag_oracle(c, field)
 
 
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
     """Every face of c as a sorted vertex tuple, by size, then
     lexicographically: the empty face first, before any face is
-    enumerated, then each size's faces in descending mask order.  In a
-    report the faces are those its f-vector counted."""
+    enumerated, then each size's faces in descending mask order."""
     yield ()
-    oracle, levels = _REPORT.get() or (None, None)
-    if levels is None or oracle.whole is not c:
-        levels = _face_levels(c)
     n = c.vertex_count
-    for level in levels[1:]:
+    for level in _face_levels(c)[1:]:
         for m in sorted(level, reverse=True):
             yield _face_tuple(m, n)
 
@@ -194,28 +189,41 @@ def is_vertex_decomposable(c: Complex) -> bool:
 
 
 def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
-    """The shelling order a vertex decomposition of c implies, or None.
-
-    For a shedding vertex x: the order of del_x, then x joined to the
-    order of lk_x (Provan-Billera); only the latter when x lies in every
-    facet, where del_x is lk_x.  Every branch taken is in the memo.
-    """
+    """The shelling order a vertex decomposition of c implies, or None."""
     memo: dict[frozenset[int], bool] = {}
     facets = frozenset(map(_mask, c.facets))
     if not c.is_pure() or not _vd_recursive(facets, memo):
         return None
-    return [frozenset(v + 1 for v in range(m.bit_length()) if m >> v & 1) for m in _order_by_shedding(facets, memo)]
+    return _order_by_shedding((facets,), memo)
 
 
-def _order_by_shedding(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> list[int]:
-    # Not a closure: one that calls itself is a reference cycle, which
-    # would hold the memo until the next full garbage collection.
-    found = _shedding_vertex(facets, memo) if len(facets) > 1 else None
-    if found is None:
-        return list(facets)
-    x, link_f, del_f = found
-    cone = [f | x for f in _order_by_shedding(link_f, memo)]
-    return cone if del_f is link_f else _order_by_shedding(del_f, memo) + cone
+def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], bool]) -> list[frozenset[int]]:
+    """The shelling order, as vertex sets, of the join of the vertex
+    decomposable facet families ``factors`` on disjoint vertices (one
+    family for a single complex) that its first shedding vertices imply:
+    for a shedding vertex x, the order of del_x, then x joined to the
+    order of lk_x (Provan-Billera); only the latter when x lies in every
+    facet, where del_x is lk_x.  A join is vertex decomposable iff its
+    factors are, so x sheds the join iff it sheds its own factor, and the
+    join's first shedding vertex is the least of its factors' first ones:
+    the order is the one the join's own facets give.  Every branch taken
+    is in the memo."""
+    first: dict[frozenset[int], tuple] = {}  # each factor's first shedding vertex, link and deletion
+    order, stack = [], [(factors, 0)]  # (factors, the vertices joined to each of their facets)
+    while stack:
+        factors, cone = stack.pop()
+        if all(len(f) == 1 for f in factors):
+            order.append(reduce(or_, (f for (f,) in factors), cone))
+            continue
+        for f in factors:
+            if f not in first:
+                first[f] = _shedding_vertex(f, memo)
+        x, i = min((first[f][0], i) for i, f in enumerate(factors) if first[f] is not None)
+        _, link_f, del_f = first[factors[i]]
+        stack.append((factors[:i] + (link_f,) + factors[i + 1 :], cone | x))
+        if del_f is not link_f:
+            stack.append((factors[:i] + (del_f,) + factors[i + 1 :], cone))
+    return [frozenset(v + 1 for v in range(m.bit_length()) if m >> v & 1) for m in order]
 
 
 # --- shellability ------------------------------------------------------------
@@ -453,6 +461,21 @@ def _assert_report_invariants(r: PropertyReport) -> None:
             raise InconsistencyError(f"{r.graph_label}: {msg}")
 
 
+def _copies(flag: Graph, whole: InducedHomology) -> list[tuple[int, InducedHomology]]:
+    """(mask, oracle) of each connected component of flag, in order: whole
+    alone when flag is connected, else one oracle of the component's graph
+    relabelled 1..k per distinct relabelled adjacency."""
+    comps = _component_masks(flag, whole.full)
+    if len(comps) < 2:
+        return [(whole.full, whole)]
+    adjs = [induced_subgraph(flag, [v + 1 for v in range(comp.bit_length()) if comp >> v & 1]).adj for comp in comps]
+    oracles: dict[tuple[int, ...], InducedHomology] = {}
+    for adj in adjs:
+        if adj not in oracles:
+            oracles[adj] = InducedHomology(Graph(adj=adj, labels=tuple(range(1, len(adj) + 1))), whole.field)
+    return [(comp, oracles[adj]) for comp, adj in zip(comps, adjs)]
+
+
 def full_report(
     g: Graph,
     field: Optional[FieldChoice] = None,
@@ -462,14 +485,20 @@ def full_report(
 ) -> PropertyReport:
     """Run every checker on Ind(g) and cross-validate the results.
 
-    Reisner, Buchsbaum, the shelling pre-check, Hochster's pdim and the
-    Betti numbers share one homology oracle of Ind(g), which computes the
-    homology of each induced subgraph once for all of them.  Checks run
-    in implication order: vertex decomposable implies shellable implies
-    Cohen-Macaulay over every field, so once Reisner's criterion rejects
-    the complex, it is neither and no search runs.  Otherwise a vertex
-    decomposition gives the shelling order; only a complex that is not
-    vertex decomposable runs the budgeted shelling search.  pdim and
+    The f- and h-vectors come from the independence polynomial of g, so
+    no face is listed to count it.  Ind(g) is the join of the complexes of
+    the connected components of g, and each distinct component (by its
+    relabelled adjacency) is decided once: the join is Cohen-Macaulay,
+    hence Buchsbaum, iff every component is, vertex decomposable iff
+    every component is, and its pdim and Betti numbers are the
+    components' added and joined.  The join itself is scanned for
+    Reisner and Buchsbaum witnesses only when it is not Cohen-Macaulay.
+    Checks run in implication order: vertex decomposable implies
+    shellable implies Cohen-Macaulay over every field, so once Reisner's
+    criterion rejects the complex no search runs; a vertex decomposition
+    gives the shelling order, and only a Cohen-Macaulay complex that is
+    not vertex decomposable runs the budgeted shelling search.  All
+    questions about one complex share one homology oracle.  pdim and
     depth count one variable per vertex of g, whatever its labels; they
     are None when g has more than ``pdim_guard`` vertices (0 skips them,
     None lifts the guard).
@@ -479,37 +508,39 @@ def full_report(
     # Numbering the labels 1..n in increasing order keeps every scan order.
     names = sorted(g.labels)
     flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
-    oracle = InducedHomology(flag, fld)
-    ind = oracle.whole
-    # one face enumeration serves the f-vector and the link scans
-    levels = _face_levels(ind)
-    f = tuple(map(len, levels))
-    token = _REPORT.set((oracle, levels))
-    del levels
+    f = independence_polynomial(flag)
+    fh = FHVectors(dim=len(f) - 2, f=f, h=h_from_f(f))
+    whole = InducedHomology(flag, fld)
+    copies = _copies(flag, whole)
+    distinct = list(dict.fromkeys(o for _, o in copies))
+    token = _REPORT.set((whole, *distinct))
     try:
-        fh = FHVectors(dim=ind.dim(), f=f, h=h_from_f(f))
-        pure = ind.is_pure()
-        cm_wit = reisner_violation(ind, fld)
+        wits = {o: reisner_violation(o.whole, fld) for o in distinct}
+        pure = all(o.whole.is_pure() for o in distinct)
+        cm = all(wit is None for wit in wits.values())
+        orders = [_shedding_order(o.whole) for o in distinct] if cm else [None]
+        cm_wit = None
+        if not cm:  # a component's witness is the join's only when it is the join
+            cm_wit = wits[whole] if whole in wits else reisner_violation(whole.whole, fld)
         bb_wit: Optional[Witness] = None
-        if pure:
+        if pure and cm_wit is not None:
             # Buchsbaum skips only the empty face, so Reisner's witness is
             # Buchsbaum's unless it is the empty face; then Buchsbaum's
             # scan starts where Reisner's stopped.
-            bb_wit = buchsbaum_violation(ind, fld) if cm_wit is not None and not cm_wit[0] else cm_wit
-        _REPORT.set((oracle, None))  # the scans are done: release the faces
-        bb = pure and bb_wit is None
-        shedding = _shedding_order(ind) if cm_wit is None else None
-        if shedding is not None:
-            shell = _verified(shedding)
+            bb_wit = buchsbaum_violation(whole.whole, fld) if not cm_wit[0] else cm_wit
+        vd = None not in orders
+        if vd:
+            if len(copies) > 1:  # the join's order sheds the facets of all its copies as one
+                orders = [_order_by_shedding(tuple(frozenset(_maximal_independent_sets(flag, comp)) for comp, _ in copies), {})]
+            shell = _verified(orders[0])
         else:
-            shell = is_shellable(ind, shell_budget, fld) if cm_wit is None else ShellabilityResult(False)
-        pdim: Optional[int]
-        try:
-            pdim = projective_dimension(ind, fld, max_vertices=pdim_guard)
-        except GuardError:
-            pdim = None
+            shell = is_shellable(whole.whole, shell_budget, fld) if cm else ShellabilityResult(False)
+        pdim: Optional[int] = None
+        if pdim_guard is None or n <= pdim_guard:
+            pdims = {o: projective_dimension(o.whole, fld, max_vertices=None) for o in distinct}
+            pdim = sum(pdims[o] for _, o in copies)
         if include_betti:
-            nonzero = oracle.betti(oracle.full)
+            nonzero = reduce(_join, (o.betti(o.full) for _, o in copies), {-1: 1})
             betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}
         else:
             betti = None
@@ -524,7 +555,7 @@ def full_report(
         graph_label=label,
         vertex_count=n,
         field=fld,
-        alpha=ind.dim() + 1,
+        alpha=fh.dim + 1,
         krull_dim=max(k for k, count in enumerate(fh.f) if count),
         dim=fh.dim,
         fh=fh,
@@ -533,9 +564,9 @@ def full_report(
         pure=pure,
         cm=cm_wit is None,
         cm_witness=None if cm_wit is None else (named(cm_wit[0]), cm_wit[1]),
-        buchsbaum=bb,
+        buchsbaum=pure and bb_wit is None,
         buchsbaum_witness=None if bb_wit is None else (named(bb_wit[0]), bb_wit[1]),
-        vertex_decomposable=shedding is not None,
+        vertex_decomposable=vd,
         shellable=shell.status,
         shelling_order=None if shell.order is None else tuple(named(f) for f in shell.order),
         pdim=pdim,

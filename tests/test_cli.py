@@ -194,6 +194,35 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "--d-max" in err
 
+    @pytest.mark.parametrize(
+        "bounds, option",
+        [
+            (["--d-max", "2", "--n-max", "1"], "--n-max"),
+            (["--d-max", "1", "--n-min", "9", "--n-max", "8"], "--n-max"),
+            (["--d-max", "1", "--n-min", "11"], "--n-min"),
+        ],
+        ids=["n-max-below-2d", "n-max-below-n-min", "n-min-above-4d+6"],
+    )
+    def test_an_n_range_that_holds_no_case_exits_2_before_any_case(self, capsys, monkeypatch, bounds, option):
+        monkeypatch.setattr(circm.cli, "full_report", failing_report)
+        code, out, err = run(capsys, "sweep", "--family", "interval", *bounds)
+        assert (code, out) == (2, "")
+        assert option in err
+
+    def test_an_n_range_that_holds_a_case_for_one_d_runs_it(self, capsys):
+        # n = 5 lies in 2d..4d+6 only for d = 1 and 2
+        code, out, _ = run(capsys, "sweep", "--family", "interval", "--d-max", "3", "--n-min", "5", "--n-max", "5")
+        assert code == 0
+        assert [json.loads(line)["key"] for line in out.splitlines()] == ["d=1,n=5", "d=2,n=5"]
+
+    def test_cubic_output_is_pinned(self, capsys):
+        # sha256 of the 45 reports of C_2n(a, n), 2n <= 20, every shelling
+        # order included, pinned before reports decided a disconnected graph
+        # from its components and counted faces from the graph
+        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "20", "--jobs", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "1f4c4fc81dc9265c809c3c8723297bf20d733caaf1cde775fb0210e63ce800ab"
+
     def test_bad_jobs_variable_fails_only_sweep(self, capsys, monkeypatch):
         monkeypatch.setenv("CIRCM_JOBS", "x")
         assert main(["analyze", "--n", "5", "--set", "1"]) == 0

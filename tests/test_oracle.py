@@ -31,7 +31,7 @@ from circm import (
     reisner_violation,
 )
 from circm.complexes import faces
-from circm.graphs import induced_subgraph
+from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
 from circm.properties import _oracle, _shedding_order, _sorted_faces, _violations, buchsbaum_violation, check_shelling_order
 
@@ -713,15 +713,28 @@ def count_betti_calls(monkeypatch) -> list:
     return calls
 
 
+def assert_whole_graph_enumerations(g):
+    """Report on g and check that the maximal independent sets of g as a
+    whole are enumerated once, or never for a disconnected g whose report
+    is Cohen-Macaulay and vertex decomposable; return the report."""
+    reports = []
+    sizes = enumerated_graph_sizes(lambda: reports.append(full_report(g)))
+    (r,) = reports
+    decided_by_components = len(connected_components(g)) > 1 and r.cm and r.vertex_decomposable
+    assert sizes.count(g.vertex_count) == (0 if decided_by_components else 1)
+    return r
+
+
 def enumerated_graph_sizes(run) -> list[int]:
-    """Vertex counts of the graphs whose maximal independent sets
+    """Vertex counts of the graphs g[mask] whose maximal independent sets
     ``run()`` enumerates, under whatever name the enumerator is imported."""
     code = circm.complexes._maximal_independent_sets.__code__
     sizes = []
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            sizes.append(frame.f_locals["g"].vertex_count)
+            mask = frame.f_locals["mask"]
+            sizes.append(frame.f_locals["g"].vertex_count if mask is None else mask.bit_count())
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -770,21 +783,23 @@ class TestSharedWork:
         assert r.cm_witness == ((), 0)
         assert (r.vertex_decomposable, r.shellable, r.pdim) == (False, False, 15)
 
-    @pytest.mark.parametrize("n,s", [(12, (1, 3, 6)), (14, (1,)), (16, (1, 2)), (16, (8,))])
-    def test_maximal_independent_sets_of_the_whole_graph_per_report(self, monkeypatch, n, s):
-        # Ind(g) is built once: it gives alpha and the Krull dimension, and
-        # it is the oracle's entry for the whole of a connected g
-        sizes = []
-        real = circm.complexes._maximal_independent_sets
+    @pytest.mark.parametrize("n,s", [(12, (1, 3, 6)), (14, (1,)), (16, (1, 2)), (16, (8,)), (12, (4, 6)), (12, (2,))])
+    def test_maximal_independent_sets_of_the_whole_graph_per_report(self, n, s):
+        # A connected g has Ind(g) built once: it gives the facets the scans
+        # and searches read, and it is the oracle's entry for the whole of
+        # g.  A disconnected g is decided on its components, and Ind(g) is
+        # built once only when the join is scanned or searched whole:
+        # C12(2), two hexagons, is not Cohen-Macaulay, while C16(8) and
+        # C12(4,6) are Cohen-Macaulay and vertex decomposable.
+        assert_whole_graph_enumerations(circulant(n, s))
 
-        def counting(g):
-            sizes.append(g.vertex_count)
-            return real(g)
-
-        monkeypatch.setattr(circm.complexes, "_maximal_independent_sets", counting)
-        r = full_report(circulant(n, s))
-        assert r.alpha == r.krull_dim == r.dim + 1
-        assert sizes.count(n) == 1
+    def test_maximal_independent_sets_of_a_join_searched_whole(self):
+        # C16(1,4,8) beside an isolated vertex is Cohen-Macaulay but not
+        # vertex decomposable, so the shelling search runs on the join;
+        # C4(2)[C3(1)], two disjoint K2[C3(1)], needs no search
+        edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if circulant(16, [1, 4, 8]).adj[i] >> j & 1]
+        assert not assert_whole_graph_enumerations(graph_from_edges(17, edges)).vertex_decomposable
+        assert assert_whole_graph_enumerations(lex_product(circulant(4, [2]), circulant(3, [1]))).vertex_decomposable
 
     @pytest.mark.parametrize(
         "decider",

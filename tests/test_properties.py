@@ -325,18 +325,25 @@ class TestFullReport:
         assert calls == []
 
 
-    @pytest.mark.parametrize("n, s", [(5, [1]), (12, [6]), (7, [1]), (11, [1, 2])])
-    def test_f_vector_and_link_scans_share_one_face_enumeration(self, monkeypatch, n, s):
-        # C5(1) and C12(6) are Cohen-Macaulay, so Reisner's scan reads every
-        # face; C7(1) and C11(1,2) fail at the empty face, so Buchsbaum's does
+    @pytest.mark.parametrize(
+        "n, s, whole",
+        [(5, [1], 1), (12, [6], 0), (7, [1], 1), (11, [1, 2], 1), (8, [1], 0), (12, [2], 0), (12, [4, 6], 0), (18, [6, 9], 0)],
+    )
+    def test_a_report_enumerates_faces_at_most_once(self, monkeypatch, n, s, whole):
+        # The f-vector comes from the graph.  C5(1) is Cohen-Macaulay, so
+        # Reisner's scan reads every face; C7(1) and C11(1,2) fail at the
+        # empty face and are pure, so Buchsbaum's does; C8(1) and C12(2), two
+        # hexagons, fail at the empty face and are impure, so no scan gets
+        # past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay joins:
+        # one component is scanned, never the whole complex.
         calls = []
         real = circm.complexes._face_levels
         for module in (circm.complexes, circm.properties):
-            monkeypatch.setattr(module, "_face_levels", lambda c: calls.append(c) or real(c))
+            monkeypatch.setattr(module, "_face_levels", lambda c: calls.append(c.vertex_count) or real(c))
         r = full_report(circulant(n, s), pdim_guard=0)
-        assert r.buchsbaum and r.fh.f == tuple(map(len, real(independence_complex(circulant(n, s)))))
-        assert len(calls) == 1
-        assert circm.properties._REPORT.get() is None
+        assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, real(independence_complex(circulant(n, s)))))
+        assert len(calls) <= 1 and calls.count(n) == whole
+        assert circm.properties._REPORT.get() == ()
 
 
 class TestHochsterReisnerCrossValidation:
