@@ -79,6 +79,16 @@ class Complex(Frozen):
         return any(fs <= f for f in self.facets)
 
 
+def _mask(face: Iterable[int]) -> int:
+    """The vertex bitmask of a face: vertex v at bit v - 1."""
+    return sum(1 << (v - 1) for v in face)
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The sorted vertices of a vertex bitmask of ``_mask``."""
+    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def _face_levels(c: Complex) -> list[set[int]]:
     """The faces of c by size, from the facets down: ``levels[k]`` holds
     each face of k vertices as a bitmask with vertex v of n at bit n - v.

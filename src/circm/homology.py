@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Generator, Optional, Sequence
 
-from .complexes import Complex, _face_levels, _face_tuple, _maximal_independent_sets, f_vector, independence_complex
+from .complexes import Complex, _face_levels, _face_tuple, _mask, _maximal_independent_sets, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -268,11 +268,12 @@ class InducedHomology:
     up and W alone goes to the rank kernel.  The count restarts for the
     next component of the asked mask.
 
-    Each component's Betti numbers are kept under its least image by the
-    rotations and reflections of the internal indices 0..n-1 that are
+    Each component's Betti numbers are kept once, under its least image by
+    the rotations and reflections of the internal indices 0..n-1 that are
     automorphisms of g (all 2n of them for a circulant, possibly none but
-    the identity for other graphs).  The memo keeps at most
-    ``ORACLE_ENTRIES`` entries.  The oracle answers nothing but Betti
+    the identity for other graphs), and looked up under that key only.
+    The memo holds one entry per symmetry class of components, at most
+    ``ORACLE_ENTRIES`` classes.  The oracle answers nothing but Betti
     numbers: a caller that needs a dimension reads it from the facets of
     the complex, which it already holds.
     """
@@ -321,20 +322,6 @@ class InducedHomology:
             m = self._mirror(mask)
             key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
         return key
-
-    def _cached(self, comp: int) -> tuple[Optional[dict[int, int]], int]:
-        """The memo's Betti numbers for comp or None, and the mask they are
-        kept under: comp itself, else its symmetry key, and ones found only
-        under the key are stored under comp too, so a component seen again
-        skips the key computation."""
-        betti = self._memo.get(comp)
-        if betti is not None:
-            return betti, comp
-        k = self._key(comp)
-        betti = self._memo.get(k)
-        if betti is not None:
-            self._store(comp, betti)
-        return betti, k
 
     def _store(self, mask: int, betti: dict[int, int]) -> None:
         if len(self._memo) >= ORACLE_ENTRIES:
@@ -397,7 +384,7 @@ class InducedHomology:
 
         The stack holds ``_betti_steps(mask)`` and, above it, the ``_split``
         steps of one attempt's components, depth first.  Each answer is
-        stored under its key and its mask, then sent to the steps below.
+        stored under its key, then sent to the steps below.
         """
         stack = [(mask, mask, self._betti_steps(mask))]
         betti, opened = None, 0
@@ -410,7 +397,8 @@ class InducedHomology:
                     return betti
                 w, k, _ = stack.pop()
             else:
-                betti, k = self._cached(need)
+                k = self._key(need)
+                betti = self._memo.get(k)
                 if betti is not None:
                     continue
                 opened = 1 if len(stack) == 1 else opened + 1
@@ -426,8 +414,6 @@ class InducedHomology:
                 c = self.whole if w == self.full else independence_complex(induced_subgraph(self.graph, labels))
                 betti = {i: b for i, b in _betti_by_ranks(c, self.field).by_dim if b}
             self._store(k, betti)
-            if k != w:
-                self._store(w, betti)
 
 
 def _flag_oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
@@ -435,7 +421,7 @@ def _flag_oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
     when its facets, vertex v at bit v - 1, are the maximal independent sets
     of G, the complement of its 1-skeleton on 1..n; else None."""
     n = c.vertex_count
-    masks = {sum(1 << (v - 1) for v in f): f for f in c.facets}
+    masks = {_mask(f): f for f in c.facets}
     skeleton = [1 << i for i in range(n)]  # closed neighbourhoods: {v} is maximal in G if v is in no face
     for m, f in masks.items():
         for v in f:

@@ -17,7 +17,7 @@ from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _maximal_independent_sets, h_from_f, independence_polynomial, link, restrict
+from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, h_from_f, independence_polynomial, link, restrict
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -31,10 +31,6 @@ Witness = tuple[tuple[int, ...], int]
 # The oracles full_report decides with, shared by every decider the report
 # calls on the Ind(G) of one of them; empty outside a report.
 _REPORT: ContextVar[tuple[InducedHomology, ...]] = ContextVar("_REPORT", default=())
-
-
-def _mask(face: Iterable[int]) -> int:
-    return sum(1 << (v - 1) for v in face)
 
 
 def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
@@ -188,17 +184,8 @@ def is_vertex_decomposable(c: Complex) -> bool:
     return c.is_pure() and _vd_recursive(frozenset(map(_mask, c.facets)), {})
 
 
-def _shedding_order(c: Complex) -> Optional[list[frozenset[int]]]:
-    """The shelling order a vertex decomposition of c implies, or None."""
-    memo: dict[frozenset[int], bool] = {}
-    facets = frozenset(map(_mask, c.facets))
-    if not c.is_pure() or not _vd_recursive(facets, memo):
-        return None
-    return _order_by_shedding((facets,), memo)
-
-
-def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], bool]) -> list[frozenset[int]]:
-    """The shelling order, as vertex sets, of the join of the vertex
+def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], bool]) -> list[int]:
+    """The shelling order, as facet bitmasks, of the join of the vertex
     decomposable facet families ``factors`` on disjoint vertices (one
     family for a single complex) that its first shedding vertices imply:
     for a shedding vertex x, the order of del_x, then x joined to the
@@ -223,7 +210,7 @@ def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset
         stack.append((factors[:i] + (link_f,) + factors[i + 1 :], cone | x))
         if del_f is not link_f:
             stack.append((factors[:i] + (del_f,) + factors[i + 1 :], cone))
-    return [frozenset(v + 1 for v in range(m.bit_length()) if m >> v & 1) for m in order]
+    return order
 
 
 # --- shellability ------------------------------------------------------------
@@ -249,7 +236,7 @@ def _attaches(f: int, earlier: list[int]) -> bool:
     return all(d & singles for d in gaps)
 
 
-def check_shelling_order(order: list[frozenset[int]]) -> bool:
+def check_shelling_order(order: Iterable[frozenset[int]]) -> bool:
     """Direct test of the shelling condition on a given facet order.
 
     For all j < i there must be an x in F_i \\ F_j and a k < i with
@@ -279,11 +266,13 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     return _shelling_search(sorted(c.facets, key=sorted), node_budget)
 
 
-def _verified(order: list[frozenset[int]], nodes: int = 0) -> ShellabilityResult:
-    """A positive answer, once its order passes the raw shelling condition."""
-    if not check_shelling_order(order):
+def _verified(order: list[int], nodes: int = 0) -> ShellabilityResult:
+    """A positive answer, once its order of facet bitmasks, decoded into
+    vertex sets, passes the raw shelling condition."""
+    facets = tuple(frozenset(_vertices(m)) for m in order)
+    if not check_shelling_order(facets):
         raise InconsistencyError("a constructed facet order fails the shelling condition")
-    return ShellabilityResult(True, tuple(order), nodes)
+    return ShellabilityResult(True, facets, nodes)
 
 
 def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> ShellabilityResult:
@@ -300,7 +289,7 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
     key = 0
     while True:
         if len(placed) == t:
-            return _verified([facets[i] for i in placed], nodes)
+            return _verified([masks[i] for i in placed], nodes)
         if key in dead:
             start = placed.pop() + 1  # its parent tries the next facet
         else:
@@ -468,7 +457,7 @@ def _copies(flag: Graph, whole: InducedHomology) -> list[tuple[int, InducedHomol
     comps = _component_masks(flag, whole.full)
     if len(comps) < 2:
         return [(whole.full, whole)]
-    adjs = [induced_subgraph(flag, [v + 1 for v in range(comp.bit_length()) if comp >> v & 1]).adj for comp in comps]
+    adjs = [induced_subgraph(flag, _vertices(comp)).adj for comp in comps]
     oracles: dict[tuple[int, ...], InducedHomology] = {}
     for adj in adjs:
         if adj not in oracles:
@@ -495,9 +484,11 @@ def full_report(
     Reisner and Buchsbaum witnesses only when it is not Cohen-Macaulay.
     Checks run in implication order: vertex decomposable implies
     shellable implies Cohen-Macaulay over every field, so once Reisner's
-    criterion rejects the complex no search runs; a vertex decomposition
-    gives the shelling order, and only a Cohen-Macaulay complex that is
-    not vertex decomposable runs the budgeted shelling search.  All
+    criterion rejects the complex no search runs; one memo serves the
+    vertex decomposition search on each distinct component and then the
+    join's shelling order, which the first shedding vertices give, and
+    only a Cohen-Macaulay complex that is not vertex decomposable runs the
+    budgeted shelling search.  All
     questions about one complex share one homology oracle.  pdim and
     depth count one variable per vertex of g, whatever its labels; they
     are None when g has more than ``pdim_guard`` vertices (0 skips them,
@@ -518,7 +509,9 @@ def full_report(
         wits = {o: reisner_violation(o.whole, fld) for o in distinct}
         pure = all(o.whole.is_pure() for o in distinct)
         cm = all(wit is None for wit in wits.values())
-        orders = [_shedding_order(o.whole) for o in distinct] if cm else [None]
+        memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
+        facets = {o: frozenset(map(_mask, o.whole.facets)) for o in distinct} if cm else {}
+        vd = cm and all(_vd_recursive(facets[o], memo) for o in distinct)
         cm_wit = None
         if not cm:  # a component's witness is the join's only when it is the join
             cm_wit = wits[whole] if whole in wits else reisner_violation(whole.whole, fld)
@@ -528,11 +521,11 @@ def full_report(
             # Buchsbaum's unless it is the empty face; then Buchsbaum's
             # scan starts where Reisner's stopped.
             bb_wit = buchsbaum_violation(whole.whole, fld) if not cm_wit[0] else cm_wit
-        vd = None not in orders
         if vd:
-            if len(copies) > 1:  # the join's order sheds the facets of all its copies as one
-                orders = [_order_by_shedding(tuple(frozenset(_maximal_independent_sets(flag, comp)) for comp, _ in copies), {})]
-            shell = _verified(orders[0])
+            # the join's order sheds the facets of all its copies as one; a
+            # copy on the vertices 1..k is its own relabelled component
+            factors = tuple(facets[o] if comp == o.full else frozenset(_maximal_independent_sets(flag, comp)) for comp, o in copies)
+            shell = _verified(_order_by_shedding(factors, memo))
         else:
             shell = is_shellable(whole.whole, shell_budget, fld) if cm else ShellabilityResult(False)
         pdim: Optional[int] = None

@@ -120,7 +120,7 @@ def octahedron_witness(g: Graph, t: OctTuple, chain=None) -> OctahedronWitness:
         for row, val in boundary[col].items():
             acc[row] = acc.get(row, 0) + coeff * val
     if any(acc.values()):
-        raise AssertionError("octahedron cycle is not in the kernel of the 2-boundary")
+        raise InconsistencyError("octahedron cycle is not in the kernel of the 2-boundary")
     return OctahedronWitness(vertices=t, cycle=cycle)
 
 
@@ -155,13 +155,13 @@ def build_octahedron_list(d: int) -> list[OctTuple]:
     expected = expected_octahedron_count(d)
     by_sum = sum(k * (2 * d - k) for k in range(1, d - 1))
     if len(out) != expected or by_sum != expected:
-        raise AssertionError(f"octahedron list size mismatch: built {len(out)}, closed forms {expected} / {by_sum}")
+        raise InconsistencyError(f"octahedron list size mismatch: built {len(out)}, closed forms {expected} / {by_sum}")
     if len(set(out)) != len(out):
-        raise AssertionError("octahedron list contains duplicates")
+        raise InconsistencyError("octahedron list contains duplicates")
     for i1, i2, j1, j2, k1, k2 in sorted(out):
         # structural facts used by the distinguished-face argument
         if not (i2 == i1 + 1 and j1 == i2 + d + 1 and i2 < j2 < k1 <= n):
-            raise AssertionError(f"octahedron tuple violates the construction pattern: {(i1, i2, j1, j2, k1, k2)}")
+            raise InconsistencyError(f"octahedron tuple violates the construction pattern: {(i1, i2, j1, j2, k1, k2)}")
     return out
 
 
@@ -186,12 +186,12 @@ def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: Optio
         _, i2, _, j2, k1, _ = t
         distinguished = frozenset((i2, j2, k1))
         if distinguished in seen:
-            raise AssertionError(f"distinguished face {sorted(distinguished)} of {t} already appeared")
+            raise InconsistencyError(f"distinguished face {sorted(distinguished)} of {t} already appeared")
         seen.update(face for face, _ in _octahedron_faces(t))
 
     rank = rank_of_rows([w.cycle for w in witnesses], fld)
     if rank != len(tuples):
-        raise AssertionError(f"octahedral cycles are rank deficient: rank {rank} of {len(tuples)}")
+        raise InconsistencyError(f"octahedral cycles are rank deficient: rank {rank} of {len(tuples)}")
     return rank
 
 
@@ -228,7 +228,7 @@ def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: O
     else:
         computed = reduced_betti(independence_complex(interval_circulant(4 * d + 3, d)), fld)[2]
     if d >= 3 and computed < formula:
-        raise AssertionError(f"H~_2 lower bound violated at d={d}: computed {computed} < {formula}")
+        raise InconsistencyError(f"H~_2 lower bound violated at d={d}: computed {computed} < {formula}")
     return H2Evidence(d=d, computed=computed, formula=formula, equal=computed == formula)
 
 
@@ -427,7 +427,7 @@ def verify_h2(scope: VerifyScope) -> TheoremResult:
         res.cases_run += 1
         try:
             ev = h2_equality_experiment(d, max_d=scope.h2_d_max)
-        except AssertionError as exc:
+        except InconsistencyError as exc:
             res.failures.append({"d": d, "error": str(exc)})
             continue
         res.evidence.append({"d": d, "computed": ev.computed, "formula": ev.formula, "equal": ev.equal})

@@ -22,10 +22,10 @@ from circm import (
 )
 from circm.complexes import independence_polynomial
 from circm.graphs import connected_components
-from circm.properties import _shedding_order, buchsbaum_violation
+from circm.properties import buchsbaum_violation
 
 from conftest import brute_independent_sets, graph_from_edges
-from test_oracle import connection_sets
+from test_oracle import connection_sets, shedding_order
 
 FIELDS = [FieldChoice.rational(), FieldChoice.gf(2)]
 
@@ -72,7 +72,7 @@ def test_report_matches_the_whole_complex_deciders(g, field):
     assert r.cm_witness == reisner_violation(c, field)
     if c.is_pure():
         assert r.buchsbaum_witness == buchsbaum_violation(c, field)
-    order = _shedding_order(c) if r.cm else None
+    order = shedding_order(c) if r.cm else None
     assert r.vertex_decomposable is (order is not None)
     if order is not None:
         assert [frozenset(f) for f in r.shelling_order] == order
@@ -97,7 +97,7 @@ def test_random_disjoint_unions_with_interleaved_labels():
         g = graph_from_edges(sum(sizes), edges)
         c = independence_complex(g)
         r = full_report(g, pdim_guard=None)
-        order = _shedding_order(c)
+        order = shedding_order(c)
         vd += order is not None
         assert r.cm_witness == reisner_violation(c, FIELDS[0]), g.adj
         assert r.vertex_decomposable is (order is not None), g.adj

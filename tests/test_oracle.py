@@ -30,10 +30,10 @@ from circm import (
     reduced_betti,
     reisner_violation,
 )
-from circm.complexes import faces
+from circm.complexes import _mask, _vertices, faces
 from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
-from circm.properties import _oracle, _shedding_order, _sorted_faces, _violations, buchsbaum_violation, check_shelling_order
+from circm.properties import _oracle, _order_by_shedding, _sorted_faces, _vd_recursive, _violations, buchsbaum_violation, check_shelling_order
 
 from conftest import (
     brute_independent_sets,
@@ -98,6 +98,16 @@ def dihedral_rep(mask: int, n: int) -> int:
 def connection_sets(n: int):
     for r in range(n // 2 + 1):
         yield from combinations(range(1, n // 2 + 1), r)
+
+
+def shedding_order(c: Complex):
+    """The shelling order, as vertex sets, that the first shedding vertices
+    of c give when c is vertex decomposable, else None."""
+    memo: dict = {}
+    facets = frozenset(map(_mask, c.facets))
+    if not c.is_pure() or not _vd_recursive(facets, memo):
+        return None
+    return [frozenset(_vertices(m)) for m in _order_by_shedding((facets,), memo)]
 
 
 def brute_link_scan(faces: set[frozenset[int]]) -> dict:
@@ -412,7 +422,7 @@ class TestVertexDecomposabilityAgainstBruteForce:
     def test_labels_with_gaps(self, name):
         c, vd = GAPPED[name]
         assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets) is vd
-        order = _shedding_order(c)
+        order = shedding_order(c)
         assert (order is not None) is vd
         if vd:
             assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
@@ -431,7 +441,7 @@ class TestVertexDecomposabilityAgainstBruteForce:
             c = Complex.from_facets(n, rng.sample(pool, rng.randint(1, min(7, len(pool)))))
             vd = brute_vertex_decomposable(c.facets)
             assert is_vertex_decomposable(c) is vd, c.facets
-            order = _shedding_order(c)
+            order = shedding_order(c)
             assert (order is not None) is vd, c.facets
             if vd:
                 assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
@@ -463,7 +473,7 @@ class TestVertexDecomposabilityAgainstBruteForce:
         assert is_vertex_decomposable(RP2) is brute_vertex_decomposable(RP2.facets) is False
         empty = Complex.from_facets(0, [[]])
         assert is_vertex_decomposable(empty) is brute_vertex_decomposable(empty.facets) is True
-        assert _shedding_order(empty) == [frozenset()]
+        assert shedding_order(empty) == [frozenset()]
 
 
 class TestShellingConditionAgainstTheDefinition:
@@ -777,7 +787,7 @@ class TestSharedWork:
         def refuse(*args, **kwargs):
             raise AssertionError("search run on a complex Reisner rejected")
 
-        monkeypatch.setattr(circm.properties, "_shedding_order", refuse)
+        monkeypatch.setattr(circm.properties, "_vd_recursive", refuse)
         monkeypatch.setattr(circm.properties, "is_shellable", refuse)
         r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
         assert r.cm_witness == ((), 0)
@@ -800,6 +810,54 @@ class TestSharedWork:
         edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if circulant(16, [1, 4, 8]).adj[i] >> j & 1]
         assert not assert_whole_graph_enumerations(graph_from_edges(17, edges)).vertex_decomposable
         assert assert_whole_graph_enumerations(lex_product(circulant(4, [2]), circulant(3, [1]))).vertex_decomposable
+
+    @pytest.mark.parametrize("n,s,runs", [(24, (6, 12), 7), (18, (6, 9), 4), (10, (1, 4, 5), 1)])
+    def test_maximal_independent_sets_per_vertex_decomposable_report(self, n, s, runs):
+        # a join enumerates each distinct component once, to decide it, and
+        # each copy once, for the order: six K4 in C24(6,12), three
+        # triangular prisms in C18(6,9); a connected graph's only factor is
+        # Ind(G)'s own facets
+        reports = []
+        assert len(enumerated_graph_sizes(lambda: reports.append(full_report(circulant(n, s))))) == runs
+        assert reports[0].vertex_decomposable
+
+    @pytest.mark.parametrize("n,s,searched", [(24, (6, 12), 5), (18, (6, 9), 8), (16, (4, 8), 5), (12, (6,), 3), (10, (1, 4, 5), 13)])
+    def test_one_search_memo_decides_the_components_and_orders_the_join(self, monkeypatch, n, s, searched):
+        # the memo that decided the components is the one the order is
+        # built from, so no facet family is searched twice in a report
+        memos, orders = [], []
+        real_vd, real_order = circm.properties._vd_recursive, circm.properties._order_by_shedding
+
+        def vd(facets, memo):
+            memos.append(memo)
+            return real_vd(facets, memo)
+
+        def order(factors, memo):
+            orders.append((memo, len(memo)))
+            return real_order(factors, memo)
+
+        monkeypatch.setattr(circm.properties, "_vd_recursive", vd)
+        monkeypatch.setattr(circm.properties, "_order_by_shedding", order)
+        assert full_report(circulant(n, s), pdim_guard=0).vertex_decomposable
+        ((memo, size),) = orders
+        assert size > 0 and all(m is memo for m in memos)
+        assert len(memo) == searched
+
+    @pytest.mark.parametrize("n,s", [(14, (1,)), (16, (1, 2)), (24, (6, 12))])
+    def test_every_oracle_memo_entry_is_its_own_key(self, monkeypatch, n, s):
+        # a component is stored once, under its least image by the graph's
+        # rotations and reflections, and never under its own mask as well
+        oracles = []
+        real = InducedHomology.__init__
+
+        def init(self, g, field):
+            real(self, g, field)
+            oracles.append(self)
+
+        monkeypatch.setattr(InducedHomology, "__init__", init)
+        full_report(circulant(n, s), pdim_guard=None, include_betti=True)
+        assert any(o._memo for o in oracles)
+        assert all(o._key(k) == k for o in oracles for k in o._memo)
 
     @pytest.mark.parametrize(
         "decider",

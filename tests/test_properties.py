@@ -291,7 +291,7 @@ class TestFullReport:
         assert len(r.shelling_order) == 2 ** (n // 2)
 
     def test_search_runs_only_when_cohen_macaulay_and_not_vd(self, monkeypatch):
-        monkeypatch.setattr(circm.properties, "_shedding_order", lambda c: None)
+        monkeypatch.setattr(circm.properties, "_vd_recursive", lambda facets, memo: False)
         r = full_report(circulant(12, [6]), shell_budget=10, pdim_guard=0)
         assert r.cm and not r.vertex_decomposable and r.shellable is None
         r = full_report(circulant(12, [6]), pdim_guard=0)

@@ -1,9 +1,11 @@
 import pytest
 
+import circm.theorems
 from circm import (
     CirculantSpec,
     CubicDecomposition,
     FieldChoice,
+    InconsistencyError,
     VerifyScope,
     build_octahedron_list,
     circulant,
@@ -85,6 +87,20 @@ class TestOctahedronList:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             build_octahedron_list(2)
+
+    def test_a_perturbed_closed_form_is_an_inconsistency(self, monkeypatch):
+        # one octahedron too many in the closed form |L| = (4d+3)/3 C(d-1, 2)
+        real = circm.theorems.expected_octahedron_count
+        monkeypatch.setattr(circm.theorems, "expected_octahedron_count", lambda d: real(d) + 1)
+        with pytest.raises(InconsistencyError, match="list size mismatch"):
+            build_octahedron_list(3)
+
+    def test_a_perturbed_octahedron_cycle_is_an_inconsistency(self, monkeypatch):
+        # one face of the 8-term cycle with its sign flipped leaves the kernel
+        real = circm.theorems._octahedron_faces
+        monkeypatch.setattr(circm.theorems, "_octahedron_faces", lambda t: [(f, -s if k == 0 else s) for k, (f, s) in enumerate(real(t))])
+        with pytest.raises(InconsistencyError, match="not in the kernel"):
+            octahedron_witness(interval_circulant(15, 3), build_octahedron_list(3)[0])
 
 
 class TestKernelRank:
