@@ -72,7 +72,7 @@ def _print_human(rep: dict, checks) -> None:
             val = rep.get(key)
             if key == "shellable" and val is None:
                 val = "unknown (budget exhausted)"
-            print(f"{key + ':':<14}{val}")
+            print(f"{key + ':':<13} {val}")
 
 
 def _report_command(args, g: Graph, **overrides) -> int:

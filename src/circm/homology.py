@@ -273,9 +273,10 @@ class InducedHomology:
     automorphisms of g (all 2n of them for a circulant, possibly none but
     the identity for other graphs), and looked up under that key only.
     The memo holds one entry per symmetry class of components, at most
-    ``ORACLE_ENTRIES`` classes.  The oracle answers nothing but Betti
-    numbers: a caller that needs a dimension reads it from the facets of
-    the complex, which it already holds.
+    ``ORACLE_ENTRIES`` classes; ``full_report`` builds one oracle on its
+    graph and decides one connected component per class, as a mask.  The
+    oracle answers nothing but Betti numbers: a caller that needs a
+    dimension reads it from the facets of the complex it holds.
     """
 
     def __init__(self, g: Graph, field: FieldChoice) -> None:

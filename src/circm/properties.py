@@ -12,7 +12,7 @@ the rank kernel on ``link(c, F)`` or ``restrict(c, W)``.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -21,26 +21,30 @@ from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _ma
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
-from .homology import InducedHomology, _betti_by_ranks, _flag_oracle, _join
+from .homology import InducedHomology, _betti_by_ranks, _flag_oracle
 
 DEFAULT_SHELL_BUDGET = 10_000_000
 PDIM_VERTEX_GUARD = 16
 
 Witness = tuple[tuple[int, ...], int]
 
-# The oracles full_report decides with, shared by every decider the report
-# calls on the Ind(G) of one of them; empty outside a report.
-_REPORT: ContextVar[tuple[InducedHomology, ...]] = ContextVar("_REPORT", default=())
+# full_report's one oracle, on its graph G, with the complex Ind(G[mask])
+# and the mask of each component it decides; unset outside a report.
+_REPORT: ContextVar[Optional[tuple[InducedHomology, tuple[tuple[Complex, int], ...]]]] = ContextVar("_REPORT", default=None)
 
 
-def _oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
-    """The report's oracle of c while ``full_report`` decides c, else the
-    one ``homology._flag_oracle`` finds: None when c is not flag.  Only an
-    oracle whose Ind(G) is built, in its ``__dict__``, can be c's."""
-    for o in _REPORT.get():
-        if vars(o).get("whole") is c and o.field == field:
-            return o
-    return _flag_oracle(c, field)
+def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], int]:
+    """(oracle, mask) with c = Ind(G[mask]), G the oracle's graph: the
+    report's while ``full_report`` decides c or its Ind(G), once built in
+    its ``__dict__``; else ``homology._flag_oracle``'s, None when c is not
+    flag, with every vertex."""
+    report = _REPORT.get()
+    if report is not None and report[0].field == field:
+        oracle, decided = report
+        for d, mask in (*decided, (vars(oracle).get("whole"), oracle.full)):
+            if d is c:
+                return oracle, mask
+    return _flag_oracle(c, field), (1 << c.vertex_count) - 1
 
 
 def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
@@ -63,14 +67,14 @@ def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldC
     Otherwise the facets of the link are f - F for the facets f of c
     through F, so its dimension is that of the largest such f, less |F|.
     """
-    oracle = _oracle(c, field)
+    oracle, mask = _oracle(c, field)
     pure_dim = c.dim() if c.is_pure() else None
     for face in candidates:
         if oracle is not None:
             closed = _mask(face)
             for v in face:
                 closed |= oracle.graph.adj[v - 1]
-            nonzero = oracle.betti(oracle.full & ~closed)  # lk_F Ind(G) = Ind(G - N[F])
+            nonzero = oracle.betti(mask & ~closed)  # lk_F Ind(G[W]) = Ind(G[W - N[F]])
         else:
             nonzero = [i for i, b in _betti_by_ranks(link(c, face), field).by_dim if b]
         low = min(nonzero, default=None)
@@ -328,19 +332,20 @@ def projective_dimension(
     largest-first so that subsets too small to beat the current maximum
     are skipped.  On a flag complex Ind(G) the restriction to W is
     Ind(G[W]), answered by the homology oracle; otherwise it is
-    ``restrict(c, W)`` and its homology is computed, cones included.
+    ``restrict(c, W)`` and its homology is computed, cones included.  W
+    ranges over the vertices 1..n, or a report's component mask alone.
     More than ``max_vertices`` vertices raise ``GuardError``; None means
     no limit.
     """
     n = c.vertex_count
     if max_vertices is not None and n > max_vertices:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
-    oracle = _oracle(c, field)
+    oracle, mask = _oracle(c, field)
     best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
-    for size in range(n, 0, -1):
+    for size in range(mask.bit_count(), 0, -1):
         if size - 1 <= best:
             break
-        for w in combinations(range(1, n + 1), size):
+        for w in combinations(_vertices(mask), size):
             if oracle is not None:
                 nonzero = oracle.betti(_mask(w))
             else:
@@ -450,21 +455,6 @@ def _assert_report_invariants(r: PropertyReport) -> None:
             raise InconsistencyError(f"{r.graph_label}: {msg}")
 
 
-def _copies(flag: Graph, whole: InducedHomology) -> list[tuple[int, InducedHomology]]:
-    """(mask, oracle) of each connected component of flag, in order: whole
-    alone when flag is connected, else one oracle of the component's graph
-    relabelled 1..k per distinct relabelled adjacency."""
-    comps = _component_masks(flag, whole.full)
-    if len(comps) < 2:
-        return [(whole.full, whole)]
-    adjs = [induced_subgraph(flag, _vertices(comp)).adj for comp in comps]
-    oracles: dict[tuple[int, ...], InducedHomology] = {}
-    for adj in adjs:
-        if adj not in oracles:
-            oracles[adj] = InducedHomology(Graph(adj=adj, labels=tuple(range(1, len(adj) + 1))), whole.field)
-    return [(comp, oracles[adj]) for comp, adj in zip(comps, adjs)]
-
-
 def full_report(
     g: Graph,
     field: Optional[FieldChoice] = None,
@@ -475,21 +465,20 @@ def full_report(
     """Run every checker on Ind(g) and cross-validate the results.
 
     The f- and h-vectors come from the independence polynomial of g, so
-    no face is listed to count it.  Ind(g) is the join of the complexes of
-    the connected components of g, and each distinct component (by its
-    relabelled adjacency) is decided once: the join is Cohen-Macaulay,
-    hence Buchsbaum, iff every component is, vertex decomposable iff
-    every component is, and its pdim and Betti numbers are the
-    components' added and joined.  The join itself is scanned for
-    Reisner and Buchsbaum witnesses only when it is not Cohen-Macaulay.
-    Checks run in implication order: vertex decomposable implies
-    shellable implies Cohen-Macaulay over every field, so once Reisner's
-    criterion rejects the complex no search runs; one memo serves the
-    vertex decomposition search on each distinct component and then the
-    join's shelling order, which the first shedding vertices give, and
-    only a Cohen-Macaulay complex that is not vertex decomposable runs the
-    budgeted shelling search.  All
-    questions about one complex share one homology oracle.  pdim and
+    no face is listed to count it.  One oracle on g answers every
+    homology question.  Ind(g) is the join of the complexes of the
+    connected components of g, and one component per class of the
+    oracle's key is decided (for a connected g, on the oracle's Ind(g)):
+    the join is Cohen-Macaulay, hence Buchsbaum, iff every component is,
+    vertex decomposable iff every component is, and its pdim is the
+    components' added.  The join itself is scanned for Reisner and
+    Buchsbaum witnesses only when it is not Cohen-Macaulay.  Checks run
+    in implication order: vertex decomposable implies shellable implies
+    Cohen-Macaulay over every field, so once Reisner's criterion rejects
+    the complex no search runs; one memo serves the vertex decomposition
+    search on each decided component and then the join's shelling order,
+    from the same facets, and only a Cohen-Macaulay complex that is not
+    vertex decomposable runs the budgeted shelling search.  pdim and
     depth count one variable per vertex of g, whatever its labels; they
     are None when g has more than ``pdim_guard`` vertices (0 skips them,
     None lifts the guard).
@@ -501,39 +490,44 @@ def full_report(
     flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
     f = independence_polynomial(flag)
     fh = FHVectors(dim=len(f) - 2, f=f, h=h_from_f(f))
-    whole = InducedHomology(flag, fld)
-    copies = _copies(flag, whole)
-    distinct = list(dict.fromkeys(o for _, o in copies))
-    token = _REPORT.set((whole, *distinct))
+    oracle = InducedHomology(flag, fld)
+    comps = _component_masks(flag, oracle.full)
+    keys = [oracle._key(comp) for comp in comps]
+
+    @cache  # each component's maximal independent sets are listed once
+    def facets_of(comp: int) -> frozenset[int]:
+        return frozenset(map(_mask, oracle.whole.facets)) if comp == oracle.full else frozenset(_maximal_independent_sets(flag, comp))
+
+    decided: dict[int, tuple[Complex, int]] = {}  # key -> (complex, mask) of its first component
+    for k, comp in zip(keys, comps):
+        if k not in decided:
+            decided[k] = (oracle.whole if comp == oracle.full else Complex(n, frozenset(map(frozenset, map(_vertices, facets_of(comp))))), comp)
+    token = _REPORT.set((oracle, tuple(decided.values())))
     try:
-        wits = {o: reisner_violation(o.whole, fld) for o in distinct}
-        pure = all(o.whole.is_pure() for o in distinct)
-        cm = all(wit is None for wit in wits.values())
+        wits = [reisner_violation(cx, fld) for cx, _ in decided.values()]
+        pure = all(cx.is_pure() for cx, _ in decided.values())
+        cm = all(wit is None for wit in wits)
         memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
-        facets = {o: frozenset(map(_mask, o.whole.facets)) for o in distinct} if cm else {}
-        vd = cm and all(_vd_recursive(facets[o], memo) for o in distinct)
+        vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
         cm_wit = None
         if not cm:  # a component's witness is the join's only when it is the join
-            cm_wit = wits[whole] if whole in wits else reisner_violation(whole.whole, fld)
+            cm_wit = wits[0] if len(comps) == 1 else reisner_violation(oracle.whole, fld)
         bb_wit: Optional[Witness] = None
         if pure and cm_wit is not None:
             # Buchsbaum skips only the empty face, so Reisner's witness is
             # Buchsbaum's unless it is the empty face; then Buchsbaum's
             # scan starts where Reisner's stopped.
-            bb_wit = buchsbaum_violation(whole.whole, fld) if not cm_wit[0] else cm_wit
-        if vd:
-            # the join's order sheds the facets of all its copies as one; a
-            # copy on the vertices 1..k is its own relabelled component
-            factors = tuple(facets[o] if comp == o.full else frozenset(_maximal_independent_sets(flag, comp)) for comp, o in copies)
-            shell = _verified(_order_by_shedding(factors, memo))
+            bb_wit = buchsbaum_violation(oracle.whole, fld) if not cm_wit[0] else cm_wit
+        if vd:  # the join's order sheds the facets of all its copies as one
+            shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo))
         else:
-            shell = is_shellable(whole.whole, shell_budget, fld) if cm else ShellabilityResult(False)
+            shell = is_shellable(oracle.whole, shell_budget, fld) if cm else ShellabilityResult(False)
         pdim: Optional[int] = None
         if pdim_guard is None or n <= pdim_guard:
-            pdims = {o: projective_dimension(o.whole, fld, max_vertices=None) for o in distinct}
-            pdim = sum(pdims[o] for _, o in copies)
+            pdims = {k: projective_dimension(cx, fld, max_vertices=None) for k, (cx, _) in decided.items()}
+            pdim = sum(pdims[k] for k in keys)
         if include_betti:
-            nonzero = reduce(_join, (o.betti(o.full) for _, o in copies), {-1: 1})
+            nonzero = oracle.betti(oracle.full)  # the components' joined
             betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}
         else:
             betti = None

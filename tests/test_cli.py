@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,8 @@ class TestAnalyze:
         assert code == 0
         assert "f-vector:     (1, 5, 5)" in out
         assert "cm:           True" in out
+        # the one label longer than the column still has a space before its value
+        assert "vertex_decomposable: True" in out.splitlines()
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "--n", "7", "--set", "1", "--json")
@@ -125,6 +128,22 @@ class TestLexprod:
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "lexprod", "--g", "5;1", "--h", "2:1")
         assert code == 2
+
+    def test_small_products_are_pinned(self, capsys):
+        # sha256 of the 81 reports G[H] over the circulants on at most 4
+        # vertices, every check and shelling order included: edgeless left
+        # factors give disjoint copies of H, and disconnected right factors
+        # give components that are joins themselves; pinned before a report
+        # grouped its components by the symmetry classes of its oracle
+        specs = [f"{n}:{','.join(map(str, s))}" for n in range(1, 5) for k in range(n // 2 + 1) for s in combinations(range(1, n // 2 + 1), k)]
+        outs = []
+        for g in specs:
+            for h in specs:
+                code, out, _ = run(capsys, "lexprod", "--g", g, "--h", h, "--checks", "wc,cm,bb,vd,sh,pdim,betti", "--json")
+                assert code == 0, (g, h)
+                outs.append(out)
+        assert len(outs) == 81
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == "92bb687a2a05a21cafb72c6c57e937c36c24bc587f06a622bd4e3be881ac0061"
 
 
 class TestSweep:

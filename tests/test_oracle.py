@@ -317,7 +317,7 @@ class TestNonFlagFallback:
     @pytest.mark.parametrize("name", NON_FLAG)
     def test_deciders_match_brute_force(self, name):
         c, shellable = NON_FLAG[name]
-        assert _oracle(c, Q) is None
+        assert _oracle(c, Q)[0] is None
         faces = downward_closure(set(c.facets))
         scan = brute_link_scan(faces)
         for field in FIELDS:
@@ -333,11 +333,11 @@ class TestNonFlagFallback:
 
     def test_rp2_is_not_flag(self):
         # every pair of the six vertices spans an edge of RP^2
-        assert _oracle(RP2, Q) is None
+        assert _oracle(RP2, Q)[0] is None
 
     def test_independence_complexes_are_flag(self):
         c = Complex.from_facets(5, [[1, 2, 3], [3, 4, 5]])
-        oracle = _oracle(c, Q)
+        oracle = _oracle(c, Q)[0]
         assert oracle is not None and independence_complex(oracle.graph) == c
 
     def test_rp2_deciders_match_brute_force(self):
@@ -735,6 +735,26 @@ def assert_whole_graph_enumerations(g):
     return r
 
 
+def c16_beside_a_vertex() -> Graph:
+    """C16(1,4,8) and an isolated vertex 17: Cohen-Macaulay and not
+    vertex decomposable, so the shelling search runs on the join."""
+    edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if circulant(16, [1, 4, 8]).adj[i] >> j & 1]
+    return graph_from_edges(17, edges)
+
+
+def constructed_oracles(monkeypatch) -> list[InducedHomology]:
+    """Every InducedHomology constructed from now on, with its memo."""
+    oracles = []
+    real = InducedHomology.__init__
+
+    def init(self, g, field):
+        real(self, g, field)
+        oracles.append(self)
+
+    monkeypatch.setattr(InducedHomology, "__init__", init)
+    return oracles
+
+
 def enumerated_graph_sizes(run) -> list[int]:
     """Vertex counts of the graphs g[mask] whose maximal independent sets
     ``run()`` enumerates, under whatever name the enumerator is imported."""
@@ -807,16 +827,15 @@ class TestSharedWork:
         # C16(1,4,8) beside an isolated vertex is Cohen-Macaulay but not
         # vertex decomposable, so the shelling search runs on the join;
         # C4(2)[C3(1)], two disjoint K2[C3(1)], needs no search
-        edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if circulant(16, [1, 4, 8]).adj[i] >> j & 1]
-        assert not assert_whole_graph_enumerations(graph_from_edges(17, edges)).vertex_decomposable
+        assert not assert_whole_graph_enumerations(c16_beside_a_vertex()).vertex_decomposable
         assert assert_whole_graph_enumerations(lex_product(circulant(4, [2]), circulant(3, [1]))).vertex_decomposable
 
-    @pytest.mark.parametrize("n,s,runs", [(24, (6, 12), 7), (18, (6, 9), 4), (10, (1, 4, 5), 1)])
+    @pytest.mark.parametrize("n,s,runs", [(24, (6, 12), 6), (18, (6, 9), 3), (10, (1, 4, 5), 1)])
     def test_maximal_independent_sets_per_vertex_decomposable_report(self, n, s, runs):
-        # a join enumerates each distinct component once, to decide it, and
-        # each copy once, for the order: six K4 in C24(6,12), three
-        # triangular prisms in C18(6,9); a connected graph's only factor is
-        # Ind(G)'s own facets
+        # a join enumerates each copy once, and the copy it decides gives
+        # the same facets to its factor of the order: six K4 in C24(6,12),
+        # three triangular prisms in C18(6,9); a connected graph's only
+        # factor is Ind(G)'s own facets
         reports = []
         assert len(enumerated_graph_sizes(lambda: reports.append(full_report(circulant(n, s))))) == runs
         assert reports[0].vertex_decomposable
@@ -843,18 +862,43 @@ class TestSharedWork:
         assert size > 0 and all(m is memo for m in memos)
         assert len(memo) == searched
 
+    @pytest.mark.parametrize(
+        "g",
+        [circulant(14, [1]), circulant(24, [6, 12]), circulant(24, [10, 12]), c16_beside_a_vertex(), lex_product(circulant(4, []), circulant(5, [1]))],
+        ids=["C14(1)", "C24(6,12)", "C24(10,12)", "C16(1,4,8)+K1", "C4()[C5(1)]"],
+    )
+    def test_one_oracle_per_report(self, monkeypatch, g):
+        # connected, Cohen-Macaulay join, join scanned whole, join searched
+        # whole, join of copies of one cycle: the components, the join and
+        # its Betti numbers all ask the one oracle on the report's graph
+        oracles = constructed_oracles(monkeypatch)
+        full_report(g, include_betti=True)
+        assert len(oracles) == 1
+
+    @pytest.mark.parametrize("n,s,classes", [(24, (10, 12), 13), (20, (8, 10), 11), (16, (2, 8), 7)])
+    def test_no_component_class_is_computed_twice_in_a_report(self, monkeypatch, n, s, classes):
+        # two copies of one component, not Cohen-Macaulay, so the join is
+        # scanned whole after the copy is decided: each class of components
+        # the scan meets is one the copy's scan stored already, or new
+        oracles = constructed_oracles(monkeypatch)
+        stores = []
+        real = InducedHomology._store
+
+        def store(self, mask, value):
+            stores.append(mask)
+            real(self, mask, value)
+
+        monkeypatch.setattr(InducedHomology, "_store", store)
+        r = full_report(circulant(n, s), include_betti=True)
+        assert not r.cm and len(connected_components(circulant(n, s))) == 2
+        (oracle,) = oracles
+        assert len(stores) == len(oracle._memo) == classes
+
     @pytest.mark.parametrize("n,s", [(14, (1,)), (16, (1, 2)), (24, (6, 12))])
     def test_every_oracle_memo_entry_is_its_own_key(self, monkeypatch, n, s):
         # a component is stored once, under its least image by the graph's
         # rotations and reflections, and never under its own mask as well
-        oracles = []
-        real = InducedHomology.__init__
-
-        def init(self, g, field):
-            real(self, g, field)
-            oracles.append(self)
-
-        monkeypatch.setattr(InducedHomology, "__init__", init)
+        oracles = constructed_oracles(monkeypatch)
         full_report(circulant(n, s), pdim_guard=None, include_betti=True)
         assert any(o._memo for o in oracles)
         assert all(o._key(k) == k for o in oracles for k in o._memo)
