@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack
 from typing import Optional
 
 from .complexes import independence_complex
@@ -141,18 +140,68 @@ def cmd_sweep(args) -> int:
             n = two_n // 2
             for a in range(1, n):
                 cases.append((f"2n={two_n},a={a}", two_n, tuple(sorted({a, n})), args.field, args.budget))
-    with ExitStack() as stack:
-        mapper = map
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    return 4 if _print_cases(cases, args.jobs) else 0
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-        # both maps keep input order, which is already the sorted case-key order
-        errors = False
-        for entry in mapper(_sweep_case, cases):
-            print(json.dumps(entry, sort_keys=True), flush=True)
-            errors = errors or "error" in entry
-    return 4 if errors else 0
+
+def _print_cases(cases, jobs: int) -> bool:
+    """Print each case's JSON line, flushed, in case order; return whether
+    any line carries an error.
+
+    Case i runs on worker i mod jobs.  Worker 0 is this process, so the
+    first line waits for no start-up; the other workers are forked, at
+    most one per case, and each writes its finished lines to its own
+    pipe behind a one-character error flag.  A worker whose pipe ends
+    early leaves each of its unwritten cases an error line.  However the
+    sweep ends, every worker is reaped; one still running when the sweep
+    stops early is killed first.  Without os.fork every case runs here.
+    """
+    jobs = min(jobs, len(cases)) if hasattr(os, "fork") else 1
+    pids, readers, exit_codes = [], [], {}
+    errors = finished = False
+    try:
+        for w in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with open(write_fd, "w") as pipe:
+                        for params in cases[w::jobs]:
+                            entry = _sweep_case(params)
+                            pipe.write(f"{int('error' in entry)}{json.dumps(entry, sort_keys=True)}\n")
+                            pipe.flush()
+                    code = 0
+                finally:
+                    os._exit(code)  # never returns into the CLI or its caller
+            os.close(write_fd)
+            pids.append(pid)
+            readers.append(open(read_fd, "rb"))
+        for i, params in enumerate(cases):
+            w = i % jobs
+            if w == 0:
+                entry = _sweep_case(params)
+                failed, line = "error" in entry, json.dumps(entry, sort_keys=True)
+            elif (raw := readers[w - 1].readline()).endswith(b"\n"):
+                failed, line = raw.startswith(b"1"), raw[1:-1].decode()
+            else:
+                if w not in exit_codes:
+                    exit_codes[w] = os.waitstatus_to_exitcode(os.waitpid(pids[w - 1], 0)[1])
+                key, n, s = params[:3]
+                error = f"WorkerExited: the worker process ended with code {exit_codes[w]} before this case"
+                failed, line = True, json.dumps({"key": key, "n": n, "s": list(s), "error": error}, sort_keys=True)
+            print(line, flush=True)
+            errors = errors or failed
+        finished = True
+    finally:
+        for w, (pid, reader) in enumerate(zip(pids, readers), 1):
+            reader.close()
+            if w not in exit_codes:
+                if not finished:  # the worker may be mid-case
+                    from signal import SIGKILL
+
+                    os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return errors
 
 
 def cmd_verify(args) -> int:

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -18,6 +22,52 @@ def run(capsys, *argv):
 
 def failing_report(*args, **kwargs):
     raise InconsistencyError("routes disagree")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+# runs the CLI, writing to stderr each forked worker's pid and, at the
+# end, how many cases the CLI process ran itself
+SWEEP_RECORDING_WORKERS = """
+import os, sys
+import circm.cli
+
+fork, case, ran = os.fork, circm.cli._sweep_case, []
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        print(f"worker {pid}", file=sys.stderr, flush=True)
+    return pid
+
+def recording_case(params):
+    ran.append(params[0])
+    return case(params)
+
+os.fork, circm.cli._sweep_case = recording_fork, recording_case
+rc = circm.cli.main(sys.argv[1:])
+print(f"ran {len(ran)}", file=sys.stderr)
+sys.exit(rc)
+"""
 
 
 class TestAnalyze:
@@ -167,9 +217,10 @@ class TestSweep:
         assert code == 0
         assert not any("error" in json.loads(ln) for ln in out.strip().splitlines())
 
-    def test_error_lines_exit_4(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_error_lines_exit_4(self, capsys, monkeypatch, jobs):
         monkeypatch.setattr(circm.cli, "full_report", failing_report)
-        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6")
+        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6", "--jobs", jobs)
         assert code == 4
         lines = [json.loads(ln) for ln in out.strip().splitlines()]
         assert [e["error"] for e in lines] == ["InconsistencyError: routes disagree"] * 3
@@ -178,6 +229,91 @@ class TestSweep:
         _, solo, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8")
         _, par, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "2")
         assert solo == par
+
+    def test_workers_are_capped_at_the_case_count(self, capsys, forks):
+        _, solo, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6", "--jobs", "1")
+        assert forks == []
+        # three cases: this process runs one, two forked workers the others
+        code, par, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6", "--jobs", "8")
+        assert (code, par) == (0, solo)
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_without_fork_jobs_run_in_process(self, capsys, monkeypatch):
+        _, solo, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "1")
+        monkeypatch.delattr(os, "fork")
+        code, par, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "3")
+        assert (code, par) == (0, solo)
+
+    def test_a_worker_that_dies_leaves_error_lines_for_its_cases(self, capsys, monkeypatch, forks):
+        real = circm.cli._sweep_case
+
+        def case(params):
+            if params[0] == "2n=8,a=1":  # case 3, the second of worker 1's cases 1, 3 and 5
+                os._exit(3)
+            return real(params)
+
+        monkeypatch.setattr(circm.cli, "_sweep_case", case)
+        code, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "2")
+        assert code == 4
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [e["key"] for e in lines] == ["2n=4,a=1", "2n=6,a=1", "2n=6,a=2", "2n=8,a=1", "2n=8,a=2", "2n=8,a=3"]
+        died = "WorkerExited: the worker process ended with code 3 before this case"
+        assert [e.get("error") for e in lines] == [None, None, None, died, None, died]
+        assert lines[5] == {"key": "2n=8,a=3", "n": 8, "s": [3, 4], "error": died}
+        assert lines[4]["cm"] is True
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("failing, code", [(None, 0), ("2n=6,a=1", 4)], ids=["none", "worker-case"])
+    def test_exit_4_exactly_when_a_line_has_an_error_key(self, capsys, monkeypatch, failing, code):
+        def case(params):
+            entry = {"key": params[0], "note": '"error": "none"'}
+            if params[0] == failing:  # case 1, run by the forked worker
+                entry["error"] = "x"
+            return entry
+
+        monkeypatch.setattr(circm.cli, "_sweep_case", case)
+        got, out, _ = run(capsys, "sweep", "--family", "cubic", "--max-2n", "6", "--jobs", "2")
+        assert got == code
+        assert [json.loads(line).get("error") for line in out.splitlines()] == [None, failing and "x", None]
+
+    def test_a_sweep_that_stops_early_kills_and_reaps_its_workers(self, capsys, monkeypatch, forks):
+        real, cli = circm.cli._sweep_case, os.getpid()
+
+        def case(params):
+            if os.getpid() == cli and params[0] == "2n=6,a=2":  # case 2, this process's second
+                raise KeyboardInterrupt
+            if os.getpid() != cli and params[0] == "2n=8,a=1":  # case 3, worker 1's second
+                time.sleep(60)
+            return real(params)
+
+        monkeypatch.setattr(circm.cli, "_sweep_case", case)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--family", "cubic", "--max-2n", "8", "--jobs", "2"])
+        # the worker was killed in its sleep, not waited for
+        assert time.monotonic() - start < 30
+        assert [json.loads(line)["key"] for line in capsys.readouterr().out.splitlines()] == ["2n=4,a=1", "2n=6,a=1"]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_a_closed_stdout_stops_the_sweep_and_its_workers(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SWEEP_RECORDING_WORKERS, "sweep", "--family", "cubic", "--max-2n", "24", "--jobs", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert json.loads(proc.stdout.readline())["key"] == "2n=4,a=1"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        worker, broken, ran = err.splitlines()
+        assert broken == "error: [Errno 32] Broken pipe"
+        # this process stopped before its own half of the 66 cases
+        assert int(ran.removeprefix("ran ")) < 33
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(worker.removeprefix("worker ")), 0)
 
     def test_lines_stream_as_cases_finish(self, capsys, monkeypatch):
         printed = []
@@ -193,11 +329,12 @@ class TestSweep:
         # every case finds each earlier case's line already written
         assert [p.count("\n") for p in printed] == [0] + [1] * 6
 
-    def test_interval_output_is_pinned(self, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_interval_output_is_pinned(self, capsys, jobs):
         # sha256 of the 84 reports of C_n(1..d), d <= 6, every shelling
         # order included, pinned before the vertex decomposition search
         # answered disconnected complexes without searching them
-        code, out, _ = run(capsys, "sweep", "--family", "interval", "--d-max", "6", "--jobs", "1")
+        code, out, _ = run(capsys, "sweep", "--family", "interval", "--d-max", "6", "--jobs", jobs)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == "31f45b4dc8a35c9f5ed6d505af4b2978ac6d618329690ae35bfc64821d57f8d6"
 
@@ -402,9 +539,6 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_entry(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "circm.cli", "analyze", "--n", "4", "--set", "1,2", "--json"],
             capture_output=True,

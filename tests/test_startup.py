@@ -48,6 +48,25 @@ def test_analyze_loads_no_module_it_does_not_run():
     assert {"circm.properties", "circm.homology"} <= loaded
 
 
+SWEEP_THEN_LIST_MODULES = """
+import json, sys
+import circm.cli
+rc = circm.cli.main(["sweep", "--family", "cubic", "--max-2n", "6", "--jobs", "2"])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_a_parallel_sweep_loads_no_process_pool():
+    proc = subprocess.run([sys.executable, "-c", SWEEP_THEN_LIST_MODULES], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert [json.loads(line)["key"] for line in lines] == ["2n=4,a=1", "2n=6,a=1", "2n=6,a=2"]
+    done = json.loads(last)
+    assert done["rc"] == 0
+    loaded = set(done["modules"])
+    assert not {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
 def test_every_export_is_its_modules_definition():
     for name in circm.__all__:
         value = getattr(circm, name)
