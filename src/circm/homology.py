@@ -25,11 +25,12 @@ flag complex Ind(G), G the complement of its 1-skeleton: the link of a
 face F is Ind(G - N[F]) and the restriction to W is Ind(G[W]); any other
 complex goes to the rank kernel.  Each mask is settled in the order cone
 (an isolated vertex), join (one piece per connected component), fold
-(Engström's fold lemma), split (Adamaszek's vertex splitting, when its
-Mayer-Vietoris map is zero for want of a common degree), and only then
-the rank kernel on one connected piece, once per piece up to the
-rotations and reflections of the vertex cycle that are automorphisms of
-G.  One loop answers each question on one explicit stack: the pieces of
+(Engström's fold lemma), dominated split (Adamaszek's vertex splitting at
+a v with N[u] ⊆ N[v] for some u, whose Mayer-Vietoris map is zero),
+lowest-vertex split (the same splitting, when its Mayer-Vietoris map is
+zero for want of a common degree), and only then the rank kernel on one
+connected piece, once per piece up to the rotations and reflections of
+the vertex cycle that are automorphisms of G.  One loop answers each question on one explicit stack: the pieces of
 the mask at the bottom, and above them the folds and splits of one
 piece, its *attempt*, which opens at most ``SPLIT_BUDGET`` pieces and
 runs no linear algebra: a piece on the way that would need it gives the
@@ -252,21 +253,24 @@ class InducedHomology:
 
     1. fold: a vertex v adjacent to every neighbour in W of another
        vertex u can go, H~(W) = H~(W - v) (Engström);
-    2. split at the lowest vertex v: Ind(W) = Ind(W - v) ∪ v * Ind(W - N[v]),
-       which meet in Ind(W - N[v]); when no degree i has both
-       H~_i(W - N[v]) and H~_i(W - v) nonzero, the Mayer-Vietoris map
-       between them is zero and H~_i(W) = H~_i(W - v) + H~_{i-1}(W - N[v])
-       (Adamaszek);
-    3. otherwise the rank kernel on Ind(G[W]).
+    2. dominated split: Ind(W) = Ind(W - v) ∪ v * Ind(W - N[v]), which
+       meet in Ind(W - N[v]); at a neighbour v of some u with N[u] ⊆ N[v],
+       Ind(W - N[v]) lies in the cone u * Ind(W - N[v]) inside Ind(W - v),
+       so the Mayer-Vietoris map between them is zero in every degree and
+       H~_i(W) = H~_i(W - v) + H~_{i-1}(W - N[v]) (Adamaszek);
+    3. split at the lowest vertex v, the same sum when no degree i has
+       both H~_i(W - N[v]) and H~_i(W - v) nonzero, for then that map is
+       zero too;
+    4. otherwise the rank kernel on Ind(G[W]).
 
     The masks a fold or a split leaves are answered by the same rules,
     component by component, cones and memo included, in the one loop of
     ``betti`` rather than by recursion.  The folds and splits that start
     from one component W of the asked mask are one attempt: it opens at
     most ``SPLIT_BUDGET`` components, W included, and runs no linear
-    algebra; an undecided split or an exhausted budget gives the attempt
-    up and W alone goes to the rank kernel.  The count restarts for the
-    next component of the asked mask.
+    algebra; an undecided lowest-vertex split or an exhausted budget
+    gives the attempt up and W alone goes to the rank kernel.  The count
+    restarts for the next component of the asked mask.
 
     Each component's Betti numbers are kept once, under its least image by
     the rotations and reflections of the internal indices 0..n-1 that are
@@ -293,6 +297,7 @@ class InducedHomology:
         # divides n; the reflections are none or one coset of those, so
         # the first that maps lies below that least rotation.
         adj = g.adj
+        self._closed = [a | 1 << i for i, a in enumerate(adj)]  # closed neighbourhoods, for ``_fold``
         mirrored = [self._mirror(a) for a in reversed(adj)]  # the adjacency of g's mirror image
 
         def maps(m: list[int], r: int) -> bool:
@@ -329,38 +334,47 @@ class InducedHomology:
             del self._memo[next(iter(self._memo))]
         self._memo[mask] = betti
 
-    def _fold(self, w: int) -> int:
-        """A vertex of the connected w, as a bit, adjacent to every
-        neighbour in w of some other vertex u, or 0 if there is none.
+    def _fold(self, w: int) -> tuple[int, int]:
+        """Two vertices of the connected w, as bits: a fold, some v adjacent
+        to every neighbour in w of some other vertex u, or 0 if there is
+        none; and where there is no fold, a dominating vertex, the first
+        neighbour v of some u adjacent to every other neighbour of u in w,
+        so N[u] ⊆ N[v], or 0 if there is none.
 
-        Such a v lies in the neighbourhood of each neighbour of u, so the
-        search intersects those neighbourhoods: one AND per edge, and no
-        loop over pairs of vertices.
+        Each such v lies in the closed neighbourhood of every neighbour of
+        u, outside N(u) for a fold and inside it for a dominating v, so the
+        search intersects those: one AND per edge, and no loop over pairs
+        of vertices.  Once a dominating vertex is found, it seeks folds only.
         """
-        adj = self.graph.adj
-        rest = w
+        adj, closed = self.graph.adj, self._closed
+        rest, dominating = w, 0
         while rest:
             u = rest & -rest
             rest ^= u
-            common, nbrs = w ^ u, adj[u.bit_length() - 1] & w
-            while nbrs and common:
-                x = nbrs & -nbrs
-                nbrs ^= x
-                common &= adj[x.bit_length() - 1]
-            if common:
-                return common & -common
-        return 0
+            nbrs = adj[u.bit_length() - 1] & w
+            common = w ^ u ^ nbrs if dominating else w ^ u
+            todo = nbrs
+            while todo and common:
+                x = todo & -todo
+                todo ^= x
+                common &= closed[x.bit_length() - 1]
+            fold = common & ~nbrs
+            if fold:
+                return fold & -fold, 0
+            dominating = dominating or common & -common
+        return 0, dominating
 
     def _split(self, w: int) -> Generator:
         """Steps to the nonzero reduced Betti numbers of the connected w
-        by a fold or a split, or to None where the split is undecided."""
-        v = self._fold(w)
+        by a fold or a split, at a dominating vertex if there is one, or to
+        None where the split at the lowest vertex is undecided."""
+        v, dominating = self._fold(w)
         if v:
             return (yield from self._betti_steps(w ^ v))
-        v = w & -w
+        v = dominating or w & -w
         deletion = yield from self._betti_steps(w ^ v)
         link = yield from self._betti_steps(w & ~v & ~self.graph.adj[v.bit_length() - 1])
-        if any(i in deletion for i in link):
+        if not dominating and any(i in deletion for i in link):
             return None  # the map H~_i(link) -> H~_i(deletion) may be nonzero
         out = dict(deletion)
         for i, b in link.items():

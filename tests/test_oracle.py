@@ -21,6 +21,7 @@ from circm import (
     Graph,
     InconsistencyError,
     circulant,
+    euler_check,
     full_report,
     independence_complex,
     is_shellable,
@@ -233,8 +234,8 @@ class TestOracleAgainstBruteForce:
 
 def random_graphs(n: int) -> list[Graph]:
     """A graph on n vertices at each of three edge densities, seeded by n;
-    unlike circulants they are not vertex-transitive, so folds and
-    undecided splits occur in them."""
+    unlike circulants they are not vertex-transitive, so folds and splits
+    at dominating vertices occur in them."""
     rng = random.Random(1000 + n)
     return [graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]) for p in (0.3, 0.5, 0.7)]
 
@@ -271,26 +272,51 @@ class TestOracleOnRandomGraphs:
                 assert projective_dimension(c, field) == brute_pdim(faces, n, field), (g.adj, str(field))
 
     def test_folds_splits_and_fallbacks_all_occur(self, monkeypatch):
-        # over every mask of the ten-vertex graphs, components are settled
-        # by a fold, by a decided split, and by linear algebra after an
-        # undecided split
+        # over every mask of the ten-vertex graphs and of C11(1, 2), whose
+        # whole complex is the only one of them that needs linear algebra,
+        # components are settled by a fold, by a split at a dominating
+        # vertex, by a decided split at the lowest vertex, and by linear
+        # algebra after an undecided split
         settled = []
         real = InducedHomology._split
 
         def split(self, w):
-            folded = self._fold(w) != 0
+            fold, dominating = self._fold(w)
             betti = yield from real(self, w)
-            settled.append("fold" if folded else "split" if betti is not None else "undecided")
+            settled.append("fold" if fold else "dominated split" if dominating else "split" if betti is not None else "undecided")
             return betti
 
         monkeypatch.setattr(InducedHomology, "_split", split)
         calls = count_betti_calls(monkeypatch)
-        for g in random_graphs(10):
+        for g in random_graphs(10) + [circulant(11, [1, 2])]:
             oracle = InducedHomology(g, Q)
-            for mask in range(1 << 10):
+            for mask in range(1 << g.vertex_count):
                 oracle.betti(mask)
-        assert set(settled) == {"fold", "split", "undecided"}
+        assert set(settled) == {"fold", "dominated split", "split", "undecided"}
         assert 0 < len(calls) <= settled.count("undecided")
+
+
+class TestEulerCharacteristic:
+    """euler_check compares the oracle's Betti numbers with the f-vector,
+    a count that shares nothing with the folds, splits or rank kernel."""
+
+    def test_every_small_circulant_and_random_graph(self, monkeypatch):
+        dominated = []
+        real = InducedHomology._fold
+
+        def fold(self, w):
+            found = real(self, w)
+            dominated.append(found[1])  # nonzero only where no vertex folds
+            return found
+
+        monkeypatch.setattr(InducedHomology, "_fold", fold)
+        graphs = [circulant(n, s) for n in range(1, 15) for s in connection_sets(n)]
+        graphs += [g for n in range(8, 11) for g in random_graphs(n)]
+        for g in graphs:
+            c = independence_complex(g)
+            for field in (Q, FieldChoice.gf(2)):
+                assert euler_check(c, field), (g.adj, str(field))
+        assert any(dominated)
 
 
 HOLLOW_TRIANGLE = [[1, 2], [2, 3], [1, 3]]
@@ -618,8 +644,9 @@ class TestKozlovClosedForms:
         assert oracle.betti(oracle.full) == kozlov_path(m)
 
     def test_a_fold_free_graph_whose_split_fails_falls_back(self, monkeypatch):
-        # C11(1, 2) is C_{4d+3}(1..d) for d = 2: no vertex of it folds, and
-        # the split at its lowest vertex leaves H~_i nonzero on both sides
+        # C11(1, 2) is C_{4d+3}(1..d) for d = 2: no vertex of it folds or
+        # dominates another, and the split at its lowest vertex leaves H~_i
+        # nonzero on both sides
         g = circulant(11, [1, 2])
         opened = []
         real_split = InducedHomology._split
@@ -631,13 +658,27 @@ class TestKozlovClosedForms:
         monkeypatch.setattr(InducedHomology, "_split", split)
         calls = count_betti_calls(monkeypatch)
         oracle = InducedHomology(g, Q)
-        assert oracle._fold(oracle.full) == 0
+        assert oracle._fold(oracle.full) == (0, 0)
         assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
         assert [c.facets for c in calls] == [independence_complex(g).facets]
         assert opened[0] == oracle.full and 1 < len(opened) < circm.homology.SPLIT_BUDGET
         # the given-up component's answer is in the memo
         assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
         assert len(calls) == 1
+
+    def test_a_bowtie_is_decided_only_by_a_dominated_split(self, monkeypatch):
+        # two triangles a-b-c and c-d-e sharing c, a the lowest vertex: no
+        # vertex folds, and the split at a leaves H~_0 on both sides (a point
+        # beside the path d-b-e, and the two points d, e); N[a] = N[b], so the
+        # split at b decides it: a 4-cycle beside a point
+        monkeypatch.setattr(circm.homology, "_betti_by_ranks", refuse_linear_algebra)
+        a, b, c, d, e = range(5)
+        g = graph_from_edges(5, [(a, b), (a, c), (b, c), (c, d), (c, e), (d, e)])
+        oracle = InducedHomology(g, Q)
+        assert oracle._fold(oracle.full) == (0, 1 << b)
+        assert oracle.betti(oracle.full ^ 1 << a) == oracle.betti(1 << d | 1 << e) == {0: 1}
+        want = brute_table({as_face(i) for i in independent_masks(g.adj)}, Q)
+        assert oracle.betti(oracle.full) == {i: x for i, x in want.items() if x} == {0: 1, 1: 1}
 
     @pytest.mark.parametrize("budget, linear_algebra", [(10, 0), (9, 1)])
     def test_the_split_budget_restarts_for_each_component(self, monkeypatch, budget, linear_algebra):
@@ -672,19 +713,20 @@ class TestReducedBettiRouting:
                 c = independence_complex(circulant(n, s))
                 assert reduced_betti(c, field).by_dim == _betti_by_ranks(c, field).by_dim, (n, s)
 
-    @pytest.mark.parametrize("n,s", [(17, [1]), (18, [1]), (19, [1]), (20, [1]), (16, [8])])
+    @pytest.mark.parametrize("n,s", [(17, [1]), (18, [1]), (19, [1]), (20, [1]), (16, [8]), (22, [1, 2])])
     def test_folds_and_splits_settle_these_without_the_kernel(self, monkeypatch, n, s):
+        # Ind(C22(1, 2)) needs the splits at dominating vertices of its pieces
         calls = count_betti_calls(monkeypatch)
         betti = reduced_betti(independence_complex(circulant(n, s)), FieldChoice.gf(32003))
         assert not calls
-        assert {i: b for i, b in betti.by_dim if b} == (kozlov_cycle(n) if s == [1] else {7: 1})
+        assert {i: b for i, b in betti.by_dim if b} == (kozlov_cycle(n) if s == [1] else {16: {7: 1}, 22: {4: 43}}[n])
 
     def test_an_undecided_split_reaches_the_kernel_once(self, monkeypatch):
-        # C22(1, 2): its split leaves homology on both sides, so the whole
-        # complex goes to the kernel, and it is the complex asked about
-        c = independence_complex(circulant(22, [1, 2]))
+        # C16(1, 2): a split of some piece leaves homology on both sides, so
+        # the whole complex goes to the kernel, and it is the complex asked about
+        c = independence_complex(circulant(16, [1, 2]))
         calls = count_betti_calls(monkeypatch)
-        assert {i: b for i, b in reduced_betti(c, Q).by_dim if b} == {4: 43}
+        assert {i: b for i, b in reduced_betti(c, Q).by_dim if b} == {3: 5}
         assert len(calls) == 1 and calls[0] is c
 
     @pytest.mark.parametrize(
