@@ -6,12 +6,12 @@ Every homology question the deciders ask is about a link or a
 restriction.  On a flag complex Ind(G) these are Ind(G - N[F]) and
 Ind(G[W]), so a flag complex is answered by one ``InducedHomology``
 oracle over vertex masks; any other complex takes the textbook route,
-the rank kernel on ``link(c, F)`` or ``restrict(c, W)``.
+the rank kernel on ``link(c, F)`` or ``restrict(c, W)``.  The scans take
+(oracle, mask): ``full_report`` passes its own oracle and component masks.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from functools import cache, reduce
 from itertools import combinations, islice
 from operator import or_
@@ -28,22 +28,10 @@ PDIM_VERTEX_GUARD = 16
 
 Witness = tuple[tuple[int, ...], int]
 
-# full_report's one oracle, on its graph G, with the complex Ind(G[mask])
-# and the mask of each component it decides; unset outside a report.
-_REPORT: ContextVar[Optional[tuple[InducedHomology, tuple[tuple[Complex, int], ...]]]] = ContextVar("_REPORT", default=None)
-
 
 def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], int]:
-    """(oracle, mask) with c = Ind(G[mask]), G the oracle's graph: the
-    report's while ``full_report`` decides c or its Ind(G), once built in
-    its ``__dict__``; else ``homology._flag_oracle``'s, None when c is not
-    flag, with every vertex."""
-    report = _REPORT.get()
-    if report is not None and report[0].field == field:
-        oracle, decided = report
-        for d, mask in (*decided, (vars(oracle).get("whole"), oracle.full)):
-            if d is c:
-                return oracle, mask
+    """(oracle, mask) with c = Ind(G[mask]): ``_flag_oracle``'s, None
+    when c is not flag, with every vertex."""
     return _flag_oracle(c, field), (1 << c.vertex_count) - 1
 
 
@@ -58,16 +46,17 @@ def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
             yield _face_tuple(m, n)
 
 
-def _violations(c: Complex, candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
+def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
     """(face, i) for each candidate face, in order, that fails Reisner's
     test: i is the least degree with H~_i of the link nonzero, and it lies
-    below the link's dimension.
+    below the link's dimension.  ``view`` is (oracle, mask) with c =
+    Ind(G[mask]), or (None, every vertex) for the rank kernel on links.
 
     Each link of a pure complex is pure, of dimension dim c - |F|.
     Otherwise the facets of the link are f - F for the facets f of c
     through F, so its dimension is that of the largest such f, less |F|.
     """
-    oracle, mask = _oracle(c, field)
+    oracle, mask = view
     pure_dim = c.dim() if c.is_pure() else None
     for face in candidates:
         if oracle is not None:
@@ -94,7 +83,7 @@ def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     Cohen-Macaulay over the field.  The empty face is checked too, so a
     disconnected complex fails here already.
     """
-    return next(_violations(c, _sorted_faces(c), field), None)
+    return next(_violations(c, _oracle(c, field), _sorted_faces(c), field), None)
 
 
 def is_cohen_macaulay(c: Complex, field: FieldChoice) -> bool:
@@ -109,7 +98,7 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
     # the empty face sorts first
-    return next(_violations(c, islice(_sorted_faces(c), 1, None), field), None)
+    return next(_violations(c, _oracle(c, field), islice(_sorted_faces(c), 1, None), field), None)
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -265,7 +254,7 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     fld = field if field is not None else FieldChoice.rational()
     # shellable complexes have homology only in the top dimension:
     # Reisner's test on the empty face
-    if next(_violations(c, [()], fld), None) is not None:
+    if next(_violations(c, _oracle(c, fld), [()], fld), None) is not None:
         return ShellabilityResult(False)
     return _shelling_search(sorted(c.facets, key=sorted), node_budget)
 
@@ -333,14 +322,19 @@ def projective_dimension(
     are skipped.  On a flag complex Ind(G) the restriction to W is
     Ind(G[W]), answered by the homology oracle; otherwise it is
     ``restrict(c, W)`` and its homology is computed, cones included.  W
-    ranges over the vertices 1..n, or a report's component mask alone.
-    More than ``max_vertices`` vertices raise ``GuardError``; None means
-    no limit.
+    ranges over the vertices 1..n; ``full_report`` runs the same loop on
+    each component mask it decides.  More than ``max_vertices`` vertices
+    raise ``GuardError``; None means no limit.
     """
     n = c.vertex_count
     if max_vertices is not None and n > max_vertices:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
-    oracle, mask = _oracle(c, field)
+    return _hochster(c, _oracle(c, field), field)
+
+
+def _hochster(c: Complex, view: tuple[Optional[InducedHomology], int], field: FieldChoice) -> int:
+    """Hochster's maximum over the vertex sets W within ``view``'s mask."""
+    oracle, mask = view
     best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
     for size in range(mask.bit_count(), 0, -1):
         if size - 1 <= best:
@@ -471,17 +465,20 @@ def full_report(
     oracle's key is decided (for a connected g, on the oracle's Ind(g)):
     the join is Cohen-Macaulay, hence Buchsbaum, iff every component is,
     vertex decomposable iff every component is, and its pdim is the
-    components' added.  The join itself is scanned for Reisner and
-    Buchsbaum witnesses only when it is not Cohen-Macaulay.  Checks run
-    in implication order: vertex decomposable implies shellable implies
-    Cohen-Macaulay over every field, so once Reisner's criterion rejects
-    the complex no search runs; one memo serves the vertex decomposition
-    search on each decided component and then the join's shelling order,
-    from the same facets, and only a Cohen-Macaulay complex that is not
-    vertex decomposable runs the budgeted shelling search.  pdim and
-    depth count one variable per vertex of g, whatever its labels; they
-    are None when g has more than ``pdim_guard`` vertices (0 skips them,
-    None lifts the guard).
+    components' added.  The scans get the oracle with each decided
+    component's mask; the join itself is scanned, with every vertex, for
+    Reisner and Buchsbaum witnesses only when it is not Cohen-Macaulay.
+    Checks run in implication order: vertex decomposable implies
+    shellable implies Cohen-Macaulay over every field, so once Reisner's
+    criterion rejects the complex no search runs; one memo serves the
+    vertex decomposition search on each decided component and then the
+    join's shelling order, from the same facets, and only a
+    Cohen-Macaulay complex that is not vertex decomposable runs the
+    budgeted shelling search, past the pre-checks of ``is_shellable``
+    that Cohen-Macaulayness already passed.  pdim and depth count one
+    variable per vertex of g, whatever its labels; they are None when g
+    has more than ``pdim_guard`` vertices (0 skips them, None lifts the
+    guard).
     """
     fld = field if field is not None else FieldChoice.rational()
     n = g.vertex_count
@@ -502,37 +499,37 @@ def full_report(
     for k, comp in zip(keys, comps):
         if k not in decided:
             decided[k] = (oracle.whole if comp == oracle.full else Complex(n, frozenset(map(frozenset, map(_vertices, facets_of(comp))))), comp)
-    token = _REPORT.set((oracle, tuple(decided.values())))
-    try:
-        wits = [reisner_violation(cx, fld) for cx, _ in decided.values()]
-        pure = all(cx.is_pure() for cx, _ in decided.values())
-        cm = all(wit is None for wit in wits)
-        memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
-        vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
-        cm_wit = None
-        if not cm:  # a component's witness is the join's only when it is the join
-            cm_wit = wits[0] if len(comps) == 1 else reisner_violation(oracle.whole, fld)
-        bb_wit: Optional[Witness] = None
-        if pure and cm_wit is not None:
-            # Buchsbaum skips only the empty face, so Reisner's witness is
-            # Buchsbaum's unless it is the empty face; then Buchsbaum's
-            # scan starts where Reisner's stopped.
-            bb_wit = buchsbaum_violation(oracle.whole, fld) if not cm_wit[0] else cm_wit
-        if vd:  # the join's order sheds the facets of all its copies as one
-            shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo))
-        else:
-            shell = is_shellable(oracle.whole, shell_budget, fld) if cm else ShellabilityResult(False)
-        pdim: Optional[int] = None
-        if pdim_guard is None or n <= pdim_guard:
-            pdims = {k: projective_dimension(cx, fld, max_vertices=None) for k, (cx, _) in decided.items()}
-            pdim = sum(pdims[k] for k in keys)
-        if include_betti:
-            nonzero = oracle.betti(oracle.full)  # the components' joined
-            betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}
-        else:
-            betti = None
-    finally:
-        _REPORT.reset(token)
+
+    def violation(cx: Complex, mask: int, skip: int = 0) -> Optional[Witness]:  # Reisner's, or Buchsbaum's with skip=1
+        return next(_violations(cx, (oracle, mask), islice(_sorted_faces(cx), skip, None), fld), None)
+
+    wits = [violation(cx, comp) for cx, comp in decided.values()]
+    pure = all(cx.is_pure() for cx, _ in decided.values())
+    cm = all(wit is None for wit in wits)
+    memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
+    vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
+    cm_wit = None
+    if not cm:  # a component's witness is the join's only when it is the join
+        cm_wit = wits[0] if len(comps) == 1 else violation(oracle.whole, oracle.full)
+    bb_wit: Optional[Witness] = None
+    if pure and cm_wit is not None:
+        # Buchsbaum skips only the empty face, so Reisner's witness is
+        # Buchsbaum's unless it is the empty face; then Buchsbaum's scan
+        # starts where Reisner's stopped.
+        bb_wit = violation(oracle.whole, oracle.full, 1) if not cm_wit[0] else cm_wit
+    if vd:  # the join's order sheds the facets of all its copies as one
+        shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo))
+    else:  # Cohen-Macaulay passed is_shellable's pre-checks: purity, and Reisner's test on the empty face
+        shell = _shelling_search(sorted(oracle.whole.facets, key=sorted), shell_budget) if cm else ShellabilityResult(False)
+    pdim: Optional[int] = None
+    if pdim_guard is None or n <= pdim_guard:
+        pdims = {k: _hochster(cx, (oracle, comp), fld) for k, (cx, comp) in decided.items()}
+        pdim = sum(pdims[k] for k in keys)
+    if include_betti:
+        nonzero = oracle.betti(oracle.full)  # the components' joined
+        betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}
+    else:
+        betti = None
 
     def named(face: Iterable[int]) -> tuple[int, ...]:
         return tuple(names[v - 1] for v in sorted(face))

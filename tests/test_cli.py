@@ -158,6 +158,20 @@ class TestAnalyze:
         # Jacques: the edge ideal of the cycle C_n has pdim ceil((2n - 1) / 3)
         assert json.loads(out)["pdim"] == 11
 
+    def test_every_report_on_at_most_twelve_vertices_is_pinned(self, capsys):
+        # sha256 of the exit codes and default reports, pdim included, of
+        # the 189 C_n(S) with n <= 12 over Q and over GF(2); pinned before
+        # the report handed its oracle and component masks to the scans
+        outs = []
+        for n in range(1, 13):
+            for k in range(n // 2 + 1):
+                for s in combinations(range(1, n // 2 + 1), k):
+                    for field in ("q", "gf:2"):
+                        code, out, _ = run(capsys, "analyze", "--n", str(n), "--set", ",".join(map(str, s)), "--field", field, "--json")
+                        outs.append(f"{code}\n{out}")
+        assert len(outs) == 378
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == "5acced2502b34806408dd87246617ca05f0710fad0847308f7bdfd89bbad01c7"
+
 
 class TestLexprod:
     def test_cm_product(self, capsys):

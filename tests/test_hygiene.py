@@ -1,7 +1,7 @@
 """Source hygiene of the circm package, read with the stdlib ``ast``:
 no module keeps an import it does not use, no top-level private
 function or class outlives its last caller, and no function binds a
-local it never reads."""
+local or takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -89,6 +89,35 @@ def test_every_local_is_read(path):
     tree = parse(path)
     unread = [f"{fn.name}: {name}" for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS) for name in sorted(unread_locals(fn))]
     assert not unread, f"{path.name} binds locals it never reads: {unread}"
+
+
+def unread_parameters(fn: ast.AST) -> list[str]:
+    """Parameters of fn, a function or lambda, that its body never reads,
+    a function inside it included; ``self``, ``cls`` and a name starting
+    with ``_`` are exempt."""
+    args = fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg)))]
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    read = {node.id for part in body for node in ast.walk(part) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in params if name not in read and name not in ("self", "cls") and not name.startswith("_")]
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a dunder method's parameters are the interpreter's protocol, whether
+    # its body needs them or not
+    tree = parse(path)
+    unread = [
+        f"{getattr(fn, 'name', 'lambda')} (line {fn.lineno}): {name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (*FUNCTIONS, ast.Lambda)) and not is_dunder(getattr(fn, "name", ""))
+        for name in unread_parameters(fn)
+    ]
+    assert not unread, f"{path.name} takes parameters it never reads: {unread}"
 
 
 def top_level_definitions(tree: ast.Module) -> set[str]:

@@ -267,7 +267,7 @@ class TestOracleOnRandomGraphs:
                     betti = brute_table({f - face for f in faces if face <= f}, field)
                     low = [i for i in range(-1, max(betti)) if betti[i]]
                     failing += [(tuple(sorted(face)), low[0])] if low else []
-                assert list(_violations(c, _sorted_faces(c), field)) == failing, (g.adj, str(field))
+                assert list(_violations(c, _oracle(c, field), _sorted_faces(c), field)) == failing, (g.adj, str(field))
                 assert reisner_violation(c, field) == scan[field][0], (g.adj, str(field))
                 assert projective_dimension(c, field) == brute_pdim(faces, n, field), (g.adj, str(field))
 
@@ -765,6 +765,21 @@ def count_betti_calls(monkeypatch) -> list:
     return calls
 
 
+def record_scans(monkeypatch) -> list[list[tuple[int, ...]]]:
+    """Record, for each call of the link scan ``_violations``, the
+    candidate faces it draws, as it draws them."""
+    scans = []
+    real = circm.properties._violations
+
+    def recording(c, view, candidates, field):
+        drawn = []
+        scans.append(drawn)
+        return real(c, view, (drawn.append(face) or face for face in candidates), field)
+
+    monkeypatch.setattr(circm.properties, "_violations", recording)
+    return scans
+
+
 def assert_whole_graph_enumerations(g):
     """Report on g and check that the maximal independent sets of g as a
     whole are enumerated once, or never for a disconnected g whose report
@@ -850,7 +865,7 @@ class TestSharedWork:
             raise AssertionError("search run on a complex Reisner rejected")
 
         monkeypatch.setattr(circm.properties, "_vd_recursive", refuse)
-        monkeypatch.setattr(circm.properties, "is_shellable", refuse)
+        monkeypatch.setattr(circm.properties, "_shelling_search", refuse)
         r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
         assert r.cm_witness == ((), 0)
         assert (r.vertex_decomposable, r.shellable, r.pdim) == (False, False, 15)
@@ -968,19 +983,23 @@ class TestSharedWork:
     )
     def test_report_calls_the_public_scans(self, monkeypatch, n, s, calls_buchsbaum):
         # Reisner stops at the empty face and Buchsbaum starts after it, so
-        # Buchsbaum's scan runs only when Reisner's witness is the empty face
-        calls = []
-        for name in ("reisner_violation", "buchsbaum_violation"):
-            real = getattr(circm.properties, name)
-
-            def counting(c, field, real=real, name=name):
-                calls.append(name)
-                return real(c, field)
-
-            monkeypatch.setattr(circm.properties, name, counting)
+        # Buchsbaum's scan runs only when Reisner's witness is the empty
+        # face; the report runs both on the scan behind the public calls
+        scans = record_scans(monkeypatch)
         r = full_report(circulant(n, s))
         assert calls_buchsbaum == (r.pure and r.cm_witness is not None and r.cm_witness[0] == ())
-        assert calls == ["reisner_violation"] + ["buchsbaum_violation"] * calls_buchsbaum
+        assert ["reisner" if scan[:1] == [()] else "buchsbaum" for scan in scans] == ["reisner"] + ["buchsbaum"] * calls_buchsbaum
+
+    def test_a_search_after_reisner_tests_no_face_again(self, monkeypatch):
+        # Ind(C17(1,3,8)) is Cohen-Macaulay and not vertex decomposable, so
+        # the budgeted search shells its 85 facets; Reisner's scan passed
+        # the empty face already, so the search does not test it again
+        scans = record_scans(monkeypatch)
+        r = full_report(circulant(17, [1, 3, 8]), pdim_guard=0)
+        assert (r.cm, r.vertex_decomposable, r.shellable) == (True, False, True)
+        assert r.fh.f == (1, 17, 85, 153, 85)
+        assert len(r.shelling_order) == 85 and check_shelling_order(map(frozenset, r.shelling_order))
+        assert sum(scan.count(()) for scan in scans) == 1
 
     def test_answers_survive_a_memo_of_four_entries(self, monkeypatch):
         cases = {(14, (1,)): (9, ((), 4)), (12, (1, 3, 6)): (9, None), (11, (1, 2)): (9, ((), 1)), (12, (6,)): (6, None)}

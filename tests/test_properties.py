@@ -23,6 +23,7 @@ import circm.complexes
 import circm.properties
 from circm.graphs import induced_subgraph
 from circm.properties import buchsbaum_violation, check_shelling_order
+from test_oracle import record_scans
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -317,12 +318,11 @@ class TestFullReport:
             assert (r.buchsbaum, r.buchsbaum_witness) == (direct is None, direct), n
 
     def test_reisner_witness_spares_the_buchsbaum_scan(self, monkeypatch):
-        calls = []
-        real = circm.properties.buchsbaum_violation
-        monkeypatch.setattr(circm.properties, "buchsbaum_violation", lambda c, f: calls.append(c) or real(c, f))
+        # one scan, Reisner's on the one decided copy of K2, from the empty face
+        scans = record_scans(monkeypatch)
         r = full_report(circulant(12, [6]), pdim_guard=0)
         assert r.cm and r.buchsbaum
-        assert calls == []
+        assert [scan[:1] for scan in scans] == [[()]]
 
 
     @pytest.mark.parametrize(
@@ -345,7 +345,6 @@ class TestFullReport:
         ind = independence_complex(circulant(n, s))
         assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, real(ind)))
         assert len(calls) <= 1 and calls.count(ind) == whole
-        assert circm.properties._REPORT.get() is None
 
 
 class TestHochsterReisnerCrossValidation:
