@@ -20,18 +20,18 @@ boundary, hence of a cycle, so its column is never reduced.
 
 ``InducedHomology`` answers one question: the nonzero reduced Betti
 numbers of Ind(G[W]) for vertex bitmasks W of one graph G.  That is all
-Reisner's criterion, Hochster's formula and ``reduced_betti`` ask of a
+the link scan (Reisner, Buchsbaum, depth) and ``reduced_betti`` ask of a
 flag complex Ind(G), G the complement of its 1-skeleton: the link of a
-face F is Ind(G - N[F]) and the restriction to W is Ind(G[W]); any other
-complex goes to the rank kernel.  Each mask is settled in the order cone
-(an isolated vertex), join (one piece per connected component), fold
-(Engström's fold lemma), dominated split (Adamaszek's vertex splitting at
-a v with N[u] ⊆ N[v] for some u, whose Mayer-Vietoris map is zero),
-lowest-vertex split (the same splitting, when its Mayer-Vietoris map is
-zero for want of a common degree), and only then the rank kernel on one
-connected piece, once per piece up to the rotations and reflections of
-the vertex cycle that are automorphisms of G.  One loop answers each question on one explicit stack: the pieces of
-the mask at the bottom, and above them the folds and splits of one
+face F is Ind(G - N[F]); any other complex goes to the rank kernel.  Each
+mask is settled in the order cone (an isolated vertex), join (one piece
+per connected component), fold (Engström's fold lemma), dominated split
+(Adamaszek's vertex splitting at a v with N[u] ⊆ N[v] for some u, whose
+Mayer-Vietoris map is zero), lowest-vertex split (the same splitting,
+when its Mayer-Vietoris map is zero for want of a common degree), and
+only then the rank kernel on one connected piece, once per piece up to
+the rotations and reflections of the vertex cycle that are automorphisms
+of G.  One loop answers each question on one explicit stack: the pieces
+of the mask at the bottom, and above them the folds and splits of one
 piece, its *attempt*, which opens at most ``SPLIT_BUDGET`` pieces and
 runs no linear algebra: a piece on the way that would need it gives the
 attempt up, and the piece it started from goes whole to the kernel.
@@ -278,9 +278,9 @@ class InducedHomology:
     the identity for other graphs), and looked up under that key only.
     The memo holds one entry per symmetry class of components, at most
     ``ORACLE_ENTRIES`` classes; ``full_report`` builds one oracle on its
-    graph and decides one connected component per class, as a mask.  The
-    oracle answers nothing but Betti numbers: a caller that needs a
-    dimension reads it from the facets of the complex it holds.
+    graph and decides one connected component per class, as a mask: a
+    face F by its link, Ind(G[W - N[F]]).  It answers only Betti numbers;
+    a caller that needs a dimension reads it from the complex's facets.
     """
 
     def __init__(self, g: Graph, field: FieldChoice) -> None:

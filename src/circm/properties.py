@@ -1,23 +1,24 @@
 """Deciders for Cohen-Macaulay, Buchsbaum, vertex-decomposable and
-shellable complexes, plus projective dimension via induced-subcomplex
-homology, assembled into a cross-checked report.
+shellable complexes, plus projective dimension, assembled into a
+cross-checked report.
 
-Every homology question the deciders ask is about a link or a
-restriction.  On a flag complex Ind(G) these are Ind(G - N[F]) and
-Ind(G[W]), so a flag complex is answered by one ``InducedHomology``
+Every homology question the deciders ask is about a link, in one scan
+(``_scan``) that gives Reisner's witness, Buchsbaum's, and the depth,
+hence pdim = n - depth.  On a flag complex Ind(G) the link of F is
+Ind(G - N[F]), so a flag complex is answered by one ``InducedHomology``
 oracle over vertex masks; any other complex takes the textbook route,
-the rank kernel on ``link(c, F)`` or ``restrict(c, W)``.  The scans take
-(oracle, mask): ``full_report`` passes its own oracle and component masks.
+the rank kernel on ``link(c, F)``.  The scan takes (oracle, mask):
+``full_report`` passes its own oracle and component masks.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import combinations, islice
+from itertools import islice
 from operator import or_
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, h_from_f, independence_polynomial, link, restrict
+from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, h_from_f, independence_polynomial, link
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -35,15 +36,20 @@ def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], 
     return _flag_oracle(c, field), (1 << c.vertex_count) - 1
 
 
-def _sorted_faces(c: Complex) -> Iterator[tuple[int, ...]]:
+def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True) -> Iterator[tuple[int, ...]]:
     """Every face of c as a sorted vertex tuple, by size, then
     lexicographically: the empty face first, before any face is
-    enumerated, then each size's faces in descending mask order."""
+    enumerated, then each size's faces in descending mask order.
+    ``wanted(k)``, asked before each face of k >= 1 vertices and before
+    any is enumerated, ends the listing at its first False."""
     yield ()
-    n = c.vertex_count
-    for level in _face_levels(c)[1:]:
+    if not wanted(1):
+        return
+    for k, level in enumerate(_face_levels(c)[1:], 1):
         for m in sorted(level, reverse=True):
-            yield _face_tuple(m, n)
+            if not wanted(k):
+                return
+            yield _face_tuple(m, c.vertex_count)
 
 
 def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
@@ -76,6 +82,24 @@ def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candida
             yield (face, low)
 
 
+def _scan(c: Complex, view: tuple[Optional[InducedHomology], int], field: FieldChoice, skip: int = 0, depth: bool = False) -> tuple[Optional[Witness], Optional[int]]:
+    """(witness, depth) from one link scan of c: the first violation past
+    the first ``skip`` faces, which are not tested, or None; and with
+    ``depth`` (never with ``skip``), depth k[c], else None.
+
+    Reisner's test on each skeleton gives the depth (Smith, Hibi): the
+    least |F| + 1 + i with H~_i(lk F) nonzero.  A facet gives its size, a
+    face passing the test at least its largest facet's, a violation (F, i)
+    at least |F| + 1: so once the witness is found, no face with |F| + 1
+    at least the least value so far is drawn."""
+    best = min(map(len, c.facets)) if depth else 0
+    witness: Optional[Witness] = None
+    for face, i in _violations(c, view, islice(_sorted_faces(c, lambda size: witness is None or size + 1 < best), skip, None), field):
+        witness = witness or (face, i)
+        best = min(best, len(face) + 1 + i)
+    return witness, best if depth else None
+
+
 def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """First face whose link has homology below its dimension.
 
@@ -83,7 +107,7 @@ def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     Cohen-Macaulay over the field.  The empty face is checked too, so a
     disconnected complex fails here already.
     """
-    return next(_violations(c, _oracle(c, field), _sorted_faces(c), field), None)
+    return _scan(c, _oracle(c, field), field)[0]
 
 
 def is_cohen_macaulay(c: Complex, field: FieldChoice) -> bool:
@@ -98,7 +122,7 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
     # the empty face sorts first
-    return next(_violations(c, _oracle(c, field), islice(_sorted_faces(c), 1, None), field), None)
+    return _scan(c, _oracle(c, field), field, skip=1)[0]
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -305,7 +329,7 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
         key |= 1 << fi
 
 
-# --- projective dimension via induced-subcomplex homology --------------------
+# --- projective dimension from the depth of the link scan --------------------
 
 
 def projective_dimension(
@@ -313,40 +337,20 @@ def projective_dimension(
     field: FieldChoice,
     max_vertices: Optional[int] = PDIM_VERTEX_GUARD,
 ) -> int:
-    """Projective dimension of the face ring, from induced subcomplexes.
+    """Projective dimension of the face ring, n - depth k[c] by
+    Auslander-Buchsbaum, one variable per vertex 1..n, in a face or not.
 
-    By Hochster's formula, for every vertex subset W a nonzero H~_j of
-    the restriction to W contributes |W| - j - 1, and the projective
-    dimension is the maximum contribution.  Subsets are scanned
-    largest-first so that subsets too small to beat the current maximum
-    are skipped.  On a flag complex Ind(G) the restriction to W is
-    Ind(G[W]), answered by the homology oracle; otherwise it is
-    ``restrict(c, W)`` and its homology is computed, cones included.  W
-    ranges over the vertices 1..n; ``full_report`` runs the same loop on
-    each component mask it decides.  More than ``max_vertices`` vertices
-    raise ``GuardError``; None means no limit.
+    The depth comes from Reisner's link scan, ``_scan``: the least
+    |F| + 1 + i over the faces F with H~_i(lk F) nonzero.  A
+    Cohen-Macaulay complex has no violation, so its depth is dim + 1 and
+    the scan is Reisner's; otherwise the scan stops at the size the depth
+    found so far bounds.  More than ``max_vertices`` vertices raise
+    ``GuardError``; None means no limit.
     """
     n = c.vertex_count
     if max_vertices is not None and n > max_vertices:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
-    return _hochster(c, _oracle(c, field), field)
-
-
-def _hochster(c: Complex, view: tuple[Optional[InducedHomology], int], field: FieldChoice) -> int:
-    """Hochster's maximum over the vertex sets W within ``view``'s mask."""
-    oracle, mask = view
-    best = 0  # W = empty set: H~_{-1}({emptyset}) = 1 contributes 0
-    for size in range(mask.bit_count(), 0, -1):
-        if size - 1 <= best:
-            break
-        for w in combinations(_vertices(mask), size):
-            if oracle is not None:
-                nonzero = oracle.betti(_mask(w))
-            else:
-                nonzero = [j for j, b in _betti_by_ranks(restrict(c, w), field).by_dim if b]
-            for j in nonzero:
-                best = max(best, size - j - 1)
-    return best
+    return n - _scan(c, _oracle(c, field), field, depth=True)[1]
 
 
 # --- assembled report ---------------------------------------------------------
@@ -464,10 +468,11 @@ def full_report(
     connected components of g, and one component per class of the
     oracle's key is decided (for a connected g, on the oracle's Ind(g)):
     the join is Cohen-Macaulay, hence Buchsbaum, iff every component is,
-    vertex decomposable iff every component is, and its pdim is the
-    components' added.  The scans get the oracle with each decided
-    component's mask; the join itself is scanned, with every vertex, for
-    Reisner and Buchsbaum witnesses only when it is not Cohen-Macaulay.
+    vertex decomposable iff every component is, and its depth is theirs
+    added.  One link scan of each decided component, on the oracle with
+    its mask, gives its Reisner witness and depth; the join itself is
+    scanned for Reisner and Buchsbaum witnesses only when it is not
+    Cohen-Macaulay.
     Checks run in implication order: vertex decomposable implies
     shellable implies Cohen-Macaulay over every field, so once Reisner's
     criterion rejects the complex no search runs; one memo serves the
@@ -475,10 +480,10 @@ def full_report(
     join's shelling order, from the same facets, and only a
     Cohen-Macaulay complex that is not vertex decomposable runs the
     budgeted shelling search, past the pre-checks of ``is_shellable``
-    that Cohen-Macaulayness already passed.  pdim and depth count one
-    variable per vertex of g, whatever its labels; they are None when g
-    has more than ``pdim_guard`` vertices (0 skips them, None lifts the
-    guard).
+    that Cohen-Macaulayness already passed.  pdim = n - depth counts one
+    variable per vertex of g, whatever its labels; pdim and depth are None
+    when g has more than ``pdim_guard`` vertices (0 skips them, None lifts
+    the guard).
     """
     fld = field if field is not None else FieldChoice.rational()
     n = g.vertex_count
@@ -500,31 +505,26 @@ def full_report(
         if k not in decided:
             decided[k] = (oracle.whole if comp == oracle.full else Complex(n, frozenset(map(frozenset, map(_vertices, facets_of(comp))))), comp)
 
-    def violation(cx: Complex, mask: int, skip: int = 0) -> Optional[Witness]:  # Reisner's, or Buchsbaum's with skip=1
-        return next(_violations(cx, (oracle, mask), islice(_sorted_faces(cx), skip, None), fld), None)
-
-    wits = [violation(cx, comp) for cx, comp in decided.values()]
+    want_depth = pdim_guard is None or n <= pdim_guard
+    scans = {k: _scan(cx, (oracle, comp), fld, depth=want_depth) for k, (cx, comp) in decided.items()}
     pure = all(cx.is_pure() for cx, _ in decided.values())
-    cm = all(wit is None for wit in wits)
+    cm = all(wit is None for wit, _ in scans.values())
     memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
     vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
     cm_wit = None
     if not cm:  # a component's witness is the join's only when it is the join
-        cm_wit = wits[0] if len(comps) == 1 else violation(oracle.whole, oracle.full)
+        cm_wit = scans[keys[0]][0] if len(comps) == 1 else _scan(oracle.whole, (oracle, oracle.full), fld)[0]
     bb_wit: Optional[Witness] = None
     if pure and cm_wit is not None:
         # Buchsbaum skips only the empty face, so Reisner's witness is
         # Buchsbaum's unless it is the empty face; then Buchsbaum's scan
         # starts where Reisner's stopped.
-        bb_wit = violation(oracle.whole, oracle.full, 1) if not cm_wit[0] else cm_wit
+        bb_wit = _scan(oracle.whole, (oracle, oracle.full), fld, skip=1)[0] if not cm_wit[0] else cm_wit
     if vd:  # the join's order sheds the facets of all its copies as one
         shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo))
     else:  # Cohen-Macaulay passed is_shellable's pre-checks: purity, and Reisner's test on the empty face
         shell = _shelling_search(sorted(oracle.whole.facets, key=sorted), shell_budget) if cm else ShellabilityResult(False)
-    pdim: Optional[int] = None
-    if pdim_guard is None or n <= pdim_guard:
-        pdims = {k: _hochster(cx, (oracle, comp), fld) for k, (cx, comp) in decided.items()}
-        pdim = sum(pdims[k] for k in keys)
+    pdim = n - sum(scans[k][1] for k in keys) if want_depth else None  # depth adds over a join
     if include_betti:
         nonzero = oracle.betti(oracle.full)  # the components' joined
         betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}

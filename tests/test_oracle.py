@@ -1047,3 +1047,62 @@ class TestInvariantsAreNotAsserts:
         res = circm.theorems.verify_h2(VerifyScope(h2_d_max=3))
         assert [f["d"] for f in res.failures] == [3]
         assert "lower bound violated" in res.failures[0]["error"]
+
+
+def random_complexes(count: int, seed: int) -> list[Complex]:
+    """Seeded complexes on 1-7 vertices, from up to four random facets: a
+    vertex that none of them holds is a vertex in no face."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        facets = [[v for v in range(1, n + 1) if rng.random() < 0.5] for _ in range(rng.randint(1, 4))]
+        out.append(Complex.from_facets(n, facets, reduce=True))
+    return out
+
+
+class TestDepthFromTheLinkScan:
+    """pdim = n - depth, the depth read off Reisner's link scan, against
+    Hochster's formula over every vertex subset (``brute_pdim``)."""
+
+    @pytest.mark.parametrize("n,facets", [(1, [[]]), (2, [[2]]), (5, [[1, 2, 4, 5]])])
+    def test_a_vertex_in_no_face_is_a_variable(self, n, facets):
+        # k[x1, x2]/(x1) for (2, [[2]]): the restriction to a set of such
+        # vertices is {∅}, whose H~_{-1} adds one more than its size less one
+        c = Complex.from_facets(n, facets)
+        faces = downward_closure(set(c.facets))
+        for field in (Q, FieldChoice.gf(2)):
+            assert projective_dimension(c, field) == brute_pdim(faces, n, field) == 1, str(field)
+
+    def test_random_complexes_match_hochster(self):
+        complexes = random_complexes(300, 26)
+        ghosts = [c for c in complexes if frozenset().union(*c.facets) != frozenset(range(1, c.vertex_count + 1))]
+        assert len(ghosts) > 50
+        for c in complexes:
+            faces = downward_closure(set(c.facets))
+            for field in (Q, FieldChoice.gf(2)):
+                assert projective_dimension(c, field) == brute_pdim(faces, c.vertex_count, field), (c.vertex_count, sorted(map(sorted, c.facets)), str(field))
+
+    def test_cycles_above_the_guard(self):
+        # Jacques: pdim of the cycle's independence complex is ceil((2n - 1)/3);
+        # past Reisner's witness at the empty face the scan stops at the
+        # depth found so far
+        for n in range(3, 21):
+            c = independence_complex(circulant(n, [1]))
+            assert projective_dimension(c, Q, max_vertices=None) == math.ceil((2 * n - 1) / 3), n
+
+    def test_the_scan_of_a_cycle_stops_at_its_depth(self, monkeypatch):
+        # Ind(C14(1)) is S^4 and 6-dimensional: Reisner's witness ((), 4)
+        # gives depth 5 at most, so no face of four vertices is drawn; the
+        # 1 + 14 + 77 + 210 faces below are, in one scan
+        scans = record_scans(monkeypatch)
+        r = full_report(circulant(14, [1]))
+        assert (r.cm_witness, r.depth, r.pdim) == (((), 4), 5, 9)
+        assert [(len(scan), max(map(len, scan))) for scan in scans] == [(302, 3)]
+
+    def test_a_cohen_macaulay_scan_is_reisners(self, monkeypatch):
+        # no violation, so the depth is dim + 1 from the one scan of all 77 faces
+        scans = record_scans(monkeypatch)
+        r = full_report(circulant(12, [1, 3, 6]))
+        assert (r.cm, r.depth, r.pdim) == (True, 3, 9)
+        assert sum(r.fh.f) == 77 and list(map(len, scans)) == [77]
