@@ -89,24 +89,29 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _face_levels(c: Complex) -> list[set[int]]:
+def _face_levels(c: Complex, through: int = 0) -> list[set[int]]:
     """The faces of c by size, from the facets down: ``levels[k]`` holds
     each face of k vertices as a bitmask with vertex v of n at bit n - v.
     Among faces of one size, descending masks are ascending vertex tuples
-    (``_face_tuple``); a face one size down is a mask with a bit cleared."""
+    (``_face_tuple``); a face one size down is a mask with a bit cleared.
+    With ``through``, a vertex, only the faces that hold it: those from
+    the facets through it down, never clearing its bit (so no empty face)."""
     n = c.vertex_count
+    keep = 1 << (n - through) if through else 0
     levels: list[set[int]] = [set() for _ in range(c.dim() + 2)]
     for f in c.facets:
-        levels[len(f)].add(sum(1 << (n - v) for v in f))
+        if not through or through in f:
+            levels[len(f)].add(sum(1 << (n - v) for v in f))
     for k in range(len(levels) - 1, 1, -1):
         lower = levels[k - 1]
         for m in levels[k]:
-            rest = m
+            rest = m & ~keep
             while rest:
                 low = rest & -rest
                 lower.add(m ^ low)
                 rest ^= low
-    levels[0] = {0}
+    if not through:
+        levels[0] = {0}
     return levels
 
 

@@ -4,7 +4,12 @@ cross-checked report.
 
 Every homology question the deciders ask is about a link, in one scan
 (``_scan``) that gives Reisner's witness, Buchsbaum's, and the depth,
-hence pdim = n - depth.  On a flag complex Ind(G) the link of F is
+hence pdim = n - depth; where the rotations that are automorphisms of
+G map the scanned vertex set onto itself and are transitive on it, as
+on a circulant, it draws only the faces through the least vertex, which
+meet every orbit.  A shelling order is
+certified by counting (``_verified``), against face counts found
+without it.  On a flag complex Ind(G) the link of F is
 Ind(G - N[F]), so a flag complex is answered by one ``InducedHomology``
 oracle over vertex masks; any other complex takes the textbook route,
 the rank kernel on ``link(c, F)``.  The scan takes (oracle, mask):
@@ -18,7 +23,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, h_from_f, independence_polynomial, link
+from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial, link
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -36,16 +41,18 @@ def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], 
     return _flag_oracle(c, field), (1 << c.vertex_count) - 1
 
 
-def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True) -> Iterator[tuple[int, ...]]:
+def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True, through: int = 0) -> Iterator[tuple[int, ...]]:
     """Every face of c as a sorted vertex tuple, by size, then
     lexicographically: the empty face first, before any face is
-    enumerated, then each size's faces in descending mask order.
+    enumerated, then each size's faces in descending mask order.  With
+    ``through``, a vertex, only the faces that hold it follow the empty
+    face, in the same order, enumerated from the facets through it.
     ``wanted(k)``, asked before each face of k >= 1 vertices and before
     any is enumerated, ends the listing at its first False."""
     yield ()
     if not wanted(1):
         return
-    for k, level in enumerate(_face_levels(c)[1:], 1):
+    for k, level in enumerate(_face_levels(c, through)[1:], 1):
         for m in sorted(level, reverse=True):
             if not wanted(k):
                 return
@@ -82,22 +89,61 @@ def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candida
             yield (face, low)
 
 
-def _scan(c: Complex, view: tuple[Optional[InducedHomology], int], field: FieldChoice, skip: int = 0, depth: bool = False) -> tuple[Optional[Witness], Optional[int]]:
-    """(witness, depth) from one link scan of c: the first violation past
-    the first ``skip`` faces, which are not tested, or None; and with
-    ``depth`` (never with ``skip``), depth k[c], else None.
+def _orbit_vertex(view: tuple[Optional[InducedHomology], int]) -> int:
+    """The least vertex of the view's mask when the oracle's rotations that
+    map the mask onto itself carry that vertex to every vertex of it, else
+    0.  Those rotations are automorphisms of G[mask], so they map faces of
+    Ind(G[mask]) to faces with isomorphic links, and every orbit of faces
+    but the empty face's meets the faces through that vertex."""
+    oracle, mask = view
+    if oracle is None or not mask:
+        return 0
+    low = mask & -mask
+    orbit = reduce(or_, (oracle._rotate(low, r) for r in oracle._rotations if oracle._rotate(mask, r) == mask))
+    return low.bit_length() if orbit == mask else 0
+
+
+def _scan(
+    c: Complex,
+    view: tuple[Optional[InducedHomology], int],
+    field: FieldChoice,
+    reisner: bool = True,
+    buchsbaum: bool = False,
+    depth: bool = False,
+) -> tuple[Optional[Witness], Optional[Witness], Optional[int]]:
+    """(Reisner's witness, Buchsbaum's witness, depth k[c]) from one link
+    scan of c, each None unless asked for.  Reisner's witness is the first
+    violation, or None; Buchsbaum's is the first violation past the empty
+    face, which is not drawn when only Buchsbaum's is asked for.  The walk
+    ends once each witness asked for is found and, with ``depth``, once
+    the faces left cannot lower the depth.
 
     Reisner's test on each skeleton gives the depth (Smith, Hibi): the
     least |F| + 1 + i with H~_i(lk F) nonzero.  A facet gives its size, a
     face passing the test at least its largest facet's, a violation (F, i)
-    at least |F| + 1: so once the witness is found, no face with |F| + 1
-    at least the least value so far is drawn."""
+    at least |F| + 1: so once the witnesses are found, no face with
+    |F| + 1 at least the least value so far is drawn.
+
+    Where ``_orbit_vertex`` finds the mask's rotations transitive, the
+    walk draws the empty face and then only the faces through that
+    vertex, in the same order.  A face's orbit has isomorphic links, and
+    its least face in scan order holds the mask's least vertex, so the
+    first violation, and the first past the empty face, are those of the
+    whole walk; every orbit meets those faces, so the depth is too."""
     best = min(map(len, c.facets)) if depth else 0
-    witness: Optional[Witness] = None
-    for face, i in _violations(c, view, islice(_sorted_faces(c, lambda size: witness is None or size + 1 < best), skip, None), field):
-        witness = witness or (face, i)
+    first: Optional[Witness] = None
+    past_empty: Optional[Witness] = None
+
+    def wanted(size: int) -> bool:
+        return (reisner and first is None) or (buchsbaum and past_empty is None) or size + 1 < best
+
+    faces = _sorted_faces(c, wanted, _orbit_vertex(view))
+    for face, i in _violations(c, view, islice(faces, 0 if reisner or depth else 1, None), field):
+        first = first or (face, i)
+        if face:
+            past_empty = past_empty or (face, i)
         best = min(best, len(face) + 1 + i)
-    return witness, best if depth else None
+    return first if reisner else None, past_empty if buchsbaum else None, best if depth else None
 
 
 def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
@@ -121,8 +167,7 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
-    # the empty face sorts first
-    return _scan(c, _oracle(c, field), field, skip=1)[0]
+    return _scan(c, _oracle(c, field), field, reisner=False, buchsbaum=True)[1]
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -254,7 +299,8 @@ def _attaches(f: int, earlier: list[int]) -> bool:
 
 
 def check_shelling_order(order: Iterable[frozenset[int]]) -> bool:
-    """Direct test of the shelling condition on a given facet order.
+    """Direct test of the shelling condition on a given facet order, pure
+    or not: the reference the tests hold ``_verified``'s count to.
 
     For all j < i there must be an x in F_i \\ F_j and a k < i with
     F_i \\ F_k = {x}.
@@ -270,8 +316,8 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     disconnectedness) rules shellability out.  Otherwise a backtracking
     search places the lowest-index attachable facet next, memoizing dead
     prefix sets, and returns None after ``node_budget`` nodes, one per
-    prefix it extends.  Positive answers are re-verified against the raw
-    shelling condition.
+    prefix it extends.  A positive answer's order is counted against the
+    face counts of ``f_vector`` (``_verified``).
     """
     if not c.is_pure():
         return ShellabilityResult(False)
@@ -280,24 +326,53 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     # Reisner's test on the empty face
     if next(_violations(c, _oracle(c, fld), [()], fld), None) is not None:
         return ShellabilityResult(False)
-    return _shelling_search(sorted(c.facets, key=sorted), node_budget)
+    return _shelling_search(sorted(c.facets, key=sorted), node_budget, f_vector(c).f)
 
 
-def _verified(order: list[int], nodes: int = 0) -> ShellabilityResult:
-    """A positive answer, once its order of facet bitmasks, decoded into
-    vertex sets, passes the raw shelling condition."""
-    facets = tuple(frozenset(_vertices(m)) for m in order)
-    if not check_shelling_order(facets):
-        raise InconsistencyError("a constructed facet order fails the shelling condition")
-    return ShellabilityResult(True, facets, nodes)
+def _shelling_counts(order: list[int]) -> tuple[int, list[int]]:
+    """(sum over j of 2^(|F_j| - |R_j|), [#{j : |R_j| = k} for k from 0])
+    for a pure order of facet bitmasks F_1, F_2, ..., where R_j is the set
+    of x in F_j with F_j - x in an earlier facet, so a ridge of one: |F_j|
+    lookups in the set of the ridges placed so far."""
+    ridges: set[int] = set()
+    total, h = 0, [0] * (max((m.bit_count() for m in order), default=0) + 1)
+    for m in order:
+        rest, r, own = m, 0, []
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            own.append(m ^ x)
+            r += m ^ x in ridges
+        ridges.update(own)
+        total += 1 << (m.bit_count() - r)
+        h[r] += 1
+    return total, h
 
 
-def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> ShellabilityResult:
+def _verified(order: list[int], f: tuple[int, ...], nodes: int = 0) -> ShellabilityResult:
+    """A positive answer, once its pure order of facet bitmasks passes the
+    counting check (Björner-Wachs): the faces that first appear at F_j lie
+    in the interval [R_j, F_j] of ``_shelling_counts``, so the order is a
+    shelling iff they fill it at every j, iff the intervals' sizes add up
+    to sum(f), the face count of the complex with the empty face; and a
+    shelling's h_k is #{j : |R_j| = k}, so that must be ``h_from_f(f)``.
+    ``f`` comes from elsewhere than the order: the independence polynomial,
+    or ``f_vector``.  ``check_shelling_order``, the pairwise test, is the
+    reference the tests hold this to."""
+    total, h = _shelling_counts(order)
+    if total != sum(f) or tuple(h) != h_from_f(f):
+        raise InconsistencyError(f"a constructed facet order fails the shelling count: {total} faces and h = {tuple(h)}, against {sum(f)} and {h_from_f(f)}")
+    return ShellabilityResult(True, tuple(frozenset(_vertices(m)) for m in order), nodes)
+
+
+def _shelling_search(facets: list[frozenset[int]], node_budget: int, f: tuple[int, ...]) -> ShellabilityResult:
     """Depth-first over prefixes of facet indices, on an explicit stack so
     that no facet count meets the recursion limit.  A prefix is one node:
     it tries, lowest index first, each facet that attaches to it, and is
-    remembered as dead by the bits of its indices once none leads on."""
-    masks = [_mask(f) for f in facets]
+    remembered as dead by the bits of its indices once none leads on.  An
+    order of every facet is counted against ``f``, the complex's face
+    counts, by ``_verified``."""
+    masks = [_mask(facet) for facet in facets]
     t = len(masks)
     nodes = 0
     dead: set[int] = set()  # prefixes that extend to no shelling, by their bits of placed indices
@@ -306,7 +381,7 @@ def _shelling_search(facets: list[frozenset[int]], node_budget: int) -> Shellabi
     key = 0
     while True:
         if len(placed) == t:
-            return _verified([masks[i] for i in placed], nodes)
+            return _verified([masks[i] for i in placed], f, nodes)
         if key in dead:
             start = placed.pop() + 1  # its parent tries the next facet
         else:
@@ -340,17 +415,18 @@ def projective_dimension(
     """Projective dimension of the face ring, n - depth k[c] by
     Auslander-Buchsbaum, one variable per vertex 1..n, in a face or not.
 
-    The depth comes from Reisner's link scan, ``_scan``: the least
-    |F| + 1 + i over the faces F with H~_i(lk F) nonzero.  A
-    Cohen-Macaulay complex has no violation, so its depth is dim + 1 and
-    the scan is Reisner's; otherwise the scan stops at the size the depth
-    found so far bounds.  More than ``max_vertices`` vertices raise
-    ``GuardError``; None means no limit.
+    The depth comes from Reisner's link scan, ``_scan``, asked for no
+    witness: the least |F| + 1 + i over the faces F with H~_i(lk F)
+    nonzero, at most the size of the smallest facet.  The scan stops at
+    the size the depth found so far bounds, so a Cohen-Macaulay complex,
+    with no violation and depth dim + 1, is scanned below its ridges
+    only.  More than ``max_vertices`` vertices raise ``GuardError``; None
+    means no limit.
     """
     n = c.vertex_count
     if max_vertices is not None and n > max_vertices:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
-    return n - _scan(c, _oracle(c, field), field, depth=True)[1]
+    return n - _scan(c, _oracle(c, field), field, reisner=False, depth=True)[2]
 
 
 # --- assembled report ---------------------------------------------------------
@@ -470,9 +546,11 @@ def full_report(
     the join is Cohen-Macaulay, hence Buchsbaum, iff every component is,
     vertex decomposable iff every component is, and its depth is theirs
     added.  One link scan of each decided component, on the oracle with
-    its mask, gives its Reisner witness and depth; the join itself is
-    scanned for Reisner and Buchsbaum witnesses only when it is not
-    Cohen-Macaulay.
+    its mask, gives its Reisner witness and depth, and for a connected g
+    Buchsbaum's witness from the same walk; a disconnected join is
+    scanned once for both witnesses only when it is not Cohen-Macaulay.
+    Each scan draws one face per orbit of the rotations that fix its mask
+    where those are transitive on it (``_scan``).
     Checks run in implication order: vertex decomposable implies
     shellable implies Cohen-Macaulay over every field, so once Reisner's
     criterion rejects the complex no search runs; one memo serves the
@@ -480,7 +558,9 @@ def full_report(
     join's shelling order, from the same facets, and only a
     Cohen-Macaulay complex that is not vertex decomposable runs the
     budgeted shelling search, past the pre-checks of ``is_shellable``
-    that Cohen-Macaulayness already passed.  pdim = n - depth counts one
+    that Cohen-Macaulayness already passed.  Either order is counted
+    against the f-vector of the independence polynomial (``_verified``),
+    not checked pair by pair.  pdim = n - depth counts one
     variable per vertex of g, whatever its labels; pdim and depth are None
     when g has more than ``pdim_guard`` vertices (0 skips them, None lifts
     the guard).
@@ -506,25 +586,20 @@ def full_report(
             decided[k] = (oracle.whole if comp == oracle.full else Complex(n, frozenset(map(frozenset, map(_vertices, facets_of(comp))))), comp)
 
     want_depth = pdim_guard is None or n <= pdim_guard
-    scans = {k: _scan(cx, (oracle, comp), fld, depth=want_depth) for k, (cx, comp) in decided.items()}
     pure = all(cx.is_pure() for cx, _ in decided.values())
-    cm = all(wit is None for wit, _ in scans.values())
+    joined = len(comps) > 1  # a component's witnesses are the join's only when it is the join
+    scans = {k: _scan(cx, (oracle, comp), fld, buchsbaum=pure and not joined, depth=want_depth) for k, (cx, comp) in decided.items()}
+    cm = all(wit is None for wit, _, _ in scans.values())
     memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
     vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
-    cm_wit = None
-    if not cm:  # a component's witness is the join's only when it is the join
-        cm_wit = scans[keys[0]][0] if len(comps) == 1 else _scan(oracle.whole, (oracle, oracle.full), fld)[0]
-    bb_wit: Optional[Witness] = None
-    if pure and cm_wit is not None:
-        # Buchsbaum skips only the empty face, so Reisner's witness is
-        # Buchsbaum's unless it is the empty face; then Buchsbaum's scan
-        # starts where Reisner's stopped.
-        bb_wit = _scan(oracle.whole, (oracle, oracle.full), fld, skip=1)[0] if not cm_wit[0] else cm_wit
+    cm_wit = bb_wit = None
+    if not cm:
+        cm_wit, bb_wit, _ = _scan(oracle.whole, (oracle, oracle.full), fld, buchsbaum=pure) if joined else scans[keys[0]]
     if vd:  # the join's order sheds the facets of all its copies as one
-        shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo))
+        shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo), f)
     else:  # Cohen-Macaulay passed is_shellable's pre-checks: purity, and Reisner's test on the empty face
-        shell = _shelling_search(sorted(oracle.whole.facets, key=sorted), shell_budget) if cm else ShellabilityResult(False)
-    pdim = n - sum(scans[k][1] for k in keys) if want_depth else None  # depth adds over a join
+        shell = _shelling_search(sorted(oracle.whole.facets, key=sorted), shell_budget, f) if cm else ShellabilityResult(False)
+    pdim = n - sum(scans[k][2] for k in keys) if want_depth else None  # depth adds over a join
     if include_betti:
         nonzero = oracle.betti(oracle.full)  # the components' joined
         betti = {i: nonzero.get(i, 0) for i in range(-1, fh.dim + 1)}

@@ -31,10 +31,10 @@ from circm import (
     reduced_betti,
     reisner_violation,
 )
-from circm.complexes import _mask, _vertices, faces
+from circm.complexes import FHVectors, _mask, _vertices, f_vector, faces
 from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
-from circm.properties import _oracle, _order_by_shedding, _sorted_faces, _vd_recursive, _violations, buchsbaum_violation, check_shelling_order
+from circm.properties import _oracle, _orbit_vertex, _order_by_shedding, _sorted_faces, _vd_recursive, _verified, _violations, buchsbaum_violation, check_shelling_order
 
 from conftest import (
     brute_independent_sets,
@@ -535,6 +535,40 @@ class TestShellingConditionAgainstTheDefinition:
             seen.add((res.status, res.nodes > 0))
         assert seen == {(True, True), (False, False), (False, True)}
 
+    def test_the_count_agrees_with_the_pairwise_test_on_random_pure_orders(self):
+        # most facets are an earlier one with a vertex swapped, so that many
+        # shuffled orders are shellings (14,281 of the 20,000); one in five
+        # orders holds a facet twice, which no shelling does.  Each order is
+        # counted against the face counts of the complex of its own facets.
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(20_000):
+            n = rng.randint(2, 7)
+            size = rng.randint(1, min(4, n - 1))
+            facets = [frozenset(rng.sample(range(1, n + 1), size))]
+            for _ in range(rng.randint(0, 6)):
+                facet = rng.choice(facets)
+                if rng.random() < 0.8:
+                    facet = facet - {rng.choice(sorted(facet))} | {rng.choice([v for v in range(1, n + 1) if v not in facet])}
+                else:
+                    facet = frozenset(rng.sample(range(1, n + 1), size))
+                if facet not in facets:
+                    facets.append(facet)
+            order = rng.sample(facets, len(facets))
+            if rng.random() < 0.2:
+                order.insert(rng.randint(0, len(order)), rng.choice(facets))
+            want = is_shelling(order)
+            assert check_shelling_order(order) is want, order
+            try:
+                _verified(list(map(_mask, order)), f_vector(Complex(n, frozenset(order))).f)
+            except InconsistencyError:
+                counted = False
+            else:
+                counted = True
+            assert counted is want, order
+            seen.add((want, len(set(order)) < len(order)))
+        assert seen == {(True, False), (False, False), (False, True)}
+
     # (budget, status, nodes): RP^2 passes Reisner's test on the empty face
     # over Q and the search refutes it; the bipyramid over a pentagon is a
     # 2-sphere, shelled in lexicographic order; of three tetrahedra only the
@@ -982,13 +1016,14 @@ class TestSharedWork:
         ],
     )
     def test_report_calls_the_public_scans(self, monkeypatch, n, s, calls_buchsbaum):
-        # Reisner stops at the empty face and Buchsbaum starts after it, so
-        # Buchsbaum's scan runs only when Reisner's witness is the empty
-        # face; the report runs both on the scan behind the public calls
+        # Buchsbaum's witness is the first violation past the empty face,
+        # so where Reisner's witness is the empty face the one walk of the
+        # scan behind the public calls goes on for Buchsbaum's: no second
+        # scan starts over
         scans = record_scans(monkeypatch)
         r = full_report(circulant(n, s))
         assert calls_buchsbaum == (r.pure and r.cm_witness is not None and r.cm_witness[0] == ())
-        assert ["reisner" if scan[:1] == [()] else "buchsbaum" for scan in scans] == ["reisner"] + ["buchsbaum"] * calls_buchsbaum
+        assert ["reisner" if scan[:1] == [()] else "buchsbaum" for scan in scans] == ["reisner"]
 
     def test_a_search_after_reisner_tests_no_face_again(self, monkeypatch):
         # Ind(C17(1,3,8)) is Cohen-Macaulay and not vertex decomposable, so
@@ -1034,10 +1069,15 @@ class TestSharedWork:
 
 class TestInvariantsAreNotAsserts:
     def test_bad_constructed_order_is_an_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(circm.properties, "check_shelling_order", lambda order: False)
-        for c in (Complex.from_facets(3, [[1], [2], [3]]), Complex.from_facets(3, [[1, 2], [2, 3]])):
-            with pytest.raises(InconsistencyError):
-                is_shellable(c, field=Q)
+        # the face counts the order is held to, corrupted: one face too
+        # many, or as many faces with a vertex counted as the empty face, so
+        # that only the h-vector tells
+        real = circm.properties.f_vector
+        for corrupt in (lambda f: (*f[:-1], f[-1] + 1), lambda f: (f[0] + 1, f[1] - 1, *f[2:])):
+            monkeypatch.setattr(circm.properties, "f_vector", lambda c: FHVectors(real(c).dim, corrupt(real(c).f), real(c).h))
+            for c in (Complex.from_facets(3, [[1], [2], [3]]), Complex.from_facets(3, [[1, 2], [2, 3]])):
+                with pytest.raises(InconsistencyError):
+                    is_shellable(c, field=Q)
 
     def test_verify_h2_still_records_a_violated_lower_bound(self, monkeypatch):
         import circm.theorems
@@ -1093,16 +1133,90 @@ class TestDepthFromTheLinkScan:
 
     def test_the_scan_of_a_cycle_stops_at_its_depth(self, monkeypatch):
         # Ind(C14(1)) is S^4 and 6-dimensional: Reisner's witness ((), 4)
-        # gives depth 5 at most, so no face of four vertices is drawn; the
-        # 1 + 14 + 77 + 210 faces below are, in one scan
+        # gives depth 5 at most, so no face of four vertices is drawn; every
+        # rotation is an automorphism, so of the faces below only the empty
+        # face and the 1 + 11 + 45 through vertex 1 are, in one scan
         scans = record_scans(monkeypatch)
         r = full_report(circulant(14, [1]))
         assert (r.cm_witness, r.depth, r.pdim) == (((), 4), 5, 9)
-        assert [(len(scan), max(map(len, scan))) for scan in scans] == [(302, 3)]
+        assert [(len(scan), max(map(len, scan))) for scan in scans] == [(58, 3)]
 
     def test_a_cohen_macaulay_scan_is_reisners(self, monkeypatch):
-        # no violation, so the depth is dim + 1 from the one scan of all 77 faces
+        # no violation, so the depth is dim + 1 from the one scan of the
+        # empty face and the 14 faces through vertex 1, which meet every
+        # rotation orbit of the other 76
         scans = record_scans(monkeypatch)
         r = full_report(circulant(12, [1, 3, 6]))
         assert (r.cm, r.depth, r.pdim) == (True, 3, 9)
-        assert sum(r.fh.f) == 77 and list(map(len, scans)) == [77]
+        assert sum(r.fh.f) == 77 and list(map(len, scans)) == [15]
+
+
+def full_walk(g: Graph, field: FieldChoice) -> tuple:
+    """(Reisner's witness, Buchsbaum's witness, depth) of Ind(g), g on
+    labels 1..n, from ``_violations`` over every face in scan order: no
+    face is left out for its size or its orbit.  Buchsbaum's witness is
+    None for an impure complex."""
+    c = independence_complex(g)
+    found = list(_violations(c, _oracle(c, field), _sorted_faces(c), field))
+    buchsbaum = next((v for v in found if v[0]), None) if c.is_pure() else None
+    return (found[0] if found else None), buchsbaum, min([min(map(len, c.facets))] + [len(face) + 1 + i for face, i in found])
+
+
+class TestOneFacePerOrbit:
+    """Where the rotations that fix a scanned mask are transitive on it,
+    the scan draws only the faces through its least vertex; the report's
+    witnesses and depth, and the public deciders', must still be those of
+    the full walk (``full_walk``), over Q and GF(2)."""
+
+    @staticmethod
+    def assert_the_full_walks(g: Graph) -> None:
+        c = independence_complex(g)
+        for field in (Q, FieldChoice.gf(2)):
+            reisner, buchsbaum, depth = full_walk(g, field)
+            r = full_report(g, field, pdim_guard=None)
+            assert (r.cm_witness, r.buchsbaum_witness, r.depth) == (reisner, buchsbaum, depth), (g.adj, str(field))
+            assert reisner_violation(c, field) == reisner, (g.adj, str(field))
+            if c.is_pure():
+                assert buchsbaum_violation(c, field) == buchsbaum, (g.adj, str(field))
+            assert projective_dimension(c, field, max_vertices=None) == g.vertex_count - depth, (g.adj, str(field))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_every_circulant(self, n):
+        for s in connection_sets(n):
+            self.assert_the_full_walks(circulant(n, s))
+
+    def test_random_graphs(self):
+        rng = random.Random(2027)
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            p = rng.random()
+            self.assert_the_full_walks(graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+
+    def test_lex_products_of_an_edgeless_circulant(self):
+        # C_a()[H] is a copies of H side by side: a rotation by one copy is
+        # an automorphism, one by a vertex is not when H has an edge
+        for a in (2, 3):
+            for m in range(2, 5):
+                for s in connection_sets(m):
+                    g = lex_product(circulant(a, []), circulant(m, s))
+                    if s:
+                        assert _orbit_vertex((InducedHomology(g, Q), (1 << g.vertex_count) - 1)) == 0
+                    self.assert_the_full_walks(g)
+
+    def test_the_orbit_vertex(self):
+        # every vertex of a circulant, and each component of C24(6,12),
+        # K4 on {1, 7, 13, 19} and its rotations, by rotations of 6
+        oracle = InducedHomology(circulant(14, [1]), Q)
+        assert _orbit_vertex((oracle, oracle.full)) == 1
+        oracle = InducedHomology(circulant(24, [6, 12]), Q)
+        comps = circm.graphs._component_masks(oracle.graph, oracle.full)
+        assert [_vertices(comp) for comp in comps[:2]] == [(1, 7, 13, 19), (2, 8, 14, 20)]
+        assert [_orbit_vertex((oracle, comp)) for comp in comps] == list(range(1, 7))
+        assert _orbit_vertex((oracle, comps[0] | comps[1])) == 0
+        # C4(1)[C2(1)]: rotations by two vertices only; a random graph has
+        # none but the identity; a complex that is not flag has no oracle
+        oracle = InducedHomology(lex_product(circulant(4, [1]), circulant(2, [1])), Q)
+        assert _orbit_vertex((oracle, oracle.full)) == 0
+        oracle = InducedHomology(random_graphs(9)[1], Q)
+        assert oracle._rotations == [0] and _orbit_vertex((oracle, oracle.full)) == 0
+        assert _orbit_vertex((None, 0b111)) == 0

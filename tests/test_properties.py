@@ -331,16 +331,18 @@ class TestFullReport:
     )
     def test_a_report_enumerates_faces_at_most_once(self, monkeypatch, n, s, whole):
         # The f-vector comes from the graph.  C5(1) is Cohen-Macaulay, so
-        # Reisner's scan reads every face; C7(1) and C11(1,2) fail at the
-        # empty face and are pure, so Buchsbaum's does; C8(1) and C12(2), two
-        # hexagons, fail at the empty face and are impure, so no scan gets
-        # past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay joins:
-        # one component is scanned, never the whole complex.  A component's
-        # complex keeps the graph's n, so the whole one is told by its facets.
+        # Reisner's scan reads the faces through vertex 1, one per rotation
+        # orbit; C7(1) and C11(1,2) fail at the empty face and are pure, so
+        # the same walk goes on for Buchsbaum's witness; C8(1) and C12(2),
+        # two hexagons, fail at the empty face and are impure, so no scan
+        # gets past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay
+        # joins: one component is scanned, never the whole complex.  A
+        # component's complex keeps the graph's n, so the whole one is told
+        # by its facets.
         calls = []
         real = circm.complexes._face_levels
         for module in (circm.complexes, circm.properties):
-            monkeypatch.setattr(module, "_face_levels", lambda c: calls.append(c) or real(c))
+            monkeypatch.setattr(module, "_face_levels", lambda c, *through: calls.append(c) or real(c, *through))
         r = full_report(circulant(n, s), pdim_guard=0)
         ind = independence_complex(circulant(n, s))
         assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, real(ind)))
