@@ -329,6 +329,20 @@ class InducedHomology:
             key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
         return key
 
+    def orbit_vertex(self, mask: int) -> int:
+        """The least vertex of ``mask``, numbered from 1, when the rotations
+        that are automorphisms of g and map the mask onto itself carry it
+        to every vertex of the mask, else 0, as for the empty mask.  Those
+        rotations are automorphisms of G[mask], so they map faces of
+        Ind(G[mask]) to faces with isomorphic links, and every orbit of
+        faces but the empty face's meets the faces through that vertex."""
+        low = mask & -mask
+        orbit = 0
+        for r in self._rotations:
+            if self._rotate(mask, r) == mask:
+                orbit |= self._rotate(low, r)
+        return low.bit_length() if mask and orbit == mask else 0
+
     def _store(self, mask: int, betti: dict[int, int]) -> None:
         if len(self._memo) >= ORACLE_ENTRIES:
             del self._memo[next(iter(self._memo))]

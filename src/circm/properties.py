@@ -89,20 +89,6 @@ def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candida
             yield (face, low)
 
 
-def _orbit_vertex(view: tuple[Optional[InducedHomology], int]) -> int:
-    """The least vertex of the view's mask when the oracle's rotations that
-    map the mask onto itself carry that vertex to every vertex of it, else
-    0.  Those rotations are automorphisms of G[mask], so they map faces of
-    Ind(G[mask]) to faces with isomorphic links, and every orbit of faces
-    but the empty face's meets the faces through that vertex."""
-    oracle, mask = view
-    if oracle is None or not mask:
-        return 0
-    low = mask & -mask
-    orbit = reduce(or_, (oracle._rotate(low, r) for r in oracle._rotations if oracle._rotate(mask, r) == mask))
-    return low.bit_length() if orbit == mask else 0
-
-
 def _scan(
     c: Complex,
     view: tuple[Optional[InducedHomology], int],
@@ -116,7 +102,10 @@ def _scan(
     violation, or None; Buchsbaum's is the first violation past the empty
     face, which is not drawn when only Buchsbaum's is asked for.  The walk
     ends once each witness asked for is found and, with ``depth``, once
-    the faces left cannot lower the depth.
+    the faces left cannot lower the depth.  It always stops below the
+    ridges: the link of a face of dim c or more vertices has dimension at
+    most 0, and no reduced homology below it, since only {∅}, of dimension
+    -1, has H~_-1 nonzero.
 
     Reisner's test on each skeleton gives the depth (Smith, Hibi): the
     least |F| + 1 + i with H~_i(lk F) nonzero.  A facet gives its size, a
@@ -124,20 +113,23 @@ def _scan(
     at least |F| + 1: so once the witnesses are found, no face with
     |F| + 1 at least the least value so far is drawn.
 
-    Where ``_orbit_vertex`` finds the mask's rotations transitive, the
-    walk draws the empty face and then only the faces through that
-    vertex, in the same order.  A face's orbit has isomorphic links, and
-    its least face in scan order holds the mask's least vertex, so the
-    first violation, and the first past the empty face, are those of the
-    whole walk; every orbit meets those faces, so the depth is too."""
+    Where ``InducedHomology.orbit_vertex`` finds the mask's rotations
+    transitive, the walk draws the empty face and then only the faces
+    through that vertex, in the same order.  A face's orbit has
+    isomorphic links, and its least face in scan order holds the mask's
+    least vertex, so the first violation, and the first past the empty
+    face, are those of the whole walk; every orbit meets those faces, so
+    the depth is too."""
     best = min(map(len, c.facets)) if depth else 0
     first: Optional[Witness] = None
     past_empty: Optional[Witness] = None
+    top = c.dim()
 
     def wanted(size: int) -> bool:
-        return (reisner and first is None) or (buchsbaum and past_empty is None) or size + 1 < best
+        return size < top and ((reisner and first is None) or (buchsbaum and past_empty is None) or size + 1 < best)
 
-    faces = _sorted_faces(c, wanted, _orbit_vertex(view))
+    oracle, mask = view
+    faces = _sorted_faces(c, wanted, oracle.orbit_vertex(mask) if oracle is not None else 0)
     for face, i in _violations(c, view, islice(faces, 0 if reisner or depth else 1, None), field):
         first = first or (face, i)
         if face:
@@ -176,19 +168,6 @@ def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
 
 # --- vertex decomposability, on facets as vertex bitmasks (``_mask``) ---------
 
-def _canonical_facets(facets: frozenset[int]) -> frozenset[int]:
-    """Relabel vertices by sorted occurrence, a cheap canonical form: the
-    union's bits are packed down to 0..k-1, one run of them at a time."""
-    rest, pos, packed = reduce(or_, facets), 0, [0] * len(facets)
-    while rest:
-        low = rest & -rest
-        run = rest & ~(rest + low)
-        packed = [p | (f & run) >> (low.bit_length() - 1 - pos) for p, f in zip(packed, facets)]
-        pos += run.bit_count()
-        rest ^= run
-    return frozenset(packed)
-
-
 def _facets_connected(facets: frozenset[int]) -> bool:
     """Whether the facets, vertex bitmasks, make a connected complex: one
     facet's vertices absorb every facet that meets them, until no facet
@@ -207,46 +186,58 @@ def _facets_connected(facets: frozenset[int]) -> bool:
     return True
 
 
-def _vd_recursive(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> bool:
-    """Vertex decomposability of pure facets, memoized on their canonical
-    form.  A vertex decomposable complex is shellable (Provan-Billera), so
-    one of dimension >= 1 is connected: a disconnected one is answered
-    False before any shedding vertex is sought."""
-    key = _canonical_facets(facets)
-    found = memo.get(key)
-    if found is None:
-        points = next(iter(key)).bit_count() < 2  # dimension 0, connected or not
-        memo[key] = found = len(key) == 1 or ((points or _facets_connected(key)) and _shedding_vertex(key, memo) is not None)
-    return found
+def _link_and_deletion(facets: frozenset[int], x: int) -> tuple[frozenset[int], frozenset[int]]:
+    """(lk_x, del_x) of pure facets for a vertex x, a bit: the link is
+    every facet through x with x cleared, the deletion those avoiding x,
+    or the link itself, the same object, when x lies in every facet."""
+    link_f = frozenset(f ^ x for f in facets if f & x)
+    return link_f, frozenset(f for f in facets if not f & x) or link_f
 
 
-def _shedding_vertex(facets: frozenset[int], memo: dict[frozenset[int], bool]) -> Optional[tuple]:
-    """(x, lk_x, del_x) for the first vertex x, a bit, whose link and
-    deletion are vertex decomposable, or None.  Of pure facets, the
-    deletion is those avoiding x (the link if none does); it is impure,
-    and x is skipped, when a link facet lies in none of them."""
-    rest = reduce(or_, facets)
-    while rest:
-        x = rest & -rest
-        rest ^= x
-        link_f = frozenset(f ^ x for f in facets if f & x)
-        del_f = frozenset(f for f in facets if not f & x) or link_f
-        if del_f is not link_f and any(all(g & ~h for h in del_f) for g in link_f):
-            continue
-        if _vd_recursive(link_f, memo) and _vd_recursive(del_f, memo):
-            return x, link_f, del_f
-    return None
+def _shedding(facets: frozenset[int], memo: dict[frozenset[int], Optional[int]]) -> Optional[int]:
+    """The first shedding vertex of pure facets, as a bit: the least vertex
+    whose link and deletion are vertex decomposable, 0 for a single facet,
+    or None when the facets are not vertex decomposable.  x is skipped when
+    its deletion is impure, that is when a link facet lies in no facet
+    avoiding x.  A vertex decomposable complex is shellable
+    (Provan-Billera), so one of dimension >= 1 is connected: a
+    disconnected one is answered None before any vertex is tried.
+
+    The memo holds the answer for the family shifted down so that its
+    least vertex is bit 0, so translated copies of one family, as the
+    components of a circulant or of C_a()[H] are, share one entry."""
+    union = reduce(or_, facets)
+    low = max((union & -union).bit_length() - 1, 0)  # 0 for the empty facet alone
+    key = frozenset(f >> low for f in facets) if low else facets
+    if key not in memo:
+        found = None
+        if len(key) == 1:
+            found = 0
+        elif next(iter(key)).bit_count() < 2 or _facets_connected(key):  # dimension 0, connected or not
+            rest = union >> low
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                link_f, del_f = _link_and_deletion(key, x)
+                if del_f is not link_f and any(all(g & ~h for h in del_f) for g in link_f):
+                    continue
+                if _shedding(link_f, memo) is not None and _shedding(del_f, memo) is not None:
+                    found = x
+                    break
+        memo[key] = found
+    found = memo[key]
+    return found and found << low
 
 
 def is_vertex_decomposable(c: Complex) -> bool:
     """Pure-complex vertex decomposability: a simplex is vertex
     decomposable, and so is a complex with a vertex whose link and
     deletion are; impure complexes are not.  Within one call, results are
-    memoized on a canonical relabeling of the facet family."""
-    return c.is_pure() and _vd_recursive(frozenset(map(_mask, c.facets)), {})
+    memoized on the facet family shifted to vertex 1 (``_shedding``)."""
+    return c.is_pure() and _shedding(frozenset(map(_mask, c.facets)), {}) is not None
 
 
-def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], bool]) -> list[int]:
+def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], Optional[int]]) -> list[int]:
     """The shelling order, as facet bitmasks, of the join of the vertex
     decomposable facet families ``factors`` on disjoint vertices (one
     family for a single complex) that its first shedding vertices imply:
@@ -255,8 +246,9 @@ def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset
     facet, where del_x is lk_x.  A join is vertex decomposable iff its
     factors are, so x sheds the join iff it sheds its own factor, and the
     join's first shedding vertex is the least of its factors' first ones:
-    the order is the one the join's own facets give.  Every branch taken
-    is in the memo."""
+    the order is the one the join's own facets give.  A single facet
+    sheds no vertex and is joined whole.  Every branch taken is in the
+    memo."""
     first: dict[frozenset[int], tuple] = {}  # each factor's first shedding vertex, link and deletion
     order, stack = [], [(factors, 0)]  # (factors, the vertices joined to each of their facets)
     while stack:
@@ -266,7 +258,8 @@ def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset
             continue
         for f in factors:
             if f not in first:
-                first[f] = _shedding_vertex(f, memo)
+                x = _shedding(f, memo)
+                first[f] = (x, *_link_and_deletion(f, x)) if x else None
         x, i = min((first[f][0], i) for i, f in enumerate(factors) if first[f] is not None)
         _, link_f, del_f = first[factors[i]]
         stack.append((factors[:i] + (link_f,) + factors[i + 1 :], cone | x))
@@ -418,9 +411,8 @@ def projective_dimension(
     The depth comes from Reisner's link scan, ``_scan``, asked for no
     witness: the least |F| + 1 + i over the faces F with H~_i(lk F)
     nonzero, at most the size of the smallest facet.  The scan stops at
-    the size the depth found so far bounds, so a Cohen-Macaulay complex,
-    with no violation and depth dim + 1, is scanned below its ridges
-    only.  More than ``max_vertices`` vertices raise ``GuardError``; None
+    the size the depth found so far bounds, and below the ridges in any
+    case.  More than ``max_vertices`` vertices raise ``GuardError``; None
     means no limit.
     """
     n = c.vertex_count
@@ -590,8 +582,8 @@ def full_report(
     joined = len(comps) > 1  # a component's witnesses are the join's only when it is the join
     scans = {k: _scan(cx, (oracle, comp), fld, buchsbaum=pure and not joined, depth=want_depth) for k, (cx, comp) in decided.items()}
     cm = all(wit is None for wit, _, _ in scans.values())
-    memo: dict[frozenset[int], bool] = {}  # one search memo for the components and the join's order
-    vd = cm and all(_vd_recursive(facets_of(comp), memo) for _, comp in decided.values())
+    memo: dict[frozenset[int], Optional[int]] = {}  # one search memo for the components and the join's order
+    vd = cm and all(_shedding(facets_of(comp), memo) is not None for _, comp in decided.values())
     cm_wit = bb_wit = None
     if not cm:
         cm_wit, bb_wit, _ = _scan(oracle.whole, (oracle, oracle.full), fld, buchsbaum=pure) if joined else scans[keys[0]]

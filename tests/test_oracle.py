@@ -34,7 +34,7 @@ from circm import (
 from circm.complexes import FHVectors, _mask, _vertices, f_vector, faces
 from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
-from circm.properties import _oracle, _orbit_vertex, _order_by_shedding, _sorted_faces, _vd_recursive, _verified, _violations, buchsbaum_violation, check_shelling_order
+from circm.properties import _oracle, _order_by_shedding, _shedding, _sorted_faces, _verified, _violations, buchsbaum_violation, check_shelling_order
 
 from conftest import (
     brute_independent_sets,
@@ -106,7 +106,7 @@ def shedding_order(c: Complex):
     of c give when c is vertex decomposable, else None."""
     memo: dict = {}
     facets = frozenset(map(_mask, c.facets))
-    if not c.is_pure() or not _vd_recursive(facets, memo):
+    if not c.is_pure() or _shedding(facets, memo) is None:
         return None
     return [frozenset(_vertices(m)) for m in _order_by_shedding((facets,), memo)]
 
@@ -420,9 +420,9 @@ def is_shelling(order: list[frozenset[int]]) -> bool:
     return True
 
 
-# Complexes on labels with gaps, so that the canonical form of the vertex
-# decomposition search packs several runs of bits, with their vertex
-# decomposability
+# Complexes on labels with gaps, which the vertex decomposition search's
+# memo keys keep, since they only shift a family down to vertex 1, with
+# their vertex decomposability
 GAPPED = {
     "bd-simplex-on-2-5-9-11": (Complex.from_facets(12, combinations([2, 5, 9, 11], 3)), True),
     "path-on-3-4-7-10-11": (Complex.from_facets(12, [[3, 4], [4, 7], [7, 10], [10, 11]]), True),
@@ -456,8 +456,11 @@ class TestVertexDecomposabilityAgainstBruteForce:
     def test_random_pure_complexes(self):
         # 0- to 2-dimensional, up to 7 facets on up to 8 vertices, each
         # inside one of two parts of the vertices: many are disconnected,
-        # which the search answers without seeking a shedding vertex
-        rng = random.Random(16)
+        # which the search answers without seeking a shedding vertex.  The
+        # search's memo keys a family shifted to vertex 1, so each complex
+        # shifted up by a few vertices must give the same answer and the
+        # order shifted by as many
+        rng, shifts = random.Random(16), random.Random(28)
         for _ in range(500):
             n, k = rng.randint(1, 8), rng.randint(1, 3)
             vs, cut = rng.sample(range(1, n + 1), n), rng.randint(0, n - 1)
@@ -471,6 +474,10 @@ class TestVertexDecomposabilityAgainstBruteForce:
             assert (order is not None) is vd, c.facets
             if vd:
                 assert sorted(map(sorted, order)) == sorted(map(sorted, c.facets)) and check_shelling_order(order)
+            shift = shifts.randint(1, 9)
+            moved = Complex.from_facets(n + shift, [[v + shift for v in f] for f in c.facets])
+            assert is_vertex_decomposable(moved) is vd, (c.facets, shift)
+            assert shedding_order(moved) == (None if order is None else [frozenset(v + shift for v in f) for f in order]), (c.facets, shift)
 
     @pytest.mark.parametrize(
         "c, vd",
@@ -482,18 +489,18 @@ class TestVertexDecomposabilityAgainstBruteForce:
         ids=["two-triangles", "two-edges-on-2-6-9-12", "four-points"],
     )
     def test_disconnected_complexes_of_dimension_one_or_more_seek_no_shedding_vertex(self, monkeypatch, c, vd):
-        calls = []
-        real = circm.properties._shedding_vertex
+        tried = []
+        real = circm.properties._link_and_deletion
 
-        def counted(facets, memo):
-            calls.append(facets)
-            return real(facets, memo)
+        def counted(facets, x):
+            tried.append(x)
+            return real(facets, x)
 
-        monkeypatch.setattr(circm.properties, "_shedding_vertex", counted)
+        monkeypatch.setattr(circm.properties, "_link_and_deletion", counted)
         assert is_vertex_decomposable(c) is brute_vertex_decomposable(c.facets) is vd
         # points are vertex decomposable whether connected or not, and only
         # the search finds that out
-        assert bool(calls) is vd
+        assert bool(tried) is vd
 
     def test_rp2_and_the_empty_complex(self):
         assert is_vertex_decomposable(RP2) is brute_vertex_decomposable(RP2.facets) is False
@@ -898,7 +905,7 @@ class TestSharedWork:
         def refuse(*args, **kwargs):
             raise AssertionError("search run on a complex Reisner rejected")
 
-        monkeypatch.setattr(circm.properties, "_vd_recursive", refuse)
+        monkeypatch.setattr(circm.properties, "_shedding", refuse)
         monkeypatch.setattr(circm.properties, "_shelling_search", refuse)
         r = full_report(circulant(16, [1, 3, 4, 5, 7, 8]))
         assert r.cm_witness == ((), 0)
@@ -931,27 +938,41 @@ class TestSharedWork:
         assert len(enumerated_graph_sizes(lambda: reports.append(full_report(circulant(n, s))))) == runs
         assert reports[0].vertex_decomposable
 
-    @pytest.mark.parametrize("n,s,searched", [(24, (6, 12), 5), (18, (6, 9), 8), (16, (4, 8), 5), (12, (6,), 3), (10, (1, 4, 5), 13)])
-    def test_one_search_memo_decides_the_components_and_orders_the_join(self, monkeypatch, n, s, searched):
+    @pytest.mark.parametrize(
+        "g,searched",
+        [
+            (circulant(24, [6, 12]), 5),
+            (circulant(18, [6, 9]), 8),
+            (circulant(16, [4, 8]), 5),
+            (circulant(12, [6]), 3),
+            (circulant(10, [1, 4, 5]), 15),
+            (lex_product(circulant(2, []), circulant(10, [1, 4, 5])), 15),
+        ],
+        ids=["C24(6,12)", "C18(6,9)", "C16(4,8)", "C12(6)", "C10(1,4,5)", "C2()[C10(1,4,5)]"],
+    )
+    def test_one_search_memo_decides_the_components_and_orders_the_join(self, monkeypatch, g, searched):
         # the memo that decided the components is the one the order is
-        # built from, so no facet family is searched twice in a report
+        # built from, so no facet family is searched twice in a report; it
+        # is keyed on each family shifted to vertex 1, so the copies of a
+        # component, translates of each other, share their entries: the
+        # second copy of C10(1,4,5) in C2()[C10(1,4,5)] adds none
         memos, orders = [], []
-        real_vd, real_order = circm.properties._vd_recursive, circm.properties._order_by_shedding
+        real_shedding, real_order = circm.properties._shedding, circm.properties._order_by_shedding
 
-        def vd(facets, memo):
+        def shedding(facets, memo):
             memos.append(memo)
-            return real_vd(facets, memo)
+            return real_shedding(facets, memo)
 
         def order(factors, memo):
             orders.append((memo, len(memo)))
             return real_order(factors, memo)
 
-        monkeypatch.setattr(circm.properties, "_vd_recursive", vd)
+        monkeypatch.setattr(circm.properties, "_shedding", shedding)
         monkeypatch.setattr(circm.properties, "_order_by_shedding", order)
-        assert full_report(circulant(n, s), pdim_guard=0).vertex_decomposable
+        assert full_report(g, pdim_guard=0).vertex_decomposable
         ((memo, size),) = orders
         assert size > 0 and all(m is memo for m in memos)
-        assert len(memo) == searched
+        assert len(memo) == size == searched
 
     @pytest.mark.parametrize(
         "g",
@@ -1143,21 +1164,21 @@ class TestDepthFromTheLinkScan:
 
     def test_a_cohen_macaulay_scan_is_reisners(self, monkeypatch):
         # no violation, so the depth is dim + 1 from the one scan of the
-        # empty face and the 14 faces through vertex 1, which meet every
-        # rotation orbit of the other 76
+        # empty face and {1}: the complex is 2-dimensional, so the scan
+        # stops below the ridges, and {1} meets every rotation orbit of the
+        # other 11 vertices
         scans = record_scans(monkeypatch)
         r = full_report(circulant(12, [1, 3, 6]))
-        assert (r.cm, r.depth, r.pdim) == (True, 3, 9)
-        assert sum(r.fh.f) == 77 and list(map(len, scans)) == [15]
+        assert (r.cm, r.dim, r.depth, r.pdim) == (True, 2, 3, 9)
+        assert sum(r.fh.f) == 77 and scans == [[(), (1,)]]
 
 
-def full_walk(g: Graph, field: FieldChoice) -> tuple:
-    """(Reisner's witness, Buchsbaum's witness, depth) of Ind(g), g on
-    labels 1..n, from ``_violations`` over every face in scan order: no
-    face is left out for its size or its orbit.  Buchsbaum's witness is
-    None for an impure complex."""
-    c = independence_complex(g)
-    found = list(_violations(c, _oracle(c, field), _sorted_faces(c), field))
+def full_walk(c: Complex, view: tuple, field: FieldChoice) -> tuple:
+    """(Reisner's witness, Buchsbaum's witness, depth) of c from
+    ``_violations`` on ``view`` over every face in scan order: no face is
+    left out for its size or its orbit.  Buchsbaum's witness is None for
+    an impure complex."""
+    found = list(_violations(c, view, _sorted_faces(c), field))
     buchsbaum = next((v for v in found if v[0]), None) if c.is_pure() else None
     return (found[0] if found else None), buchsbaum, min([min(map(len, c.facets))] + [len(face) + 1 + i for face, i in found])
 
@@ -1172,7 +1193,7 @@ class TestOneFacePerOrbit:
     def assert_the_full_walks(g: Graph) -> None:
         c = independence_complex(g)
         for field in (Q, FieldChoice.gf(2)):
-            reisner, buchsbaum, depth = full_walk(g, field)
+            reisner, buchsbaum, depth = full_walk(c, _oracle(c, field), field)
             r = full_report(g, field, pdim_guard=None)
             assert (r.cm_witness, r.buchsbaum_witness, r.depth) == (reisner, buchsbaum, depth), (g.adj, str(field))
             assert reisner_violation(c, field) == reisner, (g.adj, str(field))
@@ -1200,23 +1221,60 @@ class TestOneFacePerOrbit:
                 for s in connection_sets(m):
                     g = lex_product(circulant(a, []), circulant(m, s))
                     if s:
-                        assert _orbit_vertex((InducedHomology(g, Q), (1 << g.vertex_count) - 1)) == 0
+                        oracle = InducedHomology(g, Q)
+                        assert oracle.orbit_vertex(oracle.full) == 0
                     self.assert_the_full_walks(g)
 
     def test_the_orbit_vertex(self):
         # every vertex of a circulant, and each component of C24(6,12),
         # K4 on {1, 7, 13, 19} and its rotations, by rotations of 6
         oracle = InducedHomology(circulant(14, [1]), Q)
-        assert _orbit_vertex((oracle, oracle.full)) == 1
+        assert oracle.orbit_vertex(oracle.full) == 1
+        assert oracle.orbit_vertex(0) == 0
         oracle = InducedHomology(circulant(24, [6, 12]), Q)
         comps = circm.graphs._component_masks(oracle.graph, oracle.full)
         assert [_vertices(comp) for comp in comps[:2]] == [(1, 7, 13, 19), (2, 8, 14, 20)]
-        assert [_orbit_vertex((oracle, comp)) for comp in comps] == list(range(1, 7))
-        assert _orbit_vertex((oracle, comps[0] | comps[1])) == 0
+        assert [oracle.orbit_vertex(comp) for comp in comps] == list(range(1, 7))
+        assert oracle.orbit_vertex(comps[0] | comps[1]) == 0
         # C4(1)[C2(1)]: rotations by two vertices only; a random graph has
-        # none but the identity; a complex that is not flag has no oracle
+        # none but the identity
         oracle = InducedHomology(lex_product(circulant(4, [1]), circulant(2, [1])), Q)
-        assert _orbit_vertex((oracle, oracle.full)) == 0
+        assert oracle.orbit_vertex(oracle.full) == 0
         oracle = InducedHomology(random_graphs(9)[1], Q)
-        assert oracle._rotations == [0] and _orbit_vertex((oracle, oracle.full)) == 0
-        assert _orbit_vertex((None, 0b111)) == 0
+        assert oracle._rotations == [0] and oracle.orbit_vertex(oracle.full) == 0
+
+
+class TestTheFullWalkOffTheOracle:
+    """The public deciders against the full walk on the rank kernel of
+    ``link``, over Q and GF(2): a complex that is not flag has no oracle,
+    so its scan takes that route itself, with no face drawn per orbit but
+    with the cutoffs below the ridges and at the depth found so far."""
+
+    @staticmethod
+    def assert_the_full_walk(c: Complex) -> None:
+        for field in (Q, FieldChoice.gf(2)):
+            reisner, buchsbaum, depth = full_walk(c, (None, (1 << c.vertex_count) - 1), field)
+            assert reisner_violation(c, field) == reisner, (sorted(map(sorted, c.facets)), str(field))
+            if c.is_pure():
+                assert buchsbaum_violation(c, field) == buchsbaum, (sorted(map(sorted, c.facets)), str(field))
+            assert projective_dimension(c, field, max_vertices=None) == c.vertex_count - depth, (sorted(map(sorted, c.facets)), str(field))
+
+    @pytest.mark.parametrize("c", [c for c, _ in NON_FLAG.values()] + [c for c, _ in GAPPED.values()] + [RP2], ids=[*NON_FLAG, *GAPPED, "RP2"])
+    def test_named_complexes(self, c):
+        self.assert_the_full_walk(c)
+
+    def test_random_pure_and_impure_complexes(self):
+        # pure: up to 8 facets of k vertices on up to 8 vertices; and up to
+        # four random facets on up to 7 (``random_complexes``), which leave
+        # 44 of 150 impure; most of either kind are not flag
+        rng = random.Random(28)
+        pure = []
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            pool = list(combinations(range(1, n + 1), rng.randint(1, min(n, 4))))
+            pure.append(Complex.from_facets(n, rng.sample(pool, rng.randint(1, min(8, len(pool))))))
+        complexes = pure + random_complexes(150, 28)
+        assert sum(not c.is_pure() for c in complexes) == 44
+        assert sum(_oracle(c, Q)[0] is None for c in complexes) > 150
+        for c in complexes:
+            self.assert_the_full_walk(c)

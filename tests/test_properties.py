@@ -292,7 +292,7 @@ class TestFullReport:
         assert len(r.shelling_order) == 2 ** (n // 2)
 
     def test_search_runs_only_when_cohen_macaulay_and_not_vd(self, monkeypatch):
-        monkeypatch.setattr(circm.properties, "_vd_recursive", lambda facets, memo: False)
+        monkeypatch.setattr(circm.properties, "_shedding", lambda facets, memo: None)
         r = full_report(circulant(12, [6]), shell_budget=10, pdim_guard=0)
         assert r.cm and not r.vertex_decomposable and r.shellable is None
         r = full_report(circulant(12, [6]), pdim_guard=0)
@@ -327,12 +327,12 @@ class TestFullReport:
 
     @pytest.mark.parametrize(
         "n, s, whole",
-        [(5, [1], 1), (12, [6], 0), (7, [1], 1), (11, [1, 2], 1), (8, [1], 0), (12, [2], 0), (12, [4, 6], 0), (18, [6, 9], 0)],
+        [(5, [1], 0), (12, [6], 0), (7, [1], 1), (11, [1, 2], 1), (8, [1], 0), (12, [2], 0), (12, [4, 6], 0), (18, [6, 9], 0)],
     )
     def test_a_report_enumerates_faces_at_most_once(self, monkeypatch, n, s, whole):
-        # The f-vector comes from the graph.  C5(1) is Cohen-Macaulay, so
-        # Reisner's scan reads the faces through vertex 1, one per rotation
-        # orbit; C7(1) and C11(1,2) fail at the empty face and are pure, so
+        # The f-vector comes from the graph.  C5(1) is Cohen-Macaulay and
+        # 1-dimensional, so Reisner's scan, which stops below the ridges,
+        # draws the empty face only and builds no face level; C7(1) and C11(1,2) fail at the empty face and are pure, so
         # the same walk goes on for Buchsbaum's witness; C8(1) and C12(2),
         # two hexagons, fail at the empty face and are impure, so no scan
         # gets past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay
