@@ -89,48 +89,41 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _face_levels(c: Complex, through: int = 0) -> list[set[int]]:
-    """The faces of c by size, from the facets down: ``levels[k]`` holds
-    each face of k vertices as a bitmask with vertex v of n at bit n - v.
-    Among faces of one size, descending masks are ascending vertex tuples
-    (``_face_tuple``); a face one size down is a mask with a bit cleared.
-    With ``through``, a vertex, only the faces that hold it: those from
-    the facets through it down, never clearing its bit (so no empty face)."""
-    n = c.vertex_count
-    keep = 1 << (n - through) if through else 0
-    levels: list[set[int]] = [set() for _ in range(c.dim() + 2)]
-    for f in c.facets:
-        if not through or through in f:
-            levels[len(f)].add(sum(1 << (n - v) for v in f))
-    for k in range(len(levels) - 1, 1, -1):
-        lower = levels[k - 1]
-        for m in levels[k]:
-            rest = m & ~keep
+def _face_levels(c: Complex, through: int = 0) -> Iterator[list[int]]:
+    """The faces of c by size, from the empty face up, each level built
+    only when asked for: a list of ``_mask`` bitmasks in lexicographic
+    order of the vertex tuples.  Level k + 1 is F | x for each face F of
+    level k, in order, and each x above F's largest vertex that lies with
+    F in some facet.  A face carries its facets, as a bitset of their
+    indices, and its candidates, cut at each step to the union of the
+    facets through the vertex added.  With ``through``, a vertex, only
+    the faces whose least vertex it is follow the empty face."""
+    yield [0]
+    holders = [0] * c.vertex_count  # the facets through each vertex, by index bits
+    star = [0] * c.vertex_count  # the union of those facets
+    for j, f in enumerate(c.facets):
+        m = _mask(f)
+        for v in f:
+            holders[v - 1] |= 1 << j
+            star[v - 1] |= m
+    starts = [through - 1] if through else range(c.vertex_count)
+    level = [(1 << i, holders[i], star[i] & -(2 << i)) for i in starts if holders[i]]  # -(2 << i): the bits above i
+    while level:
+        yield [face for face, _, _ in level]
+        below, level = level, []
+        for face, held, rest in below:
             while rest:
-                low = rest & -rest
-                lower.add(m ^ low)
-                rest ^= low
-    if not through:
-        levels[0] = {0}
-    return levels
-
-
-def _face_tuple(mask: int, n: int) -> tuple[int, ...]:
-    """The sorted vertex tuple of a face mask of ``_face_levels`` (vertex v
-    of n at bit n - v): the highest bit is the smallest vertex."""
-    out = []
-    while mask:
-        top = mask.bit_length() - 1
-        out.append(n - top)
-        mask ^= 1 << top
-    return tuple(out)
+                x = rest & -rest
+                rest ^= x  # only the candidates above x are left
+                i = x.bit_length() - 1
+                if held & holders[i]:
+                    level.append((face | x, held & holders[i], rest & star[i]))
 
 
 @lru_cache(maxsize=256)
 def faces(c: Complex) -> frozenset[frozenset[int]]:
     """Every face of c, the empty face included."""
-    n = c.vertex_count
-    return frozenset(frozenset(_face_tuple(m, n)) for level in _face_levels(c) for m in level)
+    return frozenset(frozenset(_vertices(m)) for level in _face_levels(c) for m in level)
 
 
 class FHVectors(Frozen):

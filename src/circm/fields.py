@@ -167,7 +167,7 @@ def rows_from_vectors(vectors: Sequence[Sequence]) -> list[SparseRow]:
 
     Each rational row is scaled by its common denominator, which leaves
     the rank unchanged.  Over GF(p) the denominators must not be
-    divisible by p.  An entry without an exact ``numerator`` and
+    divisible by p, which ``homology.kernel_rank_of`` checks.  An entry without an exact ``numerator`` and
     ``denominator`` (a float, say) raises ``ValueError``.
     """
     if not vectors:

@@ -5,12 +5,11 @@ Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
 reproducible bit-for-bit.  The chain complex is built on the face
-bitmasks of ``complexes._face_levels``, vertex v of n being bit n - v:
-among faces of one size, descending masks are ascending tuples, the
-boundary faces of a face are its mask with one bit cleared, and the
-highest bit, the smallest vertex, has the sign +1.  The rank kernel,
-``_betti_by_ranks``, ranks columns over mask bases; only
-``build_chain_complex`` decodes its bases into tuples.  Every build is
+bitmasks of ``complexes._face_levels``, vertex v at bit v - 1, each size
+listed in that order: the boundary faces of a face are its mask with one
+bit cleared, and the lowest bit, the smallest vertex, has the sign +1.
+The rank kernel, ``_betti_by_ranks``, ranks columns over mask bases;
+only ``build_chain_complex`` decodes its bases into tuples.  Every build is
 checked before anything is ranked: each entry must be +1 or -1 in a row
 of the basis one dimension down, and ∂_i ∘ ∂_{i+1} must vanish, column
 by column.  Ranks go from the top dimension down with clearing (the
@@ -42,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Generator, Optional, Sequence
 
-from .complexes import Complex, _face_levels, _face_tuple, _mask, _maximal_independent_sets, f_vector, independence_complex
+from .complexes import Complex, _face_levels, _mask, _maximal_independent_sets, _vertices, f_vector, independence_complex
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -73,25 +72,20 @@ class ChainComplexData:
 
 
 def _build_on_masks(c: Complex) -> ChainComplexData:
-    """The reduced chain complex of c with each basis left as face masks
-    in basis order (descending), its boundary columns checked.
-
-    The i-faces have i + 1 bits; the highest bit is the smallest vertex,
-    whose column entry is +1, so the lowest bit's entry is (-1)^i.
-    """
-    levels = _face_levels(c)
+    """The reduced chain complex of c with each basis left as the ``_mask``
+    face masks of ``_face_levels``, in its order, its boundary columns
+    checked.  A boundary face is the mask with one bit cleared; the
+    lowest bit, the smallest vertex, has the entry +1, and the signs
+    alternate upward."""
     data = ChainComplexData(bases={})
     index: dict[int, int] = {}  # mask -> position among the (i-1)-faces
-    for i in range(-1, c.dim() + 1):
-        masks = sorted(levels[i + 1], reverse=True)
-        levels[i + 1] = set()  # released once its columns are built
+    for i, masks in enumerate(_face_levels(c), -1):
         data.bases[i] = masks
         if i >= 0:
-            first = -1 if i % 2 else 1
             cols = []
             for m in masks:
                 col: SparseRow = {}
-                sign, rest = first, m
+                sign, rest = 1, m
                 while rest:
                     low = rest & -rest
                     col[index[m ^ low]] = sign
@@ -107,8 +101,7 @@ def _build_on_masks(c: Complex) -> ChainComplexData:
 def build_chain_complex(c: Complex) -> ChainComplexData:
     """Bases and boundary matrices of the reduced chain complex of c."""
     data = _build_on_masks(c)
-    n = c.vertex_count
-    data.bases = {i: [_face_tuple(m, n) for m in masks] for i, masks in data.bases.items()}
+    data.bases = {i: list(map(_vertices, masks)) for i, masks in data.bases.items()}
     return data
 
 
@@ -235,8 +228,12 @@ def euler_check(c: Complex, field: FieldChoice) -> bool:
 
 
 def kernel_rank_of(vectors: Sequence[Sequence], field: FieldChoice) -> int:
-    """Rank of the subspace spanned by dense exact vectors."""
+    """Rank of the subspace spanned by dense exact vectors.  Over GF(p) an
+    entry whose denominator p divides has no image and raises ``ValueError``."""
     rows = rows_from_vectors(vectors)
+    bad = next((x for vec in vectors for x in vec if field.p and x.denominator % field.p == 0), None)
+    if bad is not None:
+        raise ValueError(f"entry {bad} has no image in GF({field.p})")
     return rank_of_rows(rows, field)
 
 

@@ -23,7 +23,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _face_tuple, _mask, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial, link
+from .complexes import Complex, FHVectors, _face_levels, _mask, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial, link
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -41,28 +41,29 @@ def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], 
     return _flag_oracle(c, field), (1 << c.vertex_count) - 1
 
 
-def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True, through: int = 0) -> Iterator[tuple[int, ...]]:
-    """Every face of c as a sorted vertex tuple, by size, then
-    lexicographically: the empty face first, before any face is
-    enumerated, then each size's faces in descending mask order.  With
-    ``through``, a vertex, only the faces that hold it follow the empty
-    face, in the same order, enumerated from the facets through it.
-    ``wanted(k)``, asked before each face of k >= 1 vertices and before
-    any is enumerated, ends the listing at its first False."""
-    yield ()
-    if not wanted(1):
-        return
-    for k, level in enumerate(_face_levels(c, through)[1:], 1):
-        for m in sorted(level, reverse=True):
+def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True, through: int = 0) -> Iterator[int]:
+    """Every face of c as a ``_mask`` bitmask, by size, then in
+    lexicographic order of the vertex tuples: the empty face first, then
+    each level of ``_face_levels``.  With ``through``, a vertex, only the
+    faces whose least vertex it is follow the empty face, in the same
+    order.  ``wanted(k)``, asked before level k >= 1 is built and before
+    each of its faces, ends the listing at its first False."""
+    levels = _face_levels(c, through)
+    yield from next(levels)  # the empty face, before any facet is read
+    k = 1
+    while wanted(k) and (level := next(levels, [])):
+        for m in level:
+            yield m
             if not wanted(k):
                 return
-            yield _face_tuple(m, c.vertex_count)
+        k += 1
 
 
-def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candidates: Iterable[tuple[int, ...]], field: FieldChoice) -> Iterator[Witness]:
-    """(face, i) for each candidate face, in order, that fails Reisner's
-    test: i is the least degree with H~_i of the link nonzero, and it lies
-    below the link's dimension.  ``view`` is (oracle, mask) with c =
+def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candidates: Iterable[int], field: FieldChoice) -> Iterator[Witness]:
+    """(face, i) for each candidate face, a ``_mask`` bitmask, in order,
+    that fails Reisner's test: i is the least degree with H~_i of the link
+    nonzero, and it lies below the link's dimension; the face is reported
+    as its sorted vertex tuple.  ``view`` is (oracle, mask) with c =
     Ind(G[mask]), or (None, every vertex) for the rank kernel on links.
 
     Each link of a pure complex is pure, of dimension dim c - |F|.
@@ -73,20 +74,23 @@ def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candida
     pure_dim = c.dim() if c.is_pure() else None
     for face in candidates:
         if oracle is not None:
-            closed = _mask(face)
-            for v in face:
-                closed |= oracle.graph.adj[v - 1]
+            closed, rest = face, face
+            while rest:
+                low = rest & -rest
+                closed |= oracle.graph.adj[low.bit_length() - 1]
+                rest ^= low
             nonzero = oracle.betti(mask & ~closed)  # lk_F Ind(G[W]) = Ind(G[W - N[F]])
         else:
-            nonzero = [i for i, b in _betti_by_ranks(link(c, face), field).by_dim if b]
+            nonzero = [i for i, b in _betti_by_ranks(link(c, _vertices(face)), field).by_dim if b]
         low = min(nonzero, default=None)
         if low is None:
             continue
         top = pure_dim
         if top is None:  # read from the facets only when some H~_i is nonzero
-            top = max(len(f) for f in c.facets if f.issuperset(face)) - 1
-        if low < top - len(face):
-            yield (face, low)
+            vertices = _vertices(face)
+            top = max(len(f) for f in c.facets if f.issuperset(vertices)) - 1
+        if low < top - face.bit_count():
+            yield (_vertices(face), low)
 
 
 def _scan(
@@ -115,7 +119,8 @@ def _scan(
 
     Where ``InducedHomology.orbit_vertex`` finds the mask's rotations
     transitive, the walk draws the empty face and then only the faces
-    through that vertex, in the same order.  A face's orbit has
+    through that vertex, the mask's least, in the same order; each size
+    is built only once the walk reaches it.  A face's orbit has
     isomorphic links, and its least face in scan order holds the mask's
     least vertex, so the first violation, and the first past the empty
     face, are those of the whole walk; every orbit meets those faces, so
@@ -317,7 +322,7 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     fld = field if field is not None else FieldChoice.rational()
     # shellable complexes have homology only in the top dimension:
     # Reisner's test on the empty face
-    if next(_violations(c, _oracle(c, fld), [()], fld), None) is not None:
+    if next(_violations(c, _oracle(c, fld), [0], fld), None) is not None:
         return ShellabilityResult(False)
     return _shelling_search(sorted(c.facets, key=sorted), node_budget, f_vector(c).f)
 

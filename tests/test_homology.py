@@ -139,6 +139,16 @@ class TestRank:
         with pytest.raises(ValueError, match="ints or Fractions"):
             kernel_rank_of(vectors, Q)
 
+    def test_an_entry_with_no_image_in_gf_p_is_rejected(self):
+        # 1/3 has no image in GF(3); scaling the row by 3 read it as
+        # [1, 0] there and answered rank 1
+        from fractions import Fraction
+
+        with pytest.raises(ValueError, match="entry 1/3 has no image in GF\\(3\\)"):
+            kernel_rank_of([[Fraction(1, 3), 1]], FieldChoice.gf(3))
+        assert kernel_rank_of([[Fraction(1, 3), 1]], FieldChoice.gf(5)) == 1
+        assert kernel_rank_of([[Fraction(1, 3), 1]], Q) == 1
+
 
 class TestChainComplex:
     def test_boundary_shapes_for_triangle(self):

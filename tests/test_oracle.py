@@ -31,7 +31,7 @@ from circm import (
     reduced_betti,
     reisner_violation,
 )
-from circm.complexes import FHVectors, _mask, _vertices, f_vector, faces
+from circm.complexes import FHVectors, _face_levels, _mask, _vertices, f_vector, faces
 from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
 from circm.properties import _oracle, _order_by_shedding, _shedding, _sorted_faces, _verified, _violations, buchsbaum_violation, check_shelling_order
@@ -616,9 +616,28 @@ class TestFaceEnumeration:
             closure = downward_closure(set(c.facets))
             assert faces(c) == closure, name
             ordered = sorted((tuple(sorted(f)) for f in closure), key=lambda t: (len(t), t))
-            assert list(_sorted_faces(c)) == ordered, name
+            assert list(map(_vertices, _sorted_faces(c))) == ordered, name
             bases = build_chain_complex(c).bases
             assert [t for i in sorted(bases) for t in bases[i]] == ordered, name
+
+    def test_a_walk_through_a_vertex_is_the_full_walk_cut_to_it(self):
+        # seeded random complexes on at most 8 vertices, flag ones of random
+        # graphs and others of random facets, some with a vertex in no face:
+        # the full walk is in order of size, then of vertex tuple, and with
+        # a vertex v, the empty face is followed by exactly the faces whose
+        # least vertex is v, in that order
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            flag = independence_complex(graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4]))
+            other = Complex.from_facets(n, [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 5))], reduce=True)
+            for c in (flag, other):
+                full = [m for level in _face_levels(c) for m in level]
+                assert full == sorted(full, key=lambda m: (m.bit_count(), _vertices(m))), c.facets
+                for v in range(1, n + 1):
+                    levels = list(_face_levels(c, v))
+                    assert levels[0] == [0] and all(levels), (c.facets, v)
+                    assert [m for level in levels[1:] for m in level] == [m for m in full if m & -m == 1 << (v - 1)], (c.facets, v)
 
 
 class TestReportAgainstBruteForce:
@@ -808,14 +827,15 @@ def count_betti_calls(monkeypatch) -> list:
 
 def record_scans(monkeypatch) -> list[list[tuple[int, ...]]]:
     """Record, for each call of the link scan ``_violations``, the
-    candidate faces it draws, as it draws them."""
+    candidate faces it draws, as it draws them, each decoded from its
+    mask into a sorted vertex tuple."""
     scans = []
     real = circm.properties._violations
 
     def recording(c, view, candidates, field):
         drawn = []
         scans.append(drawn)
-        return real(c, view, (drawn.append(face) or face for face in candidates), field)
+        return real(c, view, (drawn.append(_vertices(face)) or face for face in candidates), field)
 
     monkeypatch.setattr(circm.properties, "_violations", recording)
     return scans

@@ -338,15 +338,47 @@ class TestFullReport:
         # gets past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay
         # joins: one component is scanned, never the whole complex.  A
         # component's complex keeps the graph's n, so the whole one is told
-        # by its facets.
-        calls = []
-        real = circm.complexes._face_levels
-        for module in (circm.complexes, circm.properties):
-            monkeypatch.setattr(module, "_face_levels", lambda c, *through: calls.append(c) or real(c, *through))
+        # by its facets.  Every scan starts an enumeration for its empty
+        # face; only one may build a level past it.
+        walks = record_levels(monkeypatch)
         r = full_report(circulant(n, s), pdim_guard=0)
+        enumerated = [c for c, built in walks if built[1:]]
         ind = independence_complex(circulant(n, s))
-        assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, real(ind)))
-        assert len(calls) <= 1 and calls.count(ind) == whole
+        assert len(enumerated) <= 1 and enumerated.count(ind) == whole
+        assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, circm.complexes._face_levels(ind)))
+
+    def test_a_non_cohen_macaulay_join_builds_only_the_levels_it_draws(self, monkeypatch):
+        # C30(5,15) is five disjoint copies of K_{3,3}, so Ind is the join
+        # of five pairs of disjoint triangles: Reisner's witness is the
+        # empty face with H~_4, and Buchsbaum's the triangle {1, 11, 21},
+        # whose link is the join of the other four pairs.  The one walk of
+        # the join for both draws 189 faces through vertex 1 and builds
+        # the levels of the empty face, {1}, 26 pairs and 289 triples, not
+        # the 202,500 faces through vertex 1
+        walks = record_levels(monkeypatch)
+        scans = record_scans(monkeypatch)
+        r = full_report(circulant(30, [5, 15]))
+        assert (r.cm_witness, r.buchsbaum_witness) == (((), 4), ((1, 11, 21), 3))
+        (join,) = [built for c, built in walks if c == ind(30, [5, 15])]
+        assert sum(join) <= 317 and [len(scan) for scan in scans] == [1, 189]
+
+
+def record_levels(monkeypatch) -> list[tuple[Complex, list[int]]]:
+    """Record, for each face enumeration ``_face_levels`` starts, its
+    complex and the size of each level it builds, the empty face's first."""
+    walks = []
+    real = circm.complexes._face_levels
+
+    def counting(c, *through):
+        built = []
+        walks.append((c, built))
+        for level in real(c, *through):
+            built.append(len(level))
+            yield level
+
+    for module in (circm.complexes, circm.properties):
+        monkeypatch.setattr(module, "_face_levels", counting)
+    return walks
 
 
 class TestHochsterReisnerCrossValidation:
