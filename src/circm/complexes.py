@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import Frozen
 from .graphs import Graph, _component_masks
@@ -34,14 +34,14 @@ class Complex(Frozen):
     __slots__ = ("vertex_count", "facets")
 
     def __init__(self, vertex_count: int, facets: frozenset[frozenset[int]]) -> None:
-        if vertex_count < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {vertex_count}")
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise ValueError(f"vertex count must be a nonnegative int, got {vertex_count!r}")
         if not facets:
             raise ValueError("facet family must be nonempty; use the single facet {} for the empty complex")
         for f in facets:
             for v in f:
-                if not 1 <= v <= vertex_count:
-                    raise ValueError(f"vertex {v} outside ambient range 1..{vertex_count}")
+                if type(v) is not int or not 1 <= v <= vertex_count:  # a bit of ``_mask``; True is no vertex 1
+                    raise ValueError(f"vertex {v!r} is not an int in the ambient range 1..{vertex_count}")
         # only a smaller facet can lie in another, so a pure family needs no comparison
         fs = sorted(facets, key=len)
         sizes = [len(f) for f in fs]
@@ -85,28 +85,38 @@ def _mask(face: Iterable[int]) -> int:
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
-    """The sorted vertices of a vertex bitmask of ``_mask``."""
-    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+    """The sorted vertices of a ``_mask`` bitmask, one step per vertex."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
-def _face_levels(c: Complex, through: int = 0) -> Iterator[list[int]]:
-    """The faces of c by size, from the empty face up, each level built
-    only when asked for: a list of ``_mask`` bitmasks in lexicographic
-    order of the vertex tuples.  Level k + 1 is F | x for each face F of
-    level k, in order, and each x above F's largest vertex that lies with
-    F in some facet.  A face carries its facets, as a bitset of their
-    indices, and its candidates, cut at each step to the union of the
-    facets through the vertex added.  With ``through``, a vertex, only
-    the faces whose least vertex it is follow the empty face."""
+def _masks(c: Complex) -> frozenset[int]:
+    """c's facets as ``_mask`` bitmasks: the facet format below the API."""
+    return frozenset(map(_mask, c.facets))
+
+
+def _face_levels(facets: Collection[int], through: int = 0) -> Iterator[list[int]]:
+    """The faces of the ``_mask`` facets' complex by size, from the empty
+    face up, each level built only when asked for: a list of masks in
+    lexicographic order of the vertex tuples.  Level k + 1 is F | x for
+    each face F of level k, in order, and each x above F's largest vertex
+    that lies with F in some facet.  A face carries its facets, as a
+    bitset of their indices, and its candidates, cut at each step to the
+    union of the facets through the vertex added.  With ``through``, a
+    vertex, only the faces whose least vertex it is follow the empty face."""
     yield [0]
-    holders = [0] * c.vertex_count  # the facets through each vertex, by index bits
-    star = [0] * c.vertex_count  # the union of those facets
-    for j, f in enumerate(c.facets):
-        m = _mask(f)
-        for v in f:
+    n = max(max(facets, default=0).bit_length(), through)
+    holders = [0] * n  # the facets through each vertex, by index bits
+    star = [0] * n  # the union of those facets
+    for j, m in enumerate(facets):
+        for v in _vertices(m):
             holders[v - 1] |= 1 << j
             star[v - 1] |= m
-    starts = [through - 1] if through else range(c.vertex_count)
+    starts = [through - 1] if through else range(n)
     level = [(1 << i, holders[i], star[i] & -(2 << i)) for i in starts if holders[i]]  # -(2 << i): the bits above i
     while level:
         yield [face for face, _, _ in level]
@@ -123,7 +133,7 @@ def _face_levels(c: Complex, through: int = 0) -> Iterator[list[int]]:
 @lru_cache(maxsize=256)
 def faces(c: Complex) -> frozenset[frozenset[int]]:
     """Every face of c, the empty face included."""
-    return frozenset(frozenset(_vertices(m)) for level in _face_levels(c) for m in level)
+    return frozenset(frozenset(_vertices(m)) for level in _face_levels(_masks(c)) for m in level)
 
 
 class FHVectors(Frozen):
@@ -148,7 +158,7 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def f_vector(c: Complex) -> FHVectors:
     """f/h-vectors by exact face counts."""
-    ft = tuple(map(len, _face_levels(c)))
+    ft = tuple(map(len, _face_levels(_masks(c))))
     return FHVectors(dim=c.dim(), f=ft, h=h_from_f(ft))
 
 
@@ -173,8 +183,8 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
     fs = frozenset(face)
     if not c.has_face(fs):
         raise ValueError(f"{sorted(fs)} is not a face of the complex")
-    new = _maximal(f - fs for f in c.facets if fs <= f)
-    return Complex(c.vertex_count, new)
+    # f - F ⊂ g - F for facets f, g through F would make f ⊂ g: no reduction
+    return Complex(c.vertex_count, frozenset(f - fs for f in c.facets if fs <= f))
 
 
 def deletion(c: Complex, v: int) -> Complex:

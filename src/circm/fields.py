@@ -58,8 +58,8 @@ class FieldChoice(Frozen):
             if p is not None:
                 raise ValueError("rational field takes no prime")
         elif kind == "gf":
-            if p is None or not 2 <= p < _PRIME_CAP or not _is_prime(p):
-                raise ValueError(f"GF(p) needs a prime 2 <= p < 2^61, got {p}")
+            if type(p) is not int or not 2 <= p < _PRIME_CAP or not _is_prime(p):  # 5.0 and True too: p reaches pow()
+                raise ValueError(f"GF(p) needs an int prime 2 <= p < 2^61, got {p!r}")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)  # "rational" | "gf"

@@ -4,12 +4,13 @@ homology oracle for the independence complexes of induced subgraphs.
 Boundary matrices follow the alternating-sign rule on faces with
 vertices in increasing order; the basis of each dimension is the
 lexicographic order of sorted vertex tuples, so matrices are
-reproducible bit-for-bit.  The chain complex is built on the face
-bitmasks of ``complexes._face_levels``, vertex v at bit v - 1, each size
-listed in that order: the boundary faces of a face are its mask with one
-bit cleared, and the lowest bit, the smallest vertex, has the sign +1.
-The rank kernel, ``_betti_by_ranks``, ranks columns over mask bases;
-only ``build_chain_complex`` decodes its bases into tuples.  Every build is
+reproducible bit-for-bit.  The public functions convert a complex's
+facets once, on entry (``complexes._masks``); below them every facet
+and face is a ``_mask`` bitmask, vertex v at bit v - 1.  The chain
+complex is built on the faces of ``complexes._face_levels``, each size
+in that order: a boundary face is the mask with one bit cleared, the
+lowest bit, the smallest vertex, with the sign +1.  Only
+``build_chain_complex`` decodes its bases into tuples.  Every build is
 checked before anything is ranked: each entry must be +1 or -1 in a row
 of the basis one dimension down, and ∂_i ∘ ∂_{i+1} must vanish, column
 by column.  Ranks go from the top dimension down with clearing (the
@@ -22,29 +23,22 @@ numbers of Ind(G[W]) for vertex bitmasks W of one graph G.  That is all
 the link scan (Reisner, Buchsbaum, depth) and ``reduced_betti`` ask of a
 flag complex Ind(G), G the complement of its 1-skeleton: the link of a
 face F is Ind(G - N[F]); any other complex goes to the rank kernel.  Each
-mask is settled in the order cone (an isolated vertex), join (one piece
-per connected component), fold (Engström's fold lemma), dominated split
-(Adamaszek's vertex splitting at a v with N[u] ⊆ N[v] for some u, whose
-Mayer-Vietoris map is zero), lowest-vertex split (the same splitting,
-when its Mayer-Vietoris map is zero for want of a common degree), and
-only then the rank kernel on one connected piece, once per piece up to
-the rotations and reflections of the vertex cycle that are automorphisms
-of G.  One loop answers each question on one explicit stack: the pieces
-of the mask at the bottom, and above them the folds and splits of one
-piece, its *attempt*, which opens at most ``SPLIT_BUDGET`` pieces and
-runs no linear algebra: a piece on the way that would need it gives the
-attempt up, and the piece it started from goes whole to the kernel.
+mask is settled by cones, joins, Engström's folds and Adamaszek's vertex
+splits, in the one loop of ``InducedHomology.betti``, and only then by
+the rank kernel on one connected piece's maximal independent sets,
+listed as masks with no subgraph built, once per piece up to the
+rotations and reflections of the vertex cycle that are automorphisms of G.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Generator, Optional, Sequence
+from typing import Collection, Generator, Optional, Sequence
 
-from .complexes import Complex, _face_levels, _mask, _maximal_independent_sets, _vertices, f_vector, independence_complex
+from .complexes import Complex, _face_levels, _masks, _maximal_independent_sets, _vertices, f_vector
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
-from .graphs import Graph, _component_masks, induced_subgraph
+from .graphs import Graph, _component_masks
 
 # Entries the memo of an InducedHomology keeps; the oldest goes first beyond this.
 ORACLE_ENTRIES = 1 << 16
@@ -71,15 +65,14 @@ class ChainComplexData:
         return len(self.bases.get(i, ()))
 
 
-def _build_on_masks(c: Complex) -> ChainComplexData:
-    """The reduced chain complex of c with each basis left as the ``_mask``
-    face masks of ``_face_levels``, in its order, its boundary columns
-    checked.  A boundary face is the mask with one bit cleared; the
-    lowest bit, the smallest vertex, has the entry +1, and the signs
-    alternate upward."""
+def _build_on_masks(facets: Collection[int]) -> ChainComplexData:
+    """The reduced chain complex of the ``_mask`` facets, each basis the
+    face masks of ``_face_levels`` in its order, the columns checked.  A
+    boundary face is the mask with one bit cleared; the lowest bit, the
+    smallest vertex, has the entry +1, and the signs alternate upward."""
     data = ChainComplexData(bases={})
     index: dict[int, int] = {}  # mask -> position among the (i-1)-faces
-    for i, masks in enumerate(_face_levels(c), -1):
+    for i, masks in enumerate(_face_levels(facets), -1):
         data.bases[i] = masks
         if i >= 0:
             cols = []
@@ -100,7 +93,7 @@ def _build_on_masks(c: Complex) -> ChainComplexData:
 
 def build_chain_complex(c: Complex) -> ChainComplexData:
     """Bases and boundary matrices of the reduced chain complex of c."""
-    data = _build_on_masks(c)
+    data = _build_on_masks(_masks(c))
     data.bases = {i: list(map(_vertices, masks)) for i, masks in data.bases.items()}
     return data
 
@@ -183,18 +176,19 @@ class BettiTable(Frozen):
 def reduced_betti(c: Complex, field: FieldChoice) -> BettiTable:
     """Exact reduced Betti numbers of c over the chosen field: those of its
     homology oracle when c is flag, else those of the rank kernel."""
-    oracle = _flag_oracle(c, field)
+    facets = _masks(c)
+    oracle = _flag_oracle(facets, c.vertex_count, field)
     if oracle is None:
-        return _betti_by_ranks(c, field)
+        return _betti_by_ranks(facets, field)
     nonzero = oracle.betti(oracle.full)
     return BettiTable(tuple((i, nonzero.get(i, 0)) for i in range(-1, c.dim() + 1)))
 
 
-def _betti_by_ranks(c: Complex, field: FieldChoice) -> BettiTable:
-    """The rank kernel: ranks go from the top dimension down; each ∂_i is
-    reduced without the columns cleared by the pivot lows of ∂_{i+1}."""
-    data = _build_on_masks(c)
-    top = c.dim()
+def _betti_by_ranks(facets: Collection[int], field: FieldChoice) -> BettiTable:
+    """The rank kernel on ``_mask`` facets: ranks go from the top down;
+    each ∂_i is reduced without the columns cleared by the lows of ∂_{i+1}."""
+    data = _build_on_masks(facets)
+    top = max(data.bases)
     ranks = {}
     cleared: set[int] = set()  # lows of ∂_{i+1}: ∂_i columns spanned by earlier ones
     for i in range(top, -1, -1):
@@ -307,10 +301,10 @@ class InducedHomology:
         self._reflections = [] if first is None else list(range(first, top, step))
 
     @cached_property
-    def whole(self) -> Complex:
-        """Ind(G) itself, built once for the oracle and its callers, unless
-        ``_flag_oracle`` set it to the complex it found G from."""
-        return independence_complex(self.graph)
+    def facets(self) -> frozenset[int]:
+        """Ind(G)'s facets as masks of internal indices, listed once for the
+        oracle and its callers, unless ``_flag_oracle`` set them."""
+        return frozenset(_maximal_independent_sets(self.graph))
 
     def _rotate(self, mask: int, r: int) -> int:
         return ((mask << r) | (mask >> (self._n - r))) & self.full
@@ -436,27 +430,24 @@ class InducedHomology:
                 if len(stack) > 1:
                     w, k, _ = stack[1]
                     del stack[1:]
-                labels = [self.graph.labels[i] for i in range(self._n) if (w >> i) & 1]
-                c = self.whole if w == self.full else independence_complex(induced_subgraph(self.graph, labels))
-                betti = {i: b for i, b in _betti_by_ranks(c, self.field).by_dim if b}
+                facets = self.facets if w == self.full else _maximal_independent_sets(self.graph, w)
+                betti = {i: b for i, b in _betti_by_ranks(facets, self.field).by_dim if b}
             self._store(k, betti)
 
 
-def _flag_oracle(c: Complex, field: FieldChoice) -> Optional[InducedHomology]:
-    """The oracle of c over the field, its ``whole`` c itself, when c is flag:
-    when its facets, vertex v at bit v - 1, are the maximal independent sets
-    of G, the complement of its 1-skeleton on 1..n; else None."""
-    n = c.vertex_count
-    masks = {_mask(f): f for f in c.facets}
+def _flag_oracle(facets: frozenset[int], n: int, field: FieldChoice) -> Optional[InducedHomology]:
+    """The oracle over the field, with these ``facets``, when the complex
+    of the ``_mask`` facets on 1..n is flag: when they are the maximal
+    independent sets of G, the complement of its 1-skeleton; else None."""
     skeleton = [1 << i for i in range(n)]  # closed neighbourhoods: {v} is maximal in G if v is in no face
-    for m, f in masks.items():
-        for v in f:
+    for m in facets:
+        for v in _vertices(m):
             skeleton[v - 1] |= m
     g = Graph(adj=tuple(((1 << n) - 1) & ~s for s in skeleton), labels=tuple(range(1, n + 1)))
-    if masks.keys() != set(_maximal_independent_sets(g)):
+    if facets != set(_maximal_independent_sets(g)):
         return None
     oracle = InducedHomology(g, field)
-    oracle.whole = c
+    oracle.facets = facets
     return oracle
 
 

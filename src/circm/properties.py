@@ -7,13 +7,13 @@ Every homology question the deciders ask is about a link, in one scan
 hence pdim = n - depth; where the rotations that are automorphisms of
 G map the scanned vertex set onto itself and are transitive on it, as
 on a circulant, it draws only the faces through the least vertex, which
-meet every orbit.  A shelling order is
-certified by counting (``_verified``), against face counts found
-without it.  On a flag complex Ind(G) the link of F is
-Ind(G - N[F]), so a flag complex is answered by one ``InducedHomology``
-oracle over vertex masks; any other complex takes the textbook route,
-the rank kernel on ``link(c, F)``.  The scan takes (oracle, mask):
-``full_report`` passes its own oracle and component masks.
+meet every orbit.  A shelling order is certified by counting
+(``_verified``), against face counts found without it.  Below the
+public functions, which convert once, facets are ``_mask`` bitmasks.
+On a flag complex Ind(G) the link of F is Ind(G - N[F]), answered by
+one ``InducedHomology`` oracle over vertex masks; any other complex
+takes the rank kernel on the link's facets f - F.  The scan takes
+(oracle, mask): ``full_report`` passes its oracle and component masks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
-from .complexes import Complex, FHVectors, _face_levels, _mask, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial, link
+from .complexes import Complex, FHVectors, _face_levels, _mask, _masks, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial
 from .errors import Frozen, GuardError, InconsistencyError
 from .fields import FieldChoice
 from .graphs import Graph, _component_masks, induced_subgraph
@@ -35,20 +35,21 @@ PDIM_VERTEX_GUARD = 16
 Witness = tuple[tuple[int, ...], int]
 
 
-def _oracle(c: Complex, field: FieldChoice) -> tuple[Optional[InducedHomology], int]:
-    """(oracle, mask) with c = Ind(G[mask]): ``_flag_oracle``'s, None
-    when c is not flag, with every vertex."""
-    return _flag_oracle(c, field), (1 << c.vertex_count) - 1
+def _oracle(c: Complex, field: FieldChoice) -> tuple[frozenset[int], tuple[Optional[InducedHomology], int]]:
+    """(``_masks(c)``, (oracle, mask)) with c = Ind(G[mask]): the oracle
+    ``_flag_oracle``'s, None when c is not flag, with every vertex."""
+    facets = _masks(c)
+    return facets, (_flag_oracle(facets, c.vertex_count, field), (1 << c.vertex_count) - 1)
 
 
-def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True, through: int = 0) -> Iterator[int]:
-    """Every face of c as a ``_mask`` bitmask, by size, then in
+def _sorted_faces(facets: frozenset[int], wanted: Callable[[int], bool] = lambda _: True, through: int = 0) -> Iterator[int]:
+    """Every face of the ``_mask`` facets' complex, by size, then in
     lexicographic order of the vertex tuples: the empty face first, then
     each level of ``_face_levels``.  With ``through``, a vertex, only the
     faces whose least vertex it is follow the empty face, in the same
     order.  ``wanted(k)``, asked before level k >= 1 is built and before
     each of its faces, ends the listing at its first False."""
-    levels = _face_levels(c, through)
+    levels = _face_levels(facets, through)
     yield from next(levels)  # the empty face, before any facet is read
     k = 1
     while wanted(k) and (level := next(levels, [])):
@@ -59,19 +60,19 @@ def _sorted_faces(c: Complex, wanted: Callable[[int], bool] = lambda _: True, th
         k += 1
 
 
-def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candidates: Iterable[int], field: FieldChoice) -> Iterator[Witness]:
-    """(face, i) for each candidate face, a ``_mask`` bitmask, in order,
-    that fails Reisner's test: i is the least degree with H~_i of the link
-    nonzero, and it lies below the link's dimension; the face is reported
-    as its sorted vertex tuple.  ``view`` is (oracle, mask) with c =
-    Ind(G[mask]), or (None, every vertex) for the rank kernel on links.
+def _violations(facets: frozenset[int], view: tuple[Optional[InducedHomology], int], candidates: Iterable[int], field: FieldChoice) -> Iterator[Witness]:
+    """(face, i) for each candidate face, in order, that fails Reisner's
+    test on the complex c of the ``_mask`` facets: i is the least degree
+    with H~_i of the link nonzero, below the link's dimension; the face is
+    reported as its sorted vertex tuple.  ``view`` is (oracle, mask) with
+    c = Ind(G[mask]), or (None, every vertex) for the rank kernel on links.
 
-    Each link of a pure complex is pure, of dimension dim c - |F|.
-    Otherwise the facets of the link are f - F for the facets f of c
-    through F, so its dimension is that of the largest such f, less |F|.
+    The facets of the link of F are f - F for the facets f through F, an
+    antichain as the f are, so its dimension is the largest f's less |F|.
     """
     oracle, mask = view
-    pure_dim = c.dim() if c.is_pure() else None
+    sizes = {f.bit_count() for f in facets}
+    pure_dim = max(sizes) - 1 if len(sizes) == 1 else None
     for face in candidates:
         if oracle is not None:
             closed, rest = face, face
@@ -81,20 +82,19 @@ def _violations(c: Complex, view: tuple[Optional[InducedHomology], int], candida
                 rest ^= low
             nonzero = oracle.betti(mask & ~closed)  # lk_F Ind(G[W]) = Ind(G[W - N[F]])
         else:
-            nonzero = [i for i, b in _betti_by_ranks(link(c, _vertices(face)), field).by_dim if b]
+            nonzero = [i for i, b in _betti_by_ranks([f ^ face for f in facets if f & face == face], field).by_dim if b]
         low = min(nonzero, default=None)
         if low is None:
             continue
         top = pure_dim
         if top is None:  # read from the facets only when some H~_i is nonzero
-            vertices = _vertices(face)
-            top = max(len(f) for f in c.facets if f.issuperset(vertices)) - 1
+            top = max(f.bit_count() for f in facets if f & face == face) - 1
         if low < top - face.bit_count():
             yield (_vertices(face), low)
 
 
 def _scan(
-    c: Complex,
+    facets: frozenset[int],
     view: tuple[Optional[InducedHomology], int],
     field: FieldChoice,
     reisner: bool = True,
@@ -102,14 +102,14 @@ def _scan(
     depth: bool = False,
 ) -> tuple[Optional[Witness], Optional[Witness], Optional[int]]:
     """(Reisner's witness, Buchsbaum's witness, depth k[c]) from one link
-    scan of c, each None unless asked for.  Reisner's witness is the first
-    violation, or None; Buchsbaum's is the first violation past the empty
-    face, which is not drawn when only Buchsbaum's is asked for.  The walk
-    ends once each witness asked for is found and, with ``depth``, once
-    the faces left cannot lower the depth.  It always stops below the
-    ridges: the link of a face of dim c or more vertices has dimension at
-    most 0, and no reduced homology below it, since only {∅}, of dimension
-    -1, has H~_-1 nonzero.
+    scan of the complex c of the ``_mask`` facets, each None unless asked
+    for.  Reisner's witness is the first violation, or None; Buchsbaum's
+    the first past the empty face, not drawn when only Buchsbaum's is
+    asked for.  The walk ends once each witness asked for is found and,
+    with ``depth``, once the faces left cannot lower the depth.  It always
+    stops below the ridges: the link of a face of dim c or more vertices
+    has dimension at most 0, and no reduced homology below it, since only
+    {∅}, of dimension -1, has H~_-1 nonzero.
 
     Reisner's test on each skeleton gives the depth (Smith, Hibi): the
     least |F| + 1 + i with H~_i(lk F) nonzero.  A facet gives its size, a
@@ -125,17 +125,17 @@ def _scan(
     least vertex, so the first violation, and the first past the empty
     face, are those of the whole walk; every orbit meets those faces, so
     the depth is too."""
-    best = min(map(len, c.facets)) if depth else 0
+    best = min(f.bit_count() for f in facets) if depth else 0
     first: Optional[Witness] = None
     past_empty: Optional[Witness] = None
-    top = c.dim()
+    top = max(f.bit_count() for f in facets) - 1
 
     def wanted(size: int) -> bool:
         return size < top and ((reisner and first is None) or (buchsbaum and past_empty is None) or size + 1 < best)
 
     oracle, mask = view
-    faces = _sorted_faces(c, wanted, oracle.orbit_vertex(mask) if oracle is not None else 0)
-    for face, i in _violations(c, view, islice(faces, 0 if reisner or depth else 1, None), field):
+    faces = _sorted_faces(facets, wanted, oracle.orbit_vertex(mask) if oracle is not None else 0)
+    for face, i in _violations(facets, view, islice(faces, 0 if reisner or depth else 1, None), field):
         first = first or (face, i)
         if face:
             past_empty = past_empty or (face, i)
@@ -150,7 +150,7 @@ def reisner_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     Cohen-Macaulay over the field.  The empty face is checked too, so a
     disconnected complex fails here already.
     """
-    return _scan(c, _oracle(c, field), field)[0]
+    return _scan(*_oracle(c, field), field)[0]
 
 
 def is_cohen_macaulay(c: Complex, field: FieldChoice) -> bool:
@@ -164,7 +164,7 @@ def buchsbaum_violation(c: Complex, field: FieldChoice) -> Optional[Witness]:
     """
     if not c.is_pure():
         raise ValueError("Buchsbaum is defined for pure complexes only")
-    return _scan(c, _oracle(c, field), field, reisner=False, buchsbaum=True)[1]
+    return _scan(*_oracle(c, field), field, reisner=False, buchsbaum=True)[1]
 
 
 def is_buchsbaum(c: Complex, field: FieldChoice) -> bool:
@@ -239,7 +239,7 @@ def is_vertex_decomposable(c: Complex) -> bool:
     decomposable, and so is a complex with a vertex whose link and
     deletion are; impure complexes are not.  Within one call, results are
     memoized on the facet family shifted to vertex 1 (``_shedding``)."""
-    return c.is_pure() and _shedding(frozenset(map(_mask, c.facets)), {}) is not None
+    return c.is_pure() and _shedding(_masks(c), {}) is not None
 
 
 def _order_by_shedding(factors: tuple[frozenset[int], ...], memo: dict[frozenset[int], Optional[int]]) -> list[int]:
@@ -322,9 +322,10 @@ def is_shellable(c: Complex, node_budget: int = DEFAULT_SHELL_BUDGET, field: Opt
     fld = field if field is not None else FieldChoice.rational()
     # shellable complexes have homology only in the top dimension:
     # Reisner's test on the empty face
-    if next(_violations(c, _oracle(c, fld), [0], fld), None) is not None:
+    facets, view = _oracle(c, fld)
+    if next(_violations(facets, view, [0], fld), None) is not None:
         return ShellabilityResult(False)
-    return _shelling_search(sorted(c.facets, key=sorted), node_budget, f_vector(c).f)
+    return _shelling_search(facets, node_budget, f_vector(c).f)
 
 
 def _shelling_counts(order: list[int]) -> tuple[int, list[int]]:
@@ -363,14 +364,14 @@ def _verified(order: list[int], f: tuple[int, ...], nodes: int = 0) -> Shellabil
     return ShellabilityResult(True, tuple(frozenset(_vertices(m)) for m in order), nodes)
 
 
-def _shelling_search(facets: list[frozenset[int]], node_budget: int, f: tuple[int, ...]) -> ShellabilityResult:
-    """Depth-first over prefixes of facet indices, on an explicit stack so
-    that no facet count meets the recursion limit.  A prefix is one node:
-    it tries, lowest index first, each facet that attaches to it, and is
-    remembered as dead by the bits of its indices once none leads on.  An
-    order of every facet is counted against ``f``, the complex's face
-    counts, by ``_verified``."""
-    masks = [_mask(facet) for facet in facets]
+def _shelling_search(facets: frozenset[int], node_budget: int, f: tuple[int, ...]) -> ShellabilityResult:
+    """Depth-first over prefixes of facet indices, the ``_mask`` facets in
+    order of their vertex tuples, on an explicit stack so that no facet
+    count meets the recursion limit.  A prefix is one node: it tries,
+    lowest index first, each facet that attaches to it, and is remembered
+    as dead by the bits of its indices once none leads on.  An order of
+    every facet is counted against ``f``, the face counts, by ``_verified``."""
+    masks = sorted(facets, key=_vertices)
     t = len(masks)
     nodes = 0
     dead: set[int] = set()  # prefixes that extend to no shelling, by their bits of placed indices
@@ -423,7 +424,7 @@ def projective_dimension(
     n = c.vertex_count
     if max_vertices is not None and n > max_vertices:
         raise GuardError(f"projective_dimension guarded at {max_vertices} vertices (n={n}); pass max_vertices=None to lift it")
-    return n - _scan(c, _oracle(c, field), field, reisner=False, depth=True)[2]
+    return n - _scan(*_oracle(c, field), field, reisner=False, depth=True)[2]
 
 
 # --- assembled report ---------------------------------------------------------
@@ -539,15 +540,15 @@ def full_report(
     no face is listed to count it.  One oracle on g answers every
     homology question.  Ind(g) is the join of the complexes of the
     connected components of g, and one component per class of the
-    oracle's key is decided (for a connected g, on the oracle's Ind(g)):
-    the join is Cohen-Macaulay, hence Buchsbaum, iff every component is,
-    vertex decomposable iff every component is, and its depth is theirs
-    added.  One link scan of each decided component, on the oracle with
-    its mask, gives its Reisner witness and depth, and for a connected g
-    Buchsbaum's witness from the same walk; a disconnected join is
-    scanned once for both witnesses only when it is not Cohen-Macaulay.
-    Each scan draws one face per orbit of the rotations that fix its mask
-    where those are transitive on it (``_scan``).
+    oracle's key is decided, on its facet masks (for a connected g, the
+    oracle's): the join is Cohen-Macaulay, hence Buchsbaum, iff every
+    component is, vertex decomposable iff every component is, and its
+    depth is theirs added.  One link scan of each decided component, on
+    the oracle with its mask, gives its Reisner witness and depth, and for
+    a connected g Buchsbaum's witness from the same walk; a disconnected
+    join is scanned once for both witnesses only when it is not
+    Cohen-Macaulay.  Each scan draws one face per orbit of the rotations
+    that fix its mask where those are transitive on it (``_scan``).
     Checks run in implication order: vertex decomposable implies
     shellable implies Cohen-Macaulay over every field, so once Reisner's
     criterion rejects the complex no search runs; one memo serves the
@@ -557,10 +558,9 @@ def full_report(
     budgeted shelling search, past the pre-checks of ``is_shellable``
     that Cohen-Macaulayness already passed.  Either order is counted
     against the f-vector of the independence polynomial (``_verified``),
-    not checked pair by pair.  pdim = n - depth counts one
-    variable per vertex of g, whatever its labels; pdim and depth are None
-    when g has more than ``pdim_guard`` vertices (0 skips them, None lifts
-    the guard).
+    not checked pair by pair.  pdim = n - depth counts one variable per
+    vertex of g, whatever its labels; pdim and depth are None when g has
+    more than ``pdim_guard`` vertices (0 skips them, None lifts the guard).
     """
     fld = field if field is not None else FieldChoice.rational()
     n = g.vertex_count
@@ -575,27 +575,26 @@ def full_report(
 
     @cache  # each component's maximal independent sets are listed once
     def facets_of(comp: int) -> frozenset[int]:
-        return frozenset(map(_mask, oracle.whole.facets)) if comp == oracle.full else frozenset(_maximal_independent_sets(flag, comp))
+        return oracle.facets if comp == oracle.full else frozenset(_maximal_independent_sets(flag, comp))
 
-    decided: dict[int, tuple[Complex, int]] = {}  # key -> (complex, mask) of its first component
+    decided: dict[int, int] = {}  # key -> mask of its first component
     for k, comp in zip(keys, comps):
-        if k not in decided:
-            decided[k] = (oracle.whole if comp == oracle.full else Complex(n, frozenset(map(frozenset, map(_vertices, facets_of(comp))))), comp)
+        decided.setdefault(k, comp)
 
     want_depth = pdim_guard is None or n <= pdim_guard
-    pure = all(cx.is_pure() for cx, _ in decided.values())
+    pure = all(len({f.bit_count() for f in facets_of(comp)}) == 1 for comp in decided.values())
     joined = len(comps) > 1  # a component's witnesses are the join's only when it is the join
-    scans = {k: _scan(cx, (oracle, comp), fld, buchsbaum=pure and not joined, depth=want_depth) for k, (cx, comp) in decided.items()}
+    scans = {k: _scan(facets_of(comp), (oracle, comp), fld, buchsbaum=pure and not joined, depth=want_depth) for k, comp in decided.items()}
     cm = all(wit is None for wit, _, _ in scans.values())
     memo: dict[frozenset[int], Optional[int]] = {}  # one search memo for the components and the join's order
-    vd = cm and all(_shedding(facets_of(comp), memo) is not None for _, comp in decided.values())
+    vd = cm and all(_shedding(facets_of(comp), memo) is not None for comp in decided.values())
     cm_wit = bb_wit = None
     if not cm:
-        cm_wit, bb_wit, _ = _scan(oracle.whole, (oracle, oracle.full), fld, buchsbaum=pure) if joined else scans[keys[0]]
+        cm_wit, bb_wit, _ = _scan(oracle.facets, (oracle, oracle.full), fld, buchsbaum=pure) if joined else scans[keys[0]]
     if vd:  # the join's order sheds the facets of all its copies as one
         shell = _verified(_order_by_shedding(tuple(map(facets_of, comps)), memo), f)
     else:  # Cohen-Macaulay passed is_shellable's pre-checks: purity, and Reisner's test on the empty face
-        shell = _shelling_search(sorted(oracle.whole.facets, key=sorted), shell_budget, f) if cm else ShellabilityResult(False)
+        shell = _shelling_search(oracle.facets, shell_budget, f) if cm else ShellabilityResult(False)
     pdim = n - sum(scans[k][2] for k in keys) if want_depth else None  # depth adds over a join
     if include_betti:
         nonzero = oracle.betti(oracle.full)  # the components' joined

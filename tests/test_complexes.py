@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from itertools import combinations
 
@@ -88,6 +89,19 @@ class TestComplexValidation:
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             Complex(2, frozenset({frozenset({3})}))
+
+    @pytest.mark.parametrize("facets", [[[1.5, 2]], [[True, 2]], [[1], [2.0]], [["1"]]], ids=["float", "bool", "integral-float", "str"])
+    def test_rejects_a_vertex_that_is_not_an_int(self, facets):
+        # a vertex is a bit of the facet masks the deciders read; True would
+        # pass as vertex 1
+        bad = next(v for f in facets for v in f if type(v) is not int)
+        with pytest.raises(ValueError, match=f"vertex {bad!r} is not an int"):
+            Complex.from_facets(3, facets)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match=f"got {n!r}"):
+            Complex(n, frozenset({frozenset({1})}))
 
     def test_from_facets_reduce(self):
         c = Complex.from_facets(3, [[1], [1, 2]], reduce=True)
@@ -233,10 +247,17 @@ class TestSubcomplexOperations:
         self.c = independence_complex(circulant(8, [1, 2]))
 
     def test_link_definition(self):
-        for face in [frozenset({1}), frozenset({1, 4})]:
-            lk = link(self.c, face)
-            expected = {g for g in faces(self.c) if not (g & face) and (g | face) in faces(self.c)}
-            assert faces(lk) == expected
+        # Ind(C8(1,2)), then seeded random complexes, 27 of the 60 not
+        # flag: the link's facets f - F need no reduction to an antichain
+        rng = random.Random(31)
+        complexes = [self.c]
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            complexes.append(Complex.from_facets(n, [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 5))], reduce=True))
+        for c in complexes:
+            for face in faces(c):
+                expected = {g for g in faces(c) if not (g & face) and (g | face) in faces(c)}
+                assert faces(link(c, face)) == expected, (c.facets, face)
 
     def test_link_of_empty_face(self):
         lk = link(self.c, [])

@@ -6,7 +6,9 @@ cycles."""
 import math
 import random
 import sys
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from circm import (
     reduced_betti,
     reisner_violation,
 )
-from circm.complexes import FHVectors, _face_levels, _mask, _vertices, f_vector, faces
+from circm.complexes import FHVectors, _face_levels, _mask, _masks, _vertices, f_vector, faces
 from circm.graphs import connected_components, induced_subgraph
 from circm.homology import InducedHomology, _betti_by_ranks, build_chain_complex
 from circm.properties import _oracle, _order_by_shedding, _shedding, _sorted_faces, _verified, _violations, buchsbaum_violation, check_shelling_order
@@ -267,7 +269,7 @@ class TestOracleOnRandomGraphs:
                     betti = brute_table({f - face for f in faces if face <= f}, field)
                     low = [i for i in range(-1, max(betti)) if betti[i]]
                     failing += [(tuple(sorted(face)), low[0])] if low else []
-                assert list(_violations(c, _oracle(c, field), _sorted_faces(c), field)) == failing, (g.adj, str(field))
+                assert list(_violations(*_oracle(c, field), _sorted_faces(_masks(c)), field)) == failing, (g.adj, str(field))
                 assert reisner_violation(c, field) == scan[field][0], (g.adj, str(field))
                 assert projective_dimension(c, field) == brute_pdim(faces, n, field), (g.adj, str(field))
 
@@ -343,7 +345,7 @@ class TestNonFlagFallback:
     @pytest.mark.parametrize("name", NON_FLAG)
     def test_deciders_match_brute_force(self, name):
         c, shellable = NON_FLAG[name]
-        assert _oracle(c, Q)[0] is None
+        assert _oracle(c, Q)[1][0] is None
         faces = downward_closure(set(c.facets))
         scan = brute_link_scan(faces)
         for field in FIELDS:
@@ -359,11 +361,11 @@ class TestNonFlagFallback:
 
     def test_rp2_is_not_flag(self):
         # every pair of the six vertices spans an edge of RP^2
-        assert _oracle(RP2, Q)[0] is None
+        assert _oracle(RP2, Q)[1][0] is None
 
     def test_independence_complexes_are_flag(self):
         c = Complex.from_facets(5, [[1, 2, 3], [3, 4, 5]])
-        oracle = _oracle(c, Q)[0]
+        oracle = _oracle(c, Q)[1][0]
         assert oracle is not None and independence_complex(oracle.graph) == c
 
     def test_rp2_deciders_match_brute_force(self):
@@ -616,7 +618,7 @@ class TestFaceEnumeration:
             closure = downward_closure(set(c.facets))
             assert faces(c) == closure, name
             ordered = sorted((tuple(sorted(f)) for f in closure), key=lambda t: (len(t), t))
-            assert list(map(_vertices, _sorted_faces(c))) == ordered, name
+            assert list(map(_vertices, _sorted_faces(_masks(c)))) == ordered, name
             bases = build_chain_complex(c).bases
             assert [t for i in sorted(bases) for t in bases[i]] == ordered, name
 
@@ -632,10 +634,10 @@ class TestFaceEnumeration:
             flag = independence_complex(graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4]))
             other = Complex.from_facets(n, [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 5))], reduce=True)
             for c in (flag, other):
-                full = [m for level in _face_levels(c) for m in level]
+                full = [m for level in _face_levels(_masks(c)) for m in level]
                 assert full == sorted(full, key=lambda m: (m.bit_count(), _vertices(m))), c.facets
                 for v in range(1, n + 1):
-                    levels = list(_face_levels(c, v))
+                    levels = list(_face_levels(_masks(c), v))
                     assert levels[0] == [0] and all(levels), (c.facets, v)
                     assert [m for level in levels[1:] for m in level] == [m for m in full if m & -m == 1 << (v - 1)], (c.facets, v)
 
@@ -719,11 +721,11 @@ class TestKozlovClosedForms:
         calls = count_betti_calls(monkeypatch)
         oracle = InducedHomology(g, Q)
         assert oracle._fold(oracle.full) == (0, 0)
-        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
-        assert [c.facets for c in calls] == [independence_complex(g).facets]
+        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(_masks(independence_complex(g)), Q).by_dim if b}
+        assert calls == [_masks(independence_complex(g))]
         assert opened[0] == oracle.full and 1 < len(opened) < circm.homology.SPLIT_BUDGET
         # the given-up component's answer is in the memo
-        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(independence_complex(g), Q).by_dim if b}
+        assert oracle.betti(oracle.full) == {i: b for i, b in _betti_by_ranks(_masks(independence_complex(g)), Q).by_dim if b}
         assert len(calls) == 1
 
     def test_a_bowtie_is_decided_only_by_a_dominated_split(self, monkeypatch):
@@ -751,10 +753,10 @@ class TestKozlovClosedForms:
         monkeypatch.setattr(circm.homology, "SPLIT_BUDGET", budget)
         calls = count_betti_calls(monkeypatch)
         assert oracle.betti(oracle.full & ~(1 << 9)) == {5: 3}
-        assert [c.vertex_count for c in calls] == [9] * linear_algebra
+        assert [_vertices(reduce(or_, facets)) for facets in calls] == [tuple(range(1, 10))] * linear_algebra  # the arc
 
     def test_an_exhausted_budget_falls_back_with_the_same_answer(self, monkeypatch):
-        want = {i: b for i, b in _betti_by_ranks(independence_complex(circulant(16, [1])), Q).by_dim if b}
+        want = {i: b for i, b in _betti_by_ranks(_masks(independence_complex(circulant(16, [1]))), Q).by_dim if b}
         monkeypatch.setattr(circm.homology, "SPLIT_BUDGET", 2)
         calls = count_betti_calls(monkeypatch)
         oracle = InducedHomology(circulant(16, [1]), Q)
@@ -771,7 +773,7 @@ class TestReducedBettiRouting:
         for n in range(1, 13):
             for s in connection_sets(n):
                 c = independence_complex(circulant(n, s))
-                assert reduced_betti(c, field).by_dim == _betti_by_ranks(c, field).by_dim, (n, s)
+                assert reduced_betti(c, field).by_dim == _betti_by_ranks(_masks(c), field).by_dim, (n, s)
 
     @pytest.mark.parametrize("n,s", [(17, [1]), (18, [1]), (19, [1]), (20, [1]), (16, [8]), (22, [1, 2])])
     def test_folds_and_splits_settle_these_without_the_kernel(self, monkeypatch, n, s):
@@ -787,7 +789,7 @@ class TestReducedBettiRouting:
         c = independence_complex(circulant(16, [1, 2]))
         calls = count_betti_calls(monkeypatch)
         assert {i: b for i, b in reduced_betti(c, Q).by_dim if b} == {3: 5}
-        assert len(calls) == 1 and calls[0] is c
+        assert calls == [_masks(c)]
 
     @pytest.mark.parametrize(
         "c",
@@ -800,25 +802,25 @@ class TestReducedBettiRouting:
         ids=["rp2", "torus7", "uncovered-vertex", "ind-with-uncovered-labels"],
     )
     def test_complexes_that_are_not_flag_go_to_the_kernel_once(self, monkeypatch, c):
-        want = {str(field): _betti_by_ranks(c, field).by_dim for field in FIELDS}
+        want = {str(field): _betti_by_ranks(_masks(c), field).by_dim for field in FIELDS}
         calls = count_betti_calls(monkeypatch)
         for field in FIELDS:
             assert reduced_betti(c, field).by_dim == want[str(field)], str(field)
-        assert calls == [c] * len(FIELDS)
+        assert calls == [_masks(c)] * len(FIELDS)
 
 
-def refuse_linear_algebra(c, field):
-    raise AssertionError(f"the rank kernel called on a complex of {c.vertex_count} vertices")
+def refuse_linear_algebra(facets, field):
+    raise AssertionError(f"the rank kernel called on a complex of {len(facets)} facets")
 
 
 def count_betti_calls(monkeypatch) -> list:
-    """Record the complex of every call of the rank kernel, wherever it is made."""
+    """Record the facet masks of every call of the rank kernel, wherever it is made."""
     calls = []
     real = circm.homology._betti_by_ranks
 
-    def counting(c, field):
-        calls.append(c)
-        return real(c, field)
+    def counting(facets, field):
+        calls.append(facets)
+        return real(facets, field)
 
     monkeypatch.setattr(circm.homology, "_betti_by_ranks", counting)
     monkeypatch.setattr(circm.properties, "_betti_by_ranks", counting)
@@ -832,10 +834,10 @@ def record_scans(monkeypatch) -> list[list[tuple[int, ...]]]:
     scans = []
     real = circm.properties._violations
 
-    def recording(c, view, candidates, field):
+    def recording(facets, view, candidates, field):
         drawn = []
         scans.append(drawn)
-        return real(c, view, (drawn.append(_vertices(face)) or face for face in candidates), field)
+        return real(facets, view, (drawn.append(_vertices(face)) or face for face in candidates), field)
 
     monkeypatch.setattr(circm.properties, "_violations", recording)
     return scans
@@ -899,12 +901,12 @@ class TestSharedWork:
         # Reisner's empty face, the shelling pre-check and the Betti numbers
         # all ask for the homology of the whole complex
         g = circulant(12, [1, 3, 6])
-        whole = independence_complex(g).facets
+        whole = _masks(independence_complex(g))
         calls = count_betti_calls(monkeypatch)
         r = full_report(g, pdim_guard=0, include_betti=True)
         assert r.cm and r.dim == 2 and r.shellable is True
         assert r.betti == {-1: 0, 0: 0, 1: 0, 2: 3}
-        assert sum(c.facets == whole for c in calls) == 1
+        assert calls.count(whole) == 1
 
     def test_pdim_of_c14_1_needs_few_homology_computations(self, monkeypatch):
         # every induced subgraph of a cycle is a union of paths, or the
@@ -1107,6 +1109,41 @@ class TestSharedWork:
         assert sizes() == before
         assert not hasattr(circm.properties, "_VD_CACHE")
 
+    def test_a_report_builds_no_complex_and_relabels_once(self, monkeypatch):
+        # C2()[C16(1,2)] is two copies of C16(1,2), not Cohen-Macaulay, so
+        # the join is scanned whole, and a split of Ind(C16(1,2)) stays
+        # undecided, so the oracle falls back on the rank kernel: both read
+        # facet masks, and the only graphs built are the report's own
+        # renumbering of the labels 1..n
+        g = lex_product(circulant(2, []), circulant(16, [1, 2]))
+        built = constructions(monkeypatch)
+        calls = count_betti_calls(monkeypatch)
+        r = full_report(g, pdim_guard=None, include_betti=True)
+        assert (r.cm, r.betti[7], len(calls)) == (False, 25, 1)
+        assert (built.count(Complex), built.count(Graph)) == (0, 2)
+
+    def test_deciders_on_a_complex_that_is_not_flag_build_no_link(self, monkeypatch):
+        # every link of RP^2 goes to the rank kernel as its facet masks
+        built = constructions(monkeypatch)
+        for field, pdim in ((Q, 3), (FieldChoice.gf(2), 4)):
+            assert reisner_violation(RP2, field) == (None if field == Q else ((), 1))
+            assert projective_dimension(RP2, field) == pdim
+        assert built.count(Complex) == 0
+
+
+def constructions(monkeypatch) -> list[type]:
+    """The class of every ``Complex`` and ``Graph`` constructed from now on."""
+    built = []
+    for cls in (Complex, Graph):
+        real = cls.__init__
+
+        def init(self, *args, _real=real, _cls=cls, **kwargs):
+            built.append(_cls)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
+
 
 class TestInvariantsAreNotAsserts:
     def test_bad_constructed_order_is_an_inconsistency(self, monkeypatch):
@@ -1193,14 +1230,15 @@ class TestDepthFromTheLinkScan:
         assert sum(r.fh.f) == 77 and scans == [[(), (1,)]]
 
 
-def full_walk(c: Complex, view: tuple, field: FieldChoice) -> tuple:
-    """(Reisner's witness, Buchsbaum's witness, depth) of c from
-    ``_violations`` on ``view`` over every face in scan order: no face is
-    left out for its size or its orbit.  Buchsbaum's witness is None for
-    an impure complex."""
-    found = list(_violations(c, view, _sorted_faces(c), field))
-    buchsbaum = next((v for v in found if v[0]), None) if c.is_pure() else None
-    return (found[0] if found else None), buchsbaum, min([min(map(len, c.facets))] + [len(face) + 1 + i for face, i in found])
+def full_walk(facets: frozenset[int], view: tuple, field: FieldChoice) -> tuple:
+    """(Reisner's witness, Buchsbaum's witness, depth) of the complex of
+    the ``_mask`` facets from ``_violations`` on ``view`` over every face
+    in scan order: no face is left out for its size or its orbit.
+    Buchsbaum's witness is None for an impure complex."""
+    found = list(_violations(facets, view, _sorted_faces(facets), field))
+    sizes = {f.bit_count() for f in facets}
+    buchsbaum = next((v for v in found if v[0]), None) if len(sizes) == 1 else None
+    return (found[0] if found else None), buchsbaum, min([min(sizes)] + [len(face) + 1 + i for face, i in found])
 
 
 class TestOneFacePerOrbit:
@@ -1213,7 +1251,7 @@ class TestOneFacePerOrbit:
     def assert_the_full_walks(g: Graph) -> None:
         c = independence_complex(g)
         for field in (Q, FieldChoice.gf(2)):
-            reisner, buchsbaum, depth = full_walk(c, _oracle(c, field), field)
+            reisner, buchsbaum, depth = full_walk(*_oracle(c, field), field)
             r = full_report(g, field, pdim_guard=None)
             assert (r.cm_witness, r.buchsbaum_witness, r.depth) == (reisner, buchsbaum, depth), (g.adj, str(field))
             assert reisner_violation(c, field) == reisner, (g.adj, str(field))
@@ -1273,7 +1311,7 @@ class TestTheFullWalkOffTheOracle:
     @staticmethod
     def assert_the_full_walk(c: Complex) -> None:
         for field in (Q, FieldChoice.gf(2)):
-            reisner, buchsbaum, depth = full_walk(c, (None, (1 << c.vertex_count) - 1), field)
+            reisner, buchsbaum, depth = full_walk(_masks(c), (None, (1 << c.vertex_count) - 1), field)
             assert reisner_violation(c, field) == reisner, (sorted(map(sorted, c.facets)), str(field))
             if c.is_pure():
                 assert buchsbaum_violation(c, field) == buchsbaum, (sorted(map(sorted, c.facets)), str(field))
@@ -1295,6 +1333,6 @@ class TestTheFullWalkOffTheOracle:
             pure.append(Complex.from_facets(n, rng.sample(pool, rng.randint(1, min(8, len(pool))))))
         complexes = pure + random_complexes(150, 28)
         assert sum(not c.is_pure() for c in complexes) == 44
-        assert sum(_oracle(c, Q)[0] is None for c in complexes) > 150
+        assert sum(_oracle(c, Q)[1][0] is None for c in complexes) > 150
         for c in complexes:
             self.assert_the_full_walk(c)

@@ -21,6 +21,7 @@ from circm import (
 )
 import circm.complexes
 import circm.properties
+from circm.complexes import _masks
 from circm.graphs import induced_subgraph
 from circm.properties import buchsbaum_violation, check_shelling_order
 from test_oracle import record_scans
@@ -336,14 +337,13 @@ class TestFullReport:
         # the same walk goes on for Buchsbaum's witness; C8(1) and C12(2),
         # two hexagons, fail at the empty face and are impure, so no scan
         # gets past it.  C12(6), C12(4,6) and C18(6,9) are Cohen-Macaulay
-        # joins: one component is scanned, never the whole complex.  A
-        # component's complex keeps the graph's n, so the whole one is told
-        # by its facets.  Every scan starts an enumeration for its empty
-        # face; only one may build a level past it.
+        # joins: one component is scanned, never the whole complex, which
+        # is told apart by its facet masks.  Every scan starts an
+        # enumeration for its empty face; only one may build a level past it.
         walks = record_levels(monkeypatch)
         r = full_report(circulant(n, s), pdim_guard=0)
-        enumerated = [c for c, built in walks if built[1:]]
-        ind = independence_complex(circulant(n, s))
+        enumerated = [facets for facets, built in walks if built[1:]]
+        ind = _masks(independence_complex(circulant(n, s)))
         assert len(enumerated) <= 1 and enumerated.count(ind) == whole
         assert r.buchsbaum is r.pure and r.fh.f == tuple(map(len, circm.complexes._face_levels(ind)))
 
@@ -359,20 +359,21 @@ class TestFullReport:
         scans = record_scans(monkeypatch)
         r = full_report(circulant(30, [5, 15]))
         assert (r.cm_witness, r.buchsbaum_witness) == (((), 4), ((1, 11, 21), 3))
-        (join,) = [built for c, built in walks if c == ind(30, [5, 15])]
+        (join,) = [built for facets, built in walks if facets == _masks(ind(30, [5, 15]))]
         assert sum(join) <= 317 and [len(scan) for scan in scans] == [1, 189]
 
 
-def record_levels(monkeypatch) -> list[tuple[Complex, list[int]]]:
+def record_levels(monkeypatch) -> list[tuple[frozenset[int], list[int]]]:
     """Record, for each face enumeration ``_face_levels`` starts, its
-    complex and the size of each level it builds, the empty face's first."""
+    facet masks and the size of each level it builds, the empty face's
+    first."""
     walks = []
     real = circm.complexes._face_levels
 
-    def counting(c, *through):
+    def counting(facets, *through):
         built = []
-        walks.append((c, built))
-        for level in real(c, *through):
+        walks.append((facets, built))
+        for level in real(facets, *through):
             built.append(len(level))
             yield level
 
