@@ -10,14 +10,12 @@ _EXPORTS = {
     "Complex": "complexes",
     "FHVectors": "complexes",
     "alpha": "complexes",
-    "deletion": "complexes",
     "faces": "complexes",
     "family_f_vector": "complexes",
     "f_vector": "complexes",
     "independence_complex": "complexes",
     "is_well_covered": "complexes",
     "link": "complexes",
-    "restrict": "complexes",
     "GuardError": "errors",
     "InconsistencyError": "errors",
     "FieldChoice": "fields",
@@ -35,7 +33,6 @@ _EXPORTS = {
     "BettiTable": "homology",
     "ChainComplexData": "homology",
     "build_chain_complex": "homology",
-    "euler_check": "homology",
     "kernel_rank_of": "homology",
     "reduced_betti": "homology",
     "PropertyReport": "properties",

@@ -3,7 +3,7 @@
 A complex is a set of facets (inclusion-maximal faces) over an ambient
 vertex range 1..vertex_count.  The complex whose only face is the empty
 set is represented by the single facet frozenset() and has dimension -1.
-Vertices of links/deletions/restrictions keep their original labels.
+Vertices of links keep their original labels.
 """
 
 from __future__ import annotations
@@ -187,40 +187,25 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
     return Complex(c.vertex_count, frozenset(f - fs for f in c.facets if fs <= f))
 
 
-def deletion(c: Complex, v: int) -> Complex:
-    """All faces avoiding the vertex v."""
-    if not 1 <= v <= c.vertex_count:
-        raise ValueError(f"vertex {v} outside ambient range")
-    new = _maximal(f - {v} for f in c.facets)
-    return Complex(c.vertex_count, new)
-
-
-def restrict(c: Complex, w: Iterable[int]) -> Complex:
-    """All faces contained in the vertex set w."""
-    ws = frozenset(w)
-    for v in ws:
-        if not 1 <= v <= c.vertex_count:
-            raise ValueError(f"vertex {v} outside ambient range")
-    new = _maximal(f & ws for f in c.facets)
-    return Complex(c.vertex_count, new)
-
-
 def _maximal_independent_sets(g: Graph, mask: Optional[int] = None) -> list[int]:
     """All maximal independent sets of g[mask] (default: all of g) as
     bitmasks over internal indices.
 
     Bron-Kerbosch with pivoting on the complement graph, started from
-    P = mask, so no subgraph is built.
+    P = mask, so no subgraph is built.  The frames wait on an explicit
+    stack, so no vertex count meets the recursion limit.
     """
     n = g.vertex_count
     full = (1 << n) - 1
     comp = [(full ^ (1 << i) ^ g.adj[i]) for i in range(n)]
     out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
+    stack = [(0, full if mask is None else mask, 0)]  # (R, P, X) of each frame not yet expanded
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
         px = p | x
         # pivot: vertex of p|x with most complement-neighbours in p
         best, best_cnt = -1, -1
@@ -236,12 +221,10 @@ def _maximal_independent_sets(g: Graph, mask: Optional[int] = None) -> list[int]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            bk(r | low, p & comp[v], x & comp[v])
+            stack.append((r | low, p & comp[v], x & comp[v]))
             p &= ~low
             x |= low
             cand ^= low
-
-    bk(0, full if mask is None else mask, 0)
     return out
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Collection, Generator, Optional, Sequence
 
-from .complexes import Complex, _face_levels, _masks, _maximal_independent_sets, _vertices, f_vector
+from .complexes import Complex, _face_levels, _masks, _maximal_independent_sets, _vertices
 from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, SparseRow, rank_of_rows, rows_from_vectors
 from .graphs import Graph, _component_masks
@@ -203,22 +203,6 @@ def _betti_by_ranks(facets: Collection[int], field: FieldChoice) -> BettiTable:
             raise InconsistencyError("negative Betti number; rank computation is broken")
         out.append((i, h))
     return BettiTable(tuple(out))
-
-
-def euler_check(c: Complex, field: FieldChoice) -> bool:
-    """Verify the reduced Euler characteristic identity on c.
-
-    Always true when the engine is correct; a False return is a bug
-    signal.  On a flag complex it checks the oracle's folds and splits
-    against ``f_vector``.  Otherwise it only catches a chain basis whose
-    face counts differ: the rank kernel sets H~_i = f_i - r_i - r_{i+1},
-    so the ranks r_i telescope away and a wrong one goes undetected (one
-    that makes a Betti number negative is rejected by the kernel).
-    """
-    betti = reduced_betti(c, field)
-    lhs = sum((-1 if i % 2 else 1) * betti[i] for i in range(-1, c.dim() + 1))
-    rhs = sum((-1) ** (k + 1) * fk for k, fk in enumerate(f_vector(c).f))
-    return lhs == rhs
 
 
 def kernel_rank_of(vectors: Sequence[Sequence], field: FieldChoice) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import islice
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from .complexes import Complex, FHVectors, _face_levels, _mask, _masks, _maximal_independent_sets, _vertices, f_vector, h_from_f, independence_polynomial
 from .errors import Frozen, GuardError, InconsistencyError
@@ -202,11 +202,34 @@ def _link_and_deletion(facets: frozenset[int], x: int) -> tuple[frozenset[int], 
 def _shedding(facets: frozenset[int], memo: dict[frozenset[int], Optional[int]]) -> Optional[int]:
     """The first shedding vertex of pure facets, as a bit: the least vertex
     whose link and deletion are vertex decomposable, 0 for a single facet,
-    or None when the facets are not vertex decomposable.  x is skipped when
-    its deletion is impure, that is when a link facet lies in no facet
-    avoiding x.  A vertex decomposable complex is shellable
-    (Provan-Billera), so one of dimension >= 1 is connected: a
-    disconnected one is answered None before any vertex is tried.
+    or None when the facets are not vertex decomposable.
+
+    The stack holds the ``_shedding_steps`` of each family being searched,
+    the link or deletion it asks about above it, depth first, so that no
+    depth of the search meets the recursion limit; each answer is sent to
+    the steps below."""
+    stack = [_shedding_steps(facets, memo)]
+    found = None
+    while True:
+        try:
+            need = stack[-1].send(found)
+        except StopIteration as stop:
+            stack.pop()
+            found = stop.value
+            if not stack:
+                return found
+        else:
+            stack.append(_shedding_steps(need, memo))
+            found = None
+
+
+def _shedding_steps(facets: frozenset[int], memo: dict[frozenset[int], Optional[int]]) -> Generator:
+    """Steps to ``_shedding(facets)``: each link, then deletion, whose
+    answer it needs is yielded.  x is skipped when its deletion is impure,
+    that is when a link facet lies in no facet avoiding x.  A vertex
+    decomposable complex is shellable (Provan-Billera), so one of
+    dimension >= 1 is connected: a disconnected one is answered None
+    before any vertex is tried.
 
     The memo holds the answer for the family shifted down so that its
     least vertex is bit 0, so translated copies of one family, as the
@@ -226,7 +249,7 @@ def _shedding(facets: frozenset[int], memo: dict[frozenset[int], Optional[int]])
                 link_f, del_f = _link_and_deletion(key, x)
                 if del_f is not link_f and any(all(g & ~h for h in del_f) for g in link_f):
                     continue
-                if _shedding(link_f, memo) is not None and _shedding(del_f, memo) is not None:
+                if (yield link_f) is not None and (yield del_f) is not None:
                     found = x
                     break
         memo[key] = found
@@ -564,9 +587,10 @@ def full_report(
     """
     fld = field if field is not None else FieldChoice.rational()
     n = g.vertex_count
-    # Numbering the labels 1..n in increasing order keeps every scan order.
+    # Only the adjacency and the index order are read, never the labels:
+    # indices in increasing label order keep every scan order.
     names = sorted(g.labels)
-    flag = Graph(adj=induced_subgraph(g, names).adj, labels=tuple(range(1, n + 1)))
+    flag = g if g.labels == tuple(names) else induced_subgraph(g, names)
     f = independence_polynomial(flag)
     fh = FHVectors(dim=len(f) - 2, f=f, h=h_from_f(f))
     oracle = InducedHomology(flag, fld)

@@ -6,10 +6,29 @@ optimized implementations in ``circm`` are checked against code that
 shares none of their machinery.
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from circm import Graph
+from circm import Graph, f_vector, reduced_betti
+
+
+@contextmanager
+def recursion_limit_above_here(frames: int):
+    """Run the body under a recursion limit ``frames`` above the depth of
+    the stack it is entered from, so that code recursing once per vertex
+    or per facet fails there on any input larger than ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def circular_distance(n: int, i: int, j: int) -> int:
@@ -35,6 +54,23 @@ def brute_independent_sets(g: Graph) -> set[frozenset[int]]:
             if all(not g.has_edge(a, b) for a, b in combinations(sub, 2)):
                 out.add(frozenset(sub))
     return out
+
+
+def euler_check(c, field) -> bool:
+    """Whether the reduced Euler characteristic of ``reduced_betti(c,
+    field)`` is the alternating sum of ``f_vector(c)``.
+
+    Always true when the engine is correct.  On a flag complex it checks
+    the oracle's folds and splits against a face count that shares
+    nothing with them.  Otherwise it only catches a chain basis whose
+    face counts differ: the rank kernel sets H~_i = f_i - r_i - r_{i+1},
+    so the ranks r_i telescope away and a wrong one goes undetected (one
+    that makes a Betti number negative is rejected by the kernel).
+    """
+    betti = reduced_betti(c, field)
+    lhs = sum((-1 if i % 2 else 1) * betti[i] for i in range(-1, c.dim() + 1))
+    rhs = sum((-1) ** (k + 1) * fk for k, fk in enumerate(f_vector(c).f))
+    return lhs == rhs
 
 
 def brute_maximal_independent_sets(g: Graph) -> set[frozenset[int]]:

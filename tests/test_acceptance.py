@@ -18,7 +18,6 @@ from circm import (
     circulant,
     connected_components,
     cubic_decompose,
-    euler_check,
     expected_cubic_cm,
     expected_family_status,
     f_vector,
@@ -36,6 +35,8 @@ from circm import (
     verify_kernel_rank,
 )
 from circm.theorems import expected_octahedron_count
+
+from conftest import euler_check
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()

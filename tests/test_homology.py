@@ -11,7 +11,6 @@ from circm import (
     InconsistencyError,
     build_chain_complex,
     circulant,
-    euler_check,
     f_vector,
     independence_complex,
     kernel_rank_of,
@@ -21,7 +20,7 @@ from circm.complexes import _masks, faces
 from circm.fields import _is_prime, rank_of_rows, rows_from_vectors
 from circm.homology import ChainComplexData, _assert_boundary_squares_to_zero, _betti_by_ranks
 
-from conftest import brute_boundary_composition_is_zero, brute_reduced_betti, dense_rank, dense_rank_mod, graph_from_edges
+from conftest import brute_boundary_composition_is_zero, brute_reduced_betti, dense_rank, dense_rank_mod, euler_check, graph_from_edges
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()

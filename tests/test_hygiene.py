@@ -157,6 +157,19 @@ def test_init_binds_no_public_name_outside_the_table():
     assert not public, f"__init__ binds public names that are missing from the export table: {public}"
 
 
+def test_the_dropped_facet_operations_are_defined_nowhere():
+    # deletion, restrict and euler_check had no caller in the package;
+    # the tests keep euler_check in conftest.py
+    import circm
+
+    dropped = {"deletion", "restrict", "euler_check"}
+    for path in MODULES:
+        assert not top_level_definitions(parse(path)) & dropped, path.name
+    for name in sorted(dropped):
+        with pytest.raises(AttributeError):
+            getattr(circm, name)
+
+
 # Modules the package must not import: each costs start-up time that no
 # answer needs (dataclasses pulls in inspect; Fraction arithmetic is done
 # on integers).

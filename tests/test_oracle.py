@@ -23,7 +23,6 @@ from circm import (
     Graph,
     InconsistencyError,
     circulant,
-    euler_check,
     full_report,
     independence_complex,
     is_shellable,
@@ -44,6 +43,7 @@ from conftest import (
     brute_reduced_betti,
     brute_vertex_decomposable,
     downward_closure,
+    euler_check,
     graph_from_edges,
 )
 from test_homology import RP2, TORUS7
@@ -1109,18 +1109,34 @@ class TestSharedWork:
         assert sizes() == before
         assert not hasattr(circm.properties, "_VD_CACHE")
 
-    def test_a_report_builds_no_complex_and_relabels_once(self, monkeypatch):
+    def test_a_report_builds_no_complex_and_no_graph(self, monkeypatch):
         # C2()[C16(1,2)] is two copies of C16(1,2), not Cohen-Macaulay, so
         # the join is scanned whole, and a split of Ind(C16(1,2)) stays
         # undecided, so the oracle falls back on the rank kernel: both read
-        # facet masks, and the only graphs built are the report's own
-        # renumbering of the labels 1..n
+        # facet masks, and the labels of a lex product already ascend, so
+        # the report reads the graph itself
         g = lex_product(circulant(2, []), circulant(16, [1, 2]))
         built = constructions(monkeypatch)
         calls = count_betti_calls(monkeypatch)
         r = full_report(g, pdim_guard=None, include_betti=True)
         assert (r.cm, r.betti[7], len(calls)) == (False, 25, 1)
-        assert (built.count(Complex), built.count(Graph)) == (0, 2)
+        assert (built.count(Complex), built.count(Graph)) == (0, 0)
+
+    def test_a_report_on_shuffled_labels_builds_one_graph(self, monkeypatch):
+        # the report reads the graph in increasing label order, one
+        # induced subgraph, and answers as on that sorted relabelling
+        rng = random.Random(7)
+        for n, s in [(9, [1, 3]), (10, [2, 5]), (12, [1, 3, 6]), (11, [1, 2])]:
+            g = circulant(n, s)
+            labels = list(g.labels)
+            rng.shuffle(labels)
+            shuffled = Graph(adj=g.adj, labels=tuple(labels))
+            built = constructions(monkeypatch)
+            r = full_report(shuffled, pdim_guard=None, include_betti=True)
+            assert built.count(Graph) == 1
+            monkeypatch.undo()
+            want = full_report(induced_subgraph(shuffled, sorted(labels)), pdim_guard=None, include_betti=True)
+            assert r.to_json_dict() == want.to_json_dict(), (n, s)
 
     def test_deciders_on_a_complex_that_is_not_flag_build_no_link(self, monkeypatch):
         # every link of RP^2 goes to the rank kernel as its facet masks
@@ -1159,9 +1175,18 @@ class TestInvariantsAreNotAsserts:
 
     def test_verify_h2_still_records_a_violated_lower_bound(self, monkeypatch):
         import circm.theorems
-        from circm import BettiTable, VerifyScope
+        from circm import VerifyScope
 
-        monkeypatch.setattr(circm.theorems, "reduced_betti", lambda c, f: BettiTable(((2, 0),)))
+        class NoHomology:  # an oracle that finds H~_2 = 0 on every graph
+            full = 0
+
+            def __init__(self, g, field):
+                pass
+
+            def betti(self, mask):
+                return {}
+
+        monkeypatch.setattr(circm.theorems, "InducedHomology", NoHomology)
         res = circm.theorems.verify_h2(VerifyScope(h2_d_max=3))
         assert [f["d"] for f in res.failures] == [3]
         assert "lower bound violated" in res.failures[0]["error"]

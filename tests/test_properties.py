@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,8 @@ from circm.complexes import _masks
 from circm.graphs import induced_subgraph
 from circm.properties import buchsbaum_violation, check_shelling_order
 from test_oracle import record_scans
+
+from conftest import recursion_limit_above_here
 
 Q = FieldChoice.rational()
 GF = FieldChoice.gf()
@@ -95,6 +99,15 @@ class TestVertexDecomposable:
 
     def test_disconnected_is_not_vd(self):
         assert not is_vertex_decomposable(ind(4, [1]))
+
+    def test_a_path_of_more_edges_than_the_recursion_limit(self):
+        # the lowest vertex sheds at every step, and each deletion is the
+        # path one edge shorter: 300 searches deep, on an explicit stack,
+        # under a limit 150 frames above this one
+        path = Complex.from_facets(301, [[i, i + 1] for i in range(1, 301)])
+        with recursion_limit_above_here(150):
+            vd = is_vertex_decomposable(path)
+        assert vd
 
 
 class TestEmptyComplex:
@@ -390,3 +403,43 @@ class TestHochsterReisnerCrossValidation:
         reisner = is_cohen_macaulay(c, Q)
         hochster = n - projective_dimension(c, Q) == alpha(g)
         assert reisner == hochster
+
+
+def multiplier_cases(count: int, seed: int) -> list[tuple[int, list[int], int]]:
+    """Seeded (n, S, u) with 5 <= n <= 14 and u a unit mod n other than
+    1 and -1, which fix every connection set."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 14)
+        units = [u for u in range(2, n - 1) if math.gcd(u, n) == 1]
+        if units:
+            s = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(0, n // 2)))
+            out.append((n, s, rng.choice(units)))
+    return out
+
+
+class TestMultipliers:
+    """Vertex i -> u*i mod n (label i + 1 -> u*i mod n + 1) maps C_n(S)
+    onto C_n(uS) for every unit u mod n, so the two reports agree but
+    for the labels of their witnesses and shelling orders."""
+
+    @pytest.mark.parametrize("field", [Q, FieldChoice.gf(2)], ids=str)
+    def test_reports_agree_under_a_multiplier(self, field):
+        for n, s, u in multiplier_cases(250, seed=5):
+            us = sorted({min(u * x % n, n - u * x % n) for x in s})
+            a = full_report(circulant(n, s), field, pdim_guard=None, include_betti=True)
+            b = full_report(circulant(n, us), field, pdim_guard=None, include_betti=True)
+            case = (n, s, u)
+            ja, jb = a.to_json_dict(), b.to_json_dict()
+            for key in ("graph", "cm_witness", "shelling_order"):
+                del ja[key], jb[key]
+            assert ja == jb, case
+            assert (a.cm_witness is None) == (b.cm_witness is None), case
+            if a.cm_witness is not None:
+                assert a.cm_witness[1] == b.cm_witness[1], case
+            if b.shelling_order is not None:
+                back = pow(u, -1, n)
+                order = [frozenset(back * (v - 1) % n + 1 for v in f) for f in b.shelling_order]
+                assert check_shelling_order(order), case
+                assert len(order) == len(set(order)) and set(order) == ind(n, s).facets, case

@@ -163,8 +163,8 @@ class TestVerifyTheorems:
         # main reports on every C_{4d+3}(1..d) with d <= 3, so H~_2 is not
         # computed again; a d beyond main's scope still is
         calls = []
-        real = circm.theorems.reduced_betti
-        monkeypatch.setattr(circm.theorems, "reduced_betti", lambda c, f: calls.append(c.vertex_count) or real(c, f))
+        real = circm.theorems.InducedHomology
+        monkeypatch.setattr(circm.theorems, "InducedHomology", lambda g, f: calls.append(g.vertex_count) or real(g, f))
         main, shared = verify_theorems(scope, ["main", "lemma-h2"])
         assert main.passed and shared.to_json_dict() == alone.to_json_dict()
         assert calls == []
