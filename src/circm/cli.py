@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=None, help="default 2d per d")
     p.add_argument("--n-max", type=int, default=None, help="default 4d+6 per d")
     p.add_argument("--max-2n", type=_at_least(4), default=12, help="cubic family bound")
-    # argparse converts a string default only when sweep is parsed, so a bad value exits 2 naming --jobs
-    p.add_argument("--jobs", type=_at_least(1), default=os.environ.get("CIRCM_JOBS", "1"))
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     common(p, "--field", "--budget")
     p.set_defaults(func=cmd_sweep)
 

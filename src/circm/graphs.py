@@ -21,11 +21,12 @@ class CirculantSpec(Frozen):
     __slots__ = ("n", "s")
 
     def __init__(self, n: int, s: tuple[int, ...]) -> None:
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
+        if type(n) is not int or n < 1:  # 5.0 and True too: n reaches the label and range()
+            raise ValueError(f"vertex count must be a positive int, got {n!r}")
         s = tuple(s)
-        if any(not isinstance(x, int) for x in s):
-            raise ValueError("connection set entries must be integers")
+        for x in s:
+            if type(x) is not int:
+                raise ValueError(f"connection set entry {x!r} is not an int")
         if list(s) != sorted(set(s)):
             raise ValueError(f"connection set must be strictly increasing without duplicates: {s}")
         for x in s:

@@ -9,7 +9,7 @@ from contextvars import ContextVar
 from typing import Optional
 
 from .complexes import independence_complex, is_well_covered
-from .errors import Frozen, GuardError, InconsistencyError
+from .errors import Frozen, InconsistencyError
 from .fields import FieldChoice, rank_of_rows
 from .graphs import (
     CirculantSpec,
@@ -165,16 +165,13 @@ def build_octahedron_list(d: int) -> list[OctTuple]:
     return out
 
 
-def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None, max_d: Optional[int] = 5) -> int:
+def verify_kernel_rank(d: int, field: Optional[FieldChoice] = None) -> int:
     """Rank of the octahedral cycle family; must equal the list size.
 
     Also re-verifies the distinguished-face argument: walking the list
     in lexicographic order, the 2-face {i2, j2, k1} of each octahedron
-    has not appeared among the faces of any earlier octahedron.  A d
-    above ``max_d`` raises ``GuardError``; None means no limit.
+    has not appeared among the faces of any earlier octahedron.
     """
-    if max_d is not None and d > max_d:
-        raise GuardError(f"kernel-rank verification guarded at d={max_d}")
     fld = field if field is not None else FieldChoice.rational()
     g = interval_circulant(4 * d + 3, d)
     chain = build_chain_complex(independence_complex(g))
@@ -207,31 +204,26 @@ class H2Evidence(Frozen):
         object.__setattr__(self, "equal", equal)
 
 
-def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None, max_d: Optional[int] = 4) -> H2Evidence:
-    """Compare dim H~_2(Ind(C_{4d+3}(1..d))) with (4d+3)/3 * C(d-1, 2).
-
-    The >= direction is a theorem for d >= 3 and is asserted; equality
-    is only reported, never asserted.  A d above ``max_d`` raises
-    ``GuardError``; None means no limit.  Within a ``verify_theorems`` run
-    whose "main" verifier reported on C_{4d+3}(1..d) over the same field,
-    H~_2 is read from that report instead of being computed again;
-    otherwise one homology oracle on the graph answers it.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if max_d is not None and d > max_d:
-        raise GuardError(f"H~_2 experiment guarded at d={max_d}")
-    fld = field if field is not None else FieldChoice.rational()
-    formula = expected_octahedron_count(d) if d >= 2 else 0
-    report = _RUN_REPORTS.get({}).get((4 * d + 3, d))
-    if report is not None and report.field == fld:
-        computed = report.betti[2]
-    else:
-        oracle = InducedHomology(interval_circulant(4 * d + 3, d), fld)
-        computed = oracle.betti(oracle.full).get(2, 0)
+def _h2_evidence(d: int, computed: int) -> H2Evidence:
+    """``computed`` = dim H~_2 beside the octahedron count (0 below d = 3),
+    which it must reach from d = 3 on."""
+    formula = expected_octahedron_count(d)
     if d >= 3 and computed < formula:
         raise InconsistencyError(f"H~_2 lower bound violated at d={d}: computed {computed} < {formula}")
     return H2Evidence(d=d, computed=computed, formula=formula, equal=computed == formula)
+
+
+def h2_equality_experiment(d: int, field: Optional[FieldChoice] = None) -> H2Evidence:
+    """Compare dim H~_2(Ind(C_{4d+3}(1..d))) with (4d+3)/3 * C(d-1, 2).
+
+    The >= direction is a theorem for d >= 3 and is asserted; equality
+    is only reported, never asserted.  One homology oracle on the graph
+    answers it.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    oracle = InducedHomology(interval_circulant(4 * d + 3, d), field if field is not None else FieldChoice.rational())
+    return _h2_evidence(d, oracle.betti(oracle.full).get(2, 0))
 
 
 # --- exhaustive verification ---------------------------------------------------
@@ -288,22 +280,9 @@ class TheoremResult:
         return out
 
 
-def verify_wellcovered_family(scope: VerifyScope) -> TheoremResult:
-    """C_n(1..d) is well-covered iff n <= 3d+2 or n = 4d+3."""
-    res = TheoremResult("brown41", f"d=1..{scope.d_max}, n=2d..4d+6", 0)
-    for d in range(1, scope.d_max + 1):
-        for n in scope.family_range(d):
-            res.cases_run += 1
-            got = is_well_covered(interval_circulant(n, d))
-            want = expected_family_status(n, d).well_covered_expected
-            if got != want:
-                res.failures.append({"n": n, "d": d, "well_covered": got, "expected": want})
-    return res
-
-
-# The interval-family reports of the current verify_theorems run, shared
-# by the "main" and "buchsbaum" verifiers and read by the H~_2
-# experiment; unset outside a run.
+# The interval-family reports of the current verify_theorems run, one per
+# C_n(1..d), read by the three family verifiers and by verify_h2; unset
+# outside a run.
 _RUN_REPORTS: ContextVar[dict] = ContextVar("_RUN_REPORTS")
 
 
@@ -314,40 +293,43 @@ def _family_report(n: int, d: int, scope: VerifyScope) -> PropertyReport:
     return memo[n, d]
 
 
-def verify_cm_family(scope: VerifyScope) -> TheoremResult:
+def _family_verifier(theorem_id: str, mismatch):
+    """A verifier of one reading of C_n(1..d) over d = 1..d_max and
+    n = 2d..4d+6: ``mismatch(report, expected)`` gives the entries of a
+    failure, empty where the report agrees with the closed forms."""
+
+    def verify(scope: VerifyScope) -> TheoremResult:
+        res = TheoremResult(theorem_id, f"d=1..{scope.d_max}, n=2d..4d+6", 0)
+        for d in range(1, scope.d_max + 1):
+            for n in scope.family_range(d):
+                res.cases_run += 1
+                bad = mismatch(_family_report(n, d, scope), expected_family_status(n, d))
+                if bad:
+                    res.failures.append({"n": n, "d": d, **bad})
+        return res
+
+    return verify
+
+
+def _wellcovered_mismatch(report: PropertyReport, want: FamilyStatus) -> dict:
+    """C_n(1..d) is well-covered iff n <= 3d+2 or n = 4d+3."""
+    if report.well_covered == want.well_covered_expected:
+        return {}
+    return {"well_covered": report.well_covered, "expected": want.well_covered_expected}
+
+
+def _cm_mismatch(report: PropertyReport, want: FamilyStatus) -> dict:
     """CM = shellable = vertex decomposable = (n <= 3d+2 and n != 2d+2)."""
-    res = TheoremResult("main", f"d=1..{scope.d_max}, n=2d..4d+6", 0)
-    for d in range(1, scope.d_max + 1):
-        for n in scope.family_range(d):
-            res.cases_run += 1
-            report = _family_report(n, d, scope)
-            want = expected_family_status(n, d)
-            bad = {}
-            if report.well_covered != want.well_covered_expected:
-                bad["well_covered"] = report.well_covered
-            if report.cm != want.cm_expected:
-                bad["cm"] = report.cm
-            if report.vertex_decomposable != want.cm_expected:
-                bad["vertex_decomposable"] = report.vertex_decomposable
-            if report.shellable != want.cm_expected:
-                bad["shellable"] = report.shellable
-            if bad:
-                res.failures.append({"n": n, "d": d, **bad})
-    return res
+    expected = {"well_covered": want.well_covered_expected, "cm": want.cm_expected, "vertex_decomposable": want.cm_expected, "shellable": want.cm_expected}
+    return {k: getattr(report, k) for k, v in expected.items() if getattr(report, k) != v}
 
 
-def verify_buchsbaum_family(scope: VerifyScope) -> TheoremResult:
+def _buchsbaum_mismatch(report: PropertyReport, want: FamilyStatus) -> dict:
     """Buchsbaum but not CM happens exactly at n = 2d+2 and n = 4d+3."""
-    res = TheoremResult("buchsbaum", f"d=1..{scope.d_max}, n=2d..4d+6", 0)
-    for d in range(1, scope.d_max + 1):
-        for n in scope.family_range(d):
-            res.cases_run += 1
-            report = _family_report(n, d, scope)
-            got = report.buchsbaum and not report.cm
-            want = expected_family_status(n, d).buchsbaum_not_cm_expected
-            if got != want:
-                res.failures.append({"n": n, "d": d, "buchsbaum_not_cm": got, "expected": want})
-    return res
+    got = report.buchsbaum and not report.cm
+    if got == want.buchsbaum_not_cm_expected:
+        return {}
+    return {"buchsbaum_not_cm": got, "expected": want.buchsbaum_not_cm_expected}
 
 
 def verify_cubic(scope: VerifyScope) -> TheoremResult:
@@ -428,7 +410,7 @@ def verify_h2(scope: VerifyScope) -> TheoremResult:
     for d in range(1, scope.h2_d_max + 1):
         res.cases_run += 1
         try:
-            ev = h2_equality_experiment(d, max_d=scope.h2_d_max)
+            ev = _h2_evidence(d, _family_report(4 * d + 3, d, scope).betti[2])
         except InconsistencyError as exc:
             res.failures.append({"d": d, "error": str(exc)})
             continue
@@ -437,9 +419,9 @@ def verify_h2(scope: VerifyScope) -> TheoremResult:
 
 
 THEOREM_VERIFIERS = {
-    "brown41": verify_wellcovered_family,
-    "main": verify_cm_family,
-    "buchsbaum": verify_buchsbaum_family,
+    "brown41": _family_verifier("brown41", _wellcovered_mismatch),
+    "main": _family_verifier("main", _cm_mismatch),
+    "buchsbaum": _family_verifier("buchsbaum", _buchsbaum_mismatch),
     "cubic": verify_cubic,
     "lexwc": verify_lex_wellcovered,
     "lemma-h2": verify_h2,

@@ -48,6 +48,18 @@ class TestCirculantSpec:
         with pytest.raises(ValueError):
             CirculantSpec(10, (2, 2))
 
+    @pytest.mark.parametrize(
+        "n,s,named",
+        [
+            (5, (True,), "True"),  # would be labelled C5(True)
+            (True, (), "True"),  # would be labelled CTrue()
+            (5.0, (1,), "5.0"),  # make_circulant would raise TypeError
+        ],
+    )
+    def test_rejects_a_value_that_is_not_an_int(self, n, s, named):
+        with pytest.raises(ValueError, match=named):
+            CirculantSpec(n, s)
+
     def test_empty_connection_set_allowed(self):
         g = circulant(4, [])
         assert g.edge_count() == 0

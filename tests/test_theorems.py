@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import circm.theorems
@@ -17,7 +19,7 @@ from circm import (
     verify_kernel_rank,
     verify_theorems,
 )
-from circm.theorems import THEOREM_VERIFIERS, expected_octahedron_count, verify_lex_wellcovered
+from circm.theorems import THEOREM_VERIFIERS, FamilyStatus, expected_octahedron_count, verify_lex_wellcovered
 
 Q = FieldChoice.rational()
 
@@ -107,11 +109,8 @@ class TestKernelRank:
     def test_d3(self):
         assert verify_kernel_rank(3, Q) == 5
 
-    def test_guard(self):
-        from circm import GuardError
-
-        with pytest.raises(GuardError):
-            verify_kernel_rank(6, Q)
+    def test_d6_needs_no_guard_lifted(self):
+        assert verify_kernel_rank(6, Q) == expected_octahedron_count(6) == 90
 
 
 class TestH2Experiment:
@@ -122,11 +121,18 @@ class TestH2Experiment:
         assert ev.equal == (ev.computed == ev.formula)
         assert ev.equal  # holds in the tested range
 
-    def test_guard(self):
-        from circm import GuardError
+    def test_d6_needs_no_guard_lifted(self):
+        ev = h2_equality_experiment(6, Q)
+        assert (ev.computed, ev.formula, ev.equal) == (90, 90, True)
 
-        with pytest.raises(GuardError):
-            h2_equality_experiment(9, Q)
+    def test_reads_no_report_of_a_verify_run(self):
+        # a report of C15(1..3) with H~_2 = 0, held by a verify run, does
+        # not change the answer
+        token = circm.theorems._RUN_REPORTS.set({(15, 3): SimpleNamespace(field=Q, betti={2: 0})})
+        try:
+            assert h2_equality_experiment(3, Q).computed == 5
+        finally:
+            circm.theorems._RUN_REPORTS.reset(token)
 
 
 class TestVerifyTheorems:
@@ -144,32 +150,61 @@ class TestVerifyTheorems:
         assert len(results) == 1 and results[0].theorem_id == "cubic"
 
     def test_family_reports_are_built_once_per_run(self, monkeypatch):
-        import circm.theorems
+        import circm.complexes
 
-        calls = []
+        calls, wc_graphs = [], []
         real = circm.theorems.full_report
         monkeypatch.setattr(circm.theorems, "full_report", lambda *a, **k: calls.append(a) or real(*a, **k))
-        results = verify_theorems(VerifyScope(), ["main", "buchsbaum"])
+        for module in (circm.theorems, circm.complexes):
+            monkeypatch.setattr(module, "is_well_covered", lambda g, _real=module.is_well_covered: wc_graphs.append(g) or _real(g))
+        results = verify_theorems(VerifyScope(), ["brown41", "main", "buchsbaum", "lemma-h2"])
         assert all(r.passed for r in results)
-        # d = 1..4 and n = 2d..4d+6: 48 interval cases, shared by both
-        assert [r.cases_run for r in results] == [48, 48]
+        # d = 1..4 and n = 2d..4d+6: 48 interval cases, shared by the three
+        # family theorems; lemma-h2 reads H~_2 off the reports of
+        # C_{4d+3}(1..d) for d = 1..3, and brown41 well-coveredness
+        assert [r.cases_run for r in results] == [48, 48, 48, 3]
         assert len(calls) == 48
+        assert wc_graphs == []
 
     def test_h2_reads_the_reports_of_main(self, monkeypatch):
-        import circm.theorems
-
         scope = VerifyScope(d_max=3, h2_d_max=3)
         (alone,) = verify_theorems(scope, ["lemma-h2"])
-        # main reports on every C_{4d+3}(1..d) with d <= 3, so H~_2 is not
-        # computed again; a d beyond main's scope still is
-        calls = []
-        real = circm.theorems.InducedHomology
-        monkeypatch.setattr(circm.theorems, "InducedHomology", lambda g, f: calls.append(g.vertex_count) or real(g, f))
+        # main reports on every C_{4d+3}(1..d) with d <= 3, so H~_2 is read
+        # off those reports; a d beyond main's scope costs one more report
+        calls, oracles = [], []
+        real = circm.theorems.full_report
+        monkeypatch.setattr(circm.theorems, "full_report", lambda g, **k: calls.append(g.vertex_count) or real(g, **k))
+        monkeypatch.setattr(circm.theorems, "InducedHomology", lambda g, f: oracles.append(g))
         main, shared = verify_theorems(scope, ["main", "lemma-h2"])
         assert main.passed and shared.to_json_dict() == alone.to_json_dict()
-        assert calls == []
-        verify_theorems(VerifyScope(d_max=2, h2_d_max=3), ["main", "lemma-h2"])
-        assert calls == [15]
+        assert len(calls) == main.cases_run
+        calls.clear()
+        main, _ = verify_theorems(VerifyScope(d_max=2, h2_d_max=3), ["main", "lemma-h2"])
+        assert calls[main.cases_run :] == [15]
+        assert oracles == []
+
+    def test_a_wrong_closed_form_keeps_the_keys_of_each_failure(self, monkeypatch):
+        real = circm.theorems.expected_family_status
+
+        def flipped(n, d):
+            # C5(1), the pentagon, is well-covered, CM and not Buchsbaum-not-CM
+            want = real(n, d)
+            if (n, d) != (5, 1):
+                return want
+            return FamilyStatus(n, d, not want.well_covered_expected, not want.cm_expected, not want.buchsbaum_not_cm_expected)
+
+        monkeypatch.setattr(circm.theorems, "expected_family_status", flipped)
+        results = verify_theorems(VerifyScope(d_max=1), ["brown41", "main", "buchsbaum"])
+        assert {r.theorem_id: r.failures for r in results} == {
+            "brown41": [{"n": 5, "d": 1, "well_covered": True, "expected": False}],
+            "main": [{"n": 5, "d": 1, "well_covered": True, "cm": True, "vertex_decomposable": True, "shellable": True}],
+            "buchsbaum": [{"n": 5, "d": 1, "buchsbaum_not_cm": False, "expected": True}],
+        }
+        assert [list(f) for r in results for f in r.failures] == [
+            ["n", "d", "well_covered", "expected"],
+            ["n", "d", "well_covered", "cm", "vertex_decomposable", "shellable"],
+            ["n", "d", "buchsbaum_not_cm", "expected"],
+        ]
 
     def test_wrong_component_spec_is_a_failure(self, monkeypatch):
         import circm.theorems
