@@ -274,29 +274,58 @@ def independence_polynomial(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _component_set_sizes(g: Graph) -> Iterator[set[int]]:
-    """For each connected component of g, in turn, the sizes of its
-    maximal independent sets.
-
-    A maximal independent set of g is the union of one maximal independent
-    set of each component, so no set of g itself is enumerated.
-    """
-    for comp in _component_masks(g, (1 << g.vertex_count) - 1):
-        yield {m.bit_count() for m in _maximal_independent_sets(g, comp)}
-
-
 def alpha(g: Graph) -> int:
-    """Independence number: the sum over the connected components of g of
-    the largest size of a maximal independent set (0 with no vertices)."""
-    return sum(max(sizes) for sizes in _component_set_sizes(g))
+    """Independence number: the largest size of an independent set, the
+    degree of the independence polynomial (0 with no vertices)."""
+    return len(independence_polynomial(g)) - 1
 
 
 def is_well_covered(g: Graph) -> bool:
     """True iff every maximal independent set has the maximum cardinality.
 
-    Decided one connected component at a time: g is well-covered iff each
-    component is (Plummer 1970), and the first component that is not
-    answers False without enumerating the rest.  A graph with no vertices
-    is well-covered.
+    No maximal independent set is listed.  Every one of g[W] meets N[u]
+    for any vertex u of W, and those through v are v with one of
+    g[W - N[v]].  So a connected W is well-covered, with independence
+    number a, iff g[W - N[v]] is well-covered with a - 1 for each v in
+    N[u], u the lowest vertex of W.  A disconnected W is well-covered iff
+    each component is (Plummer 1970), with the sum of theirs.  Each
+    well-covered mask keeps its independence number once.  A mask waits
+    on an explicit stack for its parts one at a time, so no vertex count
+    meets the recursion limit, and the first part that disagrees with
+    those before it answers False.  A graph with no vertices is
+    well-covered.
     """
-    return all(len(sizes) == 1 for sizes in _component_set_sizes(g))
+    closed = [a | 1 << i for i, a in enumerate(g.adj)]
+    memo = {0: 0}  # vertex mask of a well-covered g[W] -> its independence number
+    frames: list[list] = []  # [W, its parts, the part awaited, split into components?, their sum or common number so far]
+    w = (1 << g.vertex_count) - 1
+    while True:
+        if w not in memo:
+            comps = _component_masks(g, w)
+            if len(comps) > 1:
+                frames.append([w, comps, 0, True, 0])
+            else:
+                around, parts = closed[(w & -w).bit_length() - 1] & w, []
+                while around:
+                    v = around & -around
+                    around ^= v
+                    parts.append(w & ~closed[v.bit_length() - 1])
+                frames.append([w, parts, 0, False, -1])
+            w = frames[-1][1][0]
+            continue
+        a = memo[w]
+        while frames:
+            frame = frames[-1]
+            top, parts, k, split, b = frame
+            if split:
+                a += b
+            elif b >= 0 and a != b:
+                return False
+            if k + 1 < len(parts):
+                frame[2], frame[4] = k + 1, a
+                w = parts[k + 1]
+                break
+            memo[top] = a = a if split else a + 1
+            frames.pop()
+        else:
+            return True

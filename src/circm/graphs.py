@@ -8,6 +8,7 @@ component splits and independence-set enumeration cheap.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import Frozen, GuardError
@@ -39,6 +40,56 @@ class CirculantSpec(Frozen):
         return f"C{self.n}({','.join(map(str, self.s))})"
 
 
+@lru_cache(maxsize=4)
+def _transpose_steps(w: int) -> tuple[tuple[int, int], ...]:
+    """The log2(w) masked swaps that transpose a w x w bit matrix packed
+    row by row into one int, bit (i, j) at i * w + j, w a power of two
+    >= 8: for each s = w/2, ..., 1, the shift s * (w - 1) from bit (i, j)
+    to (i + s, j - s), and the mask of the bits (i, j) with bit s clear
+    in i and set in j."""
+    rb = w // 8
+    ones = (1 << w) - 1
+    steps = []
+    s = w // 2
+    while s:
+        row = ones // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)  # the columns j with bit s set
+        rows = (row.to_bytes(rb, "little") * s + bytes(rb * s)) * (w // (2 * s))
+        steps.append((s * (w - 1), int.from_bytes(rows, "little")))
+        s //= 2
+    return tuple(steps)
+
+
+def _is_symmetric(adj: tuple[int, ...], arcs: int) -> bool:
+    """Whether j is in adj[i] exactly when i is in adj[j], for masks
+    within range(len(adj)) that hold ``arcs`` bits in all.
+
+    A walk over the arcs costs about 250 ns an arc; the transpose of the
+    packed w x w matrix, w the next power of two >= max(n, 8), about
+    120 ns for each of its w^2 / 64 words and 3 us more (CPython 3.11 on
+    a 2-vCPU x86-64 host).  So an adjacency of fewer than w^2 / 128 + 12
+    arcs is walked, arc by arc, and a denser one is packed, transposed
+    and compared: no graph pays for w^2 bits unless it holds about one
+    in 128 of them already.
+    """
+    w = 1 << max(len(adj) - 1, 7).bit_length()
+    if arcs < (w * w >> 7) + 12:
+        for i, mask in enumerate(adj):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                if not adj[low.bit_length() - 1] & bit:
+                    return False
+                mask ^= low
+        return True
+    rb = w // 8
+    packed = x = int.from_bytes(b"".join(m.to_bytes(rb, "little") for m in adj), "little")
+    # the masks take log2(w) w^2 / 8 bytes: above w = 256 they are built per call, not kept
+    for shift, mask in _transpose_steps(w) if w <= 256 else _transpose_steps.__wrapped__(w):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x == packed
+
+
 class Graph(Frozen):
     """A finite simple graph with labelled vertices.
 
@@ -54,18 +105,15 @@ class Graph(Frozen):
             raise ValueError("labels/adjacency length mismatch")
         if len(set(labels)) != n:
             raise ValueError("duplicate vertex labels")
+        arcs = 0  # each edge from both ends
         for i, mask in enumerate(adj):
             if mask >> n:
                 raise ValueError("adjacency mask out of range")
-            bit = 1 << i
-            if mask & bit:
+            if mask >> i & 1:
                 raise ValueError("adjacency has a loop")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                if not adj[low.bit_length() - 1] & bit:
-                    raise ValueError("adjacency is not symmetric")
-                rest ^= low
+            arcs += mask.bit_count()
+        if not _is_symmetric(adj, arcs):
+            raise ValueError("adjacency is not symmetric")
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "origin", origin)

@@ -297,11 +297,40 @@ class InducedHomology:
         return int(format(mask, f"0{self._n}b")[::-1], 2)
 
     def _key(self, mask: int) -> int:
+        """The least image of ``mask`` by the rotations and reflections that
+        are automorphisms of g.
+
+        When every rotation is one, the least image puts a longest circular
+        run of zeros at the top bits, so only the rotations that do are
+        tried: the starts of those runs are what survives of the doubled
+        complement when each step keeps a bit only if the bit above it is
+        kept too.  A run that starts at bit p goes to the top under the
+        rotation by n - length - p, and in the mirror image under the
+        rotation by p.  With fewer rotations, each listed map is tried."""
         n, full = self._n, self.full
-        key = min(((mask << r) | (mask >> (n - r))) & full for r in self._rotations)
-        if self._reflections:
-            m = self._mirror(mask)
-            key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
+        if len(self._rotations) < n:
+            key = min(((mask << r) | (mask >> (n - r))) & full for r in self._rotations)
+            if self._reflections:
+                m = self._mirror(mask)
+                key = min(key, min(((m << r) | (m >> (n - r))) & full for r in self._reflections))
+            return key
+        zeros = full ^ mask
+        if not (mask and zeros):
+            return mask  # every rotation fixes it
+        run, top = zeros | zeros << n, n - 1
+        while run & run >> 1:
+            run &= run >> 1
+            top -= 1
+        starts, key = run & full, mask
+        m = self._mirror(mask) if self._reflections else 0
+        while starts:
+            low = starts & -starts
+            starts ^= low
+            p = low.bit_length() - 1
+            r = (top - p) % n
+            key = min(key, ((mask << r) | (mask >> (n - r))) & full)
+            if m:
+                key = min(key, ((m << p) | (m >> (n - p))) & full)
         return key
 
     def orbit_vertex(self, mask: int) -> int:

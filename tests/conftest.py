@@ -56,6 +56,44 @@ def brute_independent_sets(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def brute_well_covered_alpha(g: Graph) -> tuple[bool, int]:
+    """(well-covered?, independence number) of g from the sizes of its
+    maximal independent sets, listed per connected component: g is
+    well-covered iff each component is (Plummer).  A component's sets are
+    found by walking every independent set, vertices added in increasing
+    order, and keeping those that every vertex of the component meets
+    through a closed neighbourhood; the components are grown one
+    neighbour at a time."""
+    n, adj = g.vertex_count, g.adj
+    well_covered, alpha, seen = True, 0, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, todo = [start], [start]
+        seen.add(start)
+        while todo:
+            v = todo.pop()
+            for u in range(n):
+                if adj[v] >> u & 1 and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    todo.append(u)
+        comp.sort()
+        sizes = set()
+
+        def walk(k, chosen, size):
+            if all(chosen >> v & 1 or adj[v] & chosen for v in comp):
+                sizes.add(size)
+            for j in range(k, len(comp)):
+                if not adj[comp[j]] & chosen:
+                    walk(j + 1, chosen | 1 << comp[j], size + 1)
+
+        walk(0, 0, 0)
+        well_covered = well_covered and len(sizes) == 1
+        alpha += max(sizes)
+    return well_covered, alpha
+
+
 def euler_check(c, field) -> bool:
     """Whether the reduced Euler characteristic of ``reduced_betti(c,
     field)`` is the alternating sum of ``f_vector(c)``.

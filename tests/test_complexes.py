@@ -24,7 +24,7 @@ from circm import (
 from circm.complexes import h_from_f
 from circm.graphs import induced_subgraph
 
-from conftest import brute_independent_sets, brute_maximal_independent_sets, downward_closure, graph_from_edges, recursion_limit_above_here
+from conftest import brute_independent_sets, brute_maximal_independent_sets, brute_well_covered_alpha, downward_closure, graph_from_edges, recursion_limit_above_here
 
 
 small_circulants = st.integers(min_value=2, max_value=9).flatmap(
@@ -220,11 +220,44 @@ class TestWellCoveredByComponents:
     def test_lex_products_with_an_edgeless_factor(self, g, h):
         self.check_against_brute(lex_product(circulant(*g), circulant(*h)))
 
-    def test_disjoint_triangles_enumerate_per_component(self):
+    def test_every_circulant_up_to_14_vertices(self):
+        for n in range(1, 15):
+            for r in range(n // 2 + 1):
+                for s in combinations(range(1, n // 2 + 1), r):
+                    g = circulant(n, s)
+                    assert (is_well_covered(g), alpha(g)) == brute_well_covered_alpha(g), (n, s)
+
+    def test_every_lex_product_of_circulants_on_at_most_5_vertices(self):
+        factors = [circulant(n, s) for n in range(1, 6) for r in range(n // 2 + 1) for s in combinations(range(1, n // 2 + 1), r)]
+        for g in factors:
+            for h in factors:
+                prod = lex_product(g, h)
+                assert (is_well_covered(prod), alpha(prod)) == brute_well_covered_alpha(prod), (g.origin, h.origin)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            n, p = rng.randrange(13), rng.random()
+            g = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            assert (is_well_covered(g), alpha(g)) == brute_well_covered_alpha(g), g.adj
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        # the path's lowest vertex leaves the path two or three vertices
+        # shorter: about 600 masks wait on the stack before P_3 answers
+        # False; with a leaf on each of 600 path vertices the graph is
+        # well-covered and every mask is decided
+        path = graph_from_edges(1200, [(i, i + 1) for i in range(1199)])
+        whiskered = graph_from_edges(1200, [(i, i + 1) for i in range(599)] + [(i, 600 + i) for i in range(600)])
+        with recursion_limit_above_here(150):
+            got = (is_well_covered(path), alpha(path), is_well_covered(whiskered))
+        assert got == (False, 600, True)
+
+    def test_disjoint_triangles_list_no_maximal_independent_set(self):
         # C6()[C6(2)] is twelve disjoint triangles: 3^12 maximal independent
-        # sets as a whole, 12 * 3 one component at a time
+        # sets as a whole, 12 * 3 one component at a time, and none listed
+        # when each triangle is decided by its closed neighbourhoods
         g = lex_product(circulant(6, []), circulant(6, [2]))
-        assert enumerated_set_count(lambda: is_well_covered(g)) <= 36
+        assert enumerated_set_count(lambda: (is_well_covered(g), alpha(g))) == 0
         assert is_well_covered(g) and alpha(g) == 12
 
 

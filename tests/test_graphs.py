@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circm.graphs
 from circm import (
     CirculantSpec,
     Graph,
@@ -90,6 +94,57 @@ class TestGraphValidation:
         # 0 -> {1, 2} with 1 -> 0 but 2 -/-> 0
         with pytest.raises(ValueError, match="not symmetric"):
             Graph(adj=(0b110, 0b001, 0b000), labels=(1, 2, 3))
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+    def test_one_flipped_bit_against_the_definition(self, monkeypatch, n):
+        # sparse adjacencies are walked edge by edge, dense ones transposed
+        # as packed bit matrices; over these densities both routes must
+        # accept a symmetric adjacency and reject it with one bit flipped
+        transposed = []
+        steps = circm.graphs._transpose_steps
+        monkeypatch.setattr(circm.graphs, "_transpose_steps", lambda w: transposed.append(w) or steps(w))
+        rng = random.Random(n)
+        labels = tuple(range(1, n + 1))
+        routes = {"accepted": set(), "rejected": set()}
+
+        def build(adj, outcome):
+            before = len(transposed)
+            try:
+                return Graph(adj=tuple(adj), labels=labels)
+            finally:
+                routes[outcome].add(len(transposed) > before)
+
+        for p in (0.003, 0.01, 0.03, 0.1, 0.3, 0.6, 0.95):
+            for _ in range(6):
+                adj = [0] * n
+                for i, j in combinations(range(n), 2):
+                    if rng.random() < p:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+                assert build(adj, "accepted").adj == tuple(adj)
+                i, j = rng.sample(range(n), 2)
+                adj[i] ^= 1 << j
+                assert any(adj[a] >> b & 1 != adj[b] >> a & 1 for a in range(n) for b in range(n))
+                with pytest.raises(ValueError) as exc:
+                    build(adj, "rejected")
+                assert str(exc.value) == "adjacency is not symmetric"
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << j
+                with pytest.raises(ValueError) as exc:
+                    Graph(adj=tuple(adj), labels=labels)
+                assert str(exc.value) == "adjacency has a loop"
+                adj[j] ^= 1 << j | 1 << n
+                with pytest.raises(ValueError) as exc:
+                    Graph(adj=tuple(adj), labels=labels)
+                assert str(exc.value) == "adjacency mask out of range"
+        assert routes == {"accepted": {False, True}, "rejected": {False, True}}
+
+    def test_a_fault_at_any_vertex_is_found_before_asymmetry(self):
+        # vertex 0 is asymmetric, vertex 2 carries a loop or a bit past n
+        with pytest.raises(ValueError, match="loop"):
+            Graph(adj=(0b010, 0b000, 0b100), labels=(1, 2, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(adj=(0b010, 0b000, 0b1000), labels=(1, 2, 3))
 
 
 class TestConstruction:

@@ -192,6 +192,30 @@ class TestOracleAgainstBruteForce:
         oracle = InducedHomology(prod, Q)
         assert all(oracle._key(m) == m for m in range(1 << prod.vertex_count))
 
+    @staticmethod
+    def dihedral_minimum(mask: int, n: int) -> int:
+        """The least of the n rotations of the n-bit string of ``mask`` and
+        of its reverse, read back as an int: the key of a circulant."""
+        bits = format(mask, f"0{n}b")
+        return min(int(b[r:] + b[:r], 2) for b in (bits, bits[::-1]) for r in range(n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_circulant_key_is_the_dihedral_minimum_on_every_mask(self, n):
+        oracle = InducedHomology(circulant(n, [1] if n > 1 else []), Q)
+        assert len(oracle._rotations) == n
+        assert [oracle._key(m) for m in range(1 << n)] == [self.dihedral_minimum(m, n) for m in range(1 << n)]
+
+    def test_circulant_key_is_the_dihedral_minimum_on_random_and_periodic_masks(self):
+        rng = random.Random(33)
+        for n in range(13, 41):
+            oracle = InducedHomology(circulant(n, [1, n // 3]), Q)
+            full = (1 << n) - 1
+            masks = [0, full, full ^ 1, 1, 1 << (n - 1)]
+            masks += [int((pattern * n)[:n], 2) for pattern in ("01", "10", "0011", "001", "110", "0001011")]  # periodic where n allows
+            masks += [sum(1 << i for i in range(n) if rng.random() < p) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(20)]
+            for m in masks:
+                assert oracle._key(m) == self.dihedral_minimum(m, n), (n, bin(m))
+
     def test_block_rotations_of_a_lex_product_of_circulants_are_used(self):
         # C4(1)[C2(1)]: rotating by one block is an automorphism, by one vertex is not
         oracle = InducedHomology(lex_product(circulant(4, [1]), circulant(2, [1])), Q)
